@@ -10,13 +10,13 @@ shows these dynamics cannot arise from a cotangent lift.
 """
 
 from .geometry import (DEGENERACY_TOL, PhaseState, PhaseStructure, StructureKind,
-                       bivector_rank, defining_function, evaluate_form,
+                       bivector_rank, compile_field, defining_function, evaluate_form,
                        hamiltonian_vector_field, poisson_bivector)
 from .hamiltonians import (ExtendedKind, HamiltonianSpec, LogMomentumHamiltonian,
                            PotentialFamily, PotentialSpec, potential_gradient,
                            potential_value, second_order_residual)
 from .integrate import (BlowupError, Event, EventKind, IntegratorConfig, Method,
-                        Trajectory, field_function, integrate,
+                        Trajectory, integrate, integrate_batch,
                         merge_backward_forward, sign_preservation_check, step)
 from .liftcheck import (LiftVerdict, Verdict, Witness, projectability_test,
                         toric_moment_field)

@@ -32,7 +32,10 @@ import numpy as np
 from . import __version__
 from .geometry import PhaseState, PhaseStructure, StructureKind
 from .hamiltonians import HamiltonianSpec, PotentialFamily, PotentialSpec
-from .integrate import IntegratorConfig, Method, Trajectory, integrate
+# integrate is not called here; it stays importable as bhamsys.cli.integrate,
+# where perfbench/tracer.py wraps it.
+from .integrate import (IntegratorConfig, Method, Trajectory, integrate,  # noqa: F401
+                        integrate_batch)
 from .liftcheck import projectability_test, toric_moment_field
 from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
@@ -111,15 +114,27 @@ def _reject_unknown(section: dict, allowed: set, path: str) -> None:
             raise ConfigError(f"unknown key: {where}")
 
 
+def _as_number(value, path: str) -> float:
+    """A JSON number as a float; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number")
+    return float(value)
+
+
+def _as_point(value, path: str):
+    """A point given as one number (n = 1) or as a list of numbers."""
+    if isinstance(value, list):
+        return [_as_number(v, f"{path}[{j}]") for j, v in enumerate(value)]
+    return _as_number(value, path)
+
+
 def _number(section: dict, key: str, path: str, default=None, positive=False):
     if key not in section:
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
+    value = _as_number(section[key], f"{path}.{key}")
     if positive and not value > 0:
         raise ConfigError(f"{path}.{key} must be > 0")
-    return float(value)
+    return value
 
 
 def _build_structure(section, warnings) -> PhaseStructure:
@@ -204,14 +219,15 @@ def _expand_axis_spec(spec, path) -> list:
         values = spec["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values must be a nonempty list")
-        return [float(v) for v in values]
+        return [_as_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
     for key in ("start", "stop", "count"):
         if key not in spec:
             raise ConfigError(f"{path}.{key} is required for a range spec")
     count = spec["count"]
     if not isinstance(count, int) or count < 1:
         raise ConfigError(f"{path}.count must be a positive integer")
-    return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
+    return list(np.linspace(_as_number(spec["start"], f"{path}.start"),
+                            _as_number(spec["stop"], f"{path}.stop"), count))
 
 
 def _build_initials(section, n) -> list:
@@ -232,7 +248,7 @@ def _build_initials(section, n) -> list:
         if not isinstance(row, list) or len(row) != 2 * n:
             raise ConfigError(f"initial[{i}] must be a flat list of length {2 * n} "
                               f"(q1..q{n}, p1..p{n})")
-        values = [float(v) for v in row]
+        values = [_as_number(v, f"initial[{i}][{j}]") for j, v in enumerate(row)]
         states.append(PhaseState(values[:n], values[n:]))
     return states
 
@@ -316,7 +332,7 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     if not isinstance(initial, list) or len(initial) != 2 * n:
         raise ConfigError(f"initial must be a flat list of length {2 * n} "
                           f"(q1..q{n}, v1..v{n})")
-    values = [float(v) for v in initial]
+    values = [_as_number(v, f"initial[{j}]") for j, v in enumerate(initial)]
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
@@ -346,6 +362,9 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
         raise ConfigError("base_points must be a nonempty list")
     if not isinstance(cfg.fiber_samples, list) or len(cfg.fiber_samples) < 2:
         raise ConfigError("fiber_samples must contain at least two samples")
+    cfg.base_points = [_as_point(b, f"base_points[{i}]") for i, b in enumerate(cfg.base_points)]
+    cfg.fiber_samples = [_as_point(f, f"fiber_samples[{i}]")
+                         for i, f in enumerate(cfg.fiber_samples)]
     tol = _number(document, "tol", "config", 1e-9, positive=True)
     cfg.tol = tol
     return cfg
@@ -402,13 +421,25 @@ def _write_realtime_csv(path, rt) -> None:
 # ---------------------------------------------------------------------------
 # command runners
 
+def _integrate_all(cfg: RunConfig) -> list:
+    """One trajectory, or the exception that stopped it, per initial state."""
+    return integrate_batch(cfg.structure, cfg.hamiltonian,
+                           [initial.to_array() for initial in cfg.initials], cfg.integrator)
+
+
+def _trajectory(run) -> Trajectory:
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
 def _run_simulate(cfg: RunConfig, out_dir: str) -> list:
     records = []
-    for i, initial in enumerate(cfg.initials):
+    for i, (initial, run) in enumerate(zip(cfg.initials, _integrate_all(cfg))):
         name = f"traj_{i:03d}.csv"
         record = {"index": i, "initial": _state_payload(initial)}
         try:
-            traj = integrate(cfg.structure, cfg.hamiltonian, initial, cfg.integrator)
+            traj = _trajectory(run)
             traj.write_csv(os.path.join(out_dir, name))
             record.update(status="ok", file=name,
                           event={"kind": traj.terminal_event.kind.value,
@@ -461,11 +492,10 @@ def _run_portrait(cfg: RunConfig, out_dir: str) -> list:
 
 def _run_classify(cfg: RunConfig, out_dir: str) -> list:
     records = []
-    for i, initial in enumerate(cfg.initials):
+    for i, (initial, run) in enumerate(zip(cfg.initials, _integrate_all(cfg))):
         record = {"index": i, "initial": _state_payload(initial)}
         try:
-            traj = integrate(cfg.structure, cfg.hamiltonian, initial, cfg.integrator)
-            cls = classify_orbit(traj)
+            cls = classify_orbit(_trajectory(run))
             record.update(status="ok", classification=_classification_payload(cls))
         except Exception as exc:
             record.update(status=f"error: {type(exc).__name__}: {exc}")
@@ -507,10 +537,10 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: str) -> list:
     oracle = _oracle_for(cfg)
     records = []
     summary = []
-    for i, initial in enumerate(cfg.initials):
+    for i, (initial, run) in enumerate(zip(cfg.initials, _integrate_all(cfg))):
         record = {"index": i, "initial": _state_payload(initial)}
         try:
-            traj = integrate(cfg.structure, cfg.hamiltonian, initial, cfg.integrator)
+            traj = _trajectory(run)
             q_exact, p_exact = oracle(initial, traj.times)
             name = f"compare_{i:03d}.csv"
             lines = ["t,q_sim,p_sim,q_exact,p_exact"]

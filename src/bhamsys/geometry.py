@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "poisson_bivector",
     "bivector_rank",
     "hamiltonian_vector_field",
+    "compile_field",
     "evaluate_form",
 ]
 
@@ -201,6 +203,17 @@ def _check_state(structure: PhaseStructure, state: PhaseState) -> None:
         raise ValueError(f"{structure.kind.value} structure requires the extended pair")
 
 
+def _defining_index(structure: PhaseStructure) -> int:
+    """Flat position of the coordinate cutting out the critical set."""
+    if structure.kind is StructureKind.TWISTED_B:
+        return structure.n + structure.singular_index
+    if structure.kind is StructureKind.NONTWISTED_B:
+        return structure.singular_index
+    if structure.kind is StructureKind.EXTENDED_B_S:
+        return 2 * structure.n
+    raise ValueError("structure has no critical set")
+
+
 def defining_function(structure: PhaseStructure, state: PhaseState) -> float:
     """Value of the local coordinate cutting out the critical set Z.
 
@@ -208,13 +221,7 @@ def defining_function(structure: PhaseStructure, state: PhaseState) -> float:
     which have no critical set.
     """
     _check_state(structure, state)
-    if structure.kind is StructureKind.TWISTED_B:
-        return float(state.p[structure.singular_index])
-    if structure.kind is StructureKind.NONTWISTED_B:
-        return float(state.q[structure.singular_index])
-    if structure.kind is StructureKind.EXTENDED_B_S:
-        return float(state.extra[0])
-    raise ValueError("structure has no critical set")
+    return float(state.to_array()[_defining_index(structure)])
 
 
 def _pair_orientations(structure: PhaseStructure, state: PhaseState) -> np.ndarray:
@@ -269,33 +276,96 @@ def bivector_rank(structure: PhaseStructure, state: PhaseState,
     return 2 * int(np.sum(np.abs(sigma) > tol))
 
 
+def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.ndarray]:
+    """Flat-array Hamiltonian field ``F(Y) = P(Y) . grad(H)(Y)`` of ``h``.
+
+    ``F`` takes one flat state of shape ``(d,)`` or a batch of shape
+    ``(N, d)``, with ``d = structure.total_dim``, and returns velocities of
+    the same shape, one row per state.  The bivector is block-diagonal, so
+    the field is ``sigma * swap(grad H)``: every conjugate pair ``(x, y)``
+    gets ``(dH/dy, -dH/dx)``, and only one block scale depends on the
+    state, ``p_k/c``, ``q_k/c`` or ``s/c`` on the singular pair.
+
+    That the structure and the Hamiltonian fit together (the conjugate pair
+    an extended Hamiltonian carries) is checked here, once, not on every
+    evaluation.  The named potential families of a non-extended
+    :class:`~bhamsys.hamiltonians.HamiltonianSpec` are evaluated as array
+    expressions; any other ``h`` (extended variants, custom potentials,
+    duck-typed objects exposing ``gradient(state)``) is evaluated row by row
+    through ``h.gradient`` and raises whatever that raises.  Rows never mix,
+    so a row's velocity is the same, to the bit, in any batch.
+    """
+    # hamiltonians imports this module, so its names are looked up here
+    from .hamiltonians import ExtendedKind, HamiltonianSpec, PotentialFamily, _family_slope
+
+    role = getattr(h, "extra_role", None)
+    if structure.kind is StructureKind.EXTENDED_CANONICAL and role not in (None, "t_energy"):
+        raise ValueError("Hamiltonian carries an (s, E_s) pair but the structure expects (t, E)")
+    if structure.kind is StructureKind.EXTENDED_B_S and role not in (None, "s_energy"):
+        raise ValueError("Hamiltonian carries a (t, E) pair but the structure expects (s, E_s)")
+
+    n = structure.n
+    ext = structure.is_extended
+    col = _defining_index(structure) if structure.is_singular else None
+    c = structure.modular_weight
+    # the two columns of the singular pair, as a slice
+    if structure.kind is StructureKind.EXTENDED_B_S:
+        block = slice(2 * n, 2 * n + 2)
+    else:
+        block = slice(structure.singular_index, structure.singular_index + n + 1, n)
+
+    def scale(Y, out):
+        # the state-dependent block: (sigma dH/dy, -sigma dH/dx), sigma = Y[col]/c
+        if col is not None:
+            pair = out[..., block]
+            pair *= (Y[..., col] / c)[..., None]
+        return out
+
+    if (isinstance(h, HamiltonianSpec) and h.extended is ExtendedKind.NONE
+            and h.potential.family is not PotentialFamily.CUSTOM
+            and h.n == n and not ext):
+        spec, axis = h.potential, h.axis
+
+        def field(Y):
+            # grad H = (dV/dq, p) with dV/dq zero off the potential's axis
+            out = np.empty_like(Y, dtype=float)
+            out[..., :n] = Y[..., n:]
+            out[..., n:] = -0.0
+            out[..., n + axis] = -_family_slope(spec, Y[..., axis])
+            return scale(Y, out)
+
+        return field
+
+    # swap(grad H) with the constant block scales: +-1, and -1 on (t, E)
+    d = structure.total_dim
+    swap = np.array([*range(n, 2 * n), *range(n)] + ([2 * n + 1, 2 * n] if ext else []))
+    tail = -1.0 if structure.kind is StructureKind.EXTENDED_CANONICAL else 1.0
+    sign = np.array([1.0] * n + [-1.0] * n + ([tail, -tail] if ext else []))
+
+    def field(Y):
+        rows = np.reshape(Y, (-1, d))
+        grad = np.empty_like(rows, dtype=float)
+        for i, row in enumerate(rows):
+            g = np.asarray(h.gradient(PhaseState.from_array(row, n, ext)), dtype=float)
+            if g.size != d:
+                raise ValueError(f"gradient has length {g.size}, expected {d}")
+            grad[i] = g
+        return scale(rows, grad[:, swap] * sign).reshape(np.shape(Y))
+
+    return field
+
+
 def hamiltonian_vector_field(structure: PhaseStructure, h, state: PhaseState) -> np.ndarray:
     """Velocity vector ``P(state) . grad(H)(state)`` in flat coordinate order.
 
     ``h`` is any object exposing ``gradient(state) -> ndarray`` over the full
     phase coordinates (see :mod:`bhamsys.hamiltonians`).  For singular kinds
     the field is tangent to the critical set; with the twisted structure and
-    ``H = |p|^2/2 + f(q)`` it vanishes identically on Z.
+    ``H = |p|^2/2 + f(q)`` it vanishes identically on Z.  Single-state form
+    of :func:`compile_field`.
     """
     _check_state(structure, state)
-    role = getattr(h, "extra_role", None)
-    if structure.kind is StructureKind.EXTENDED_CANONICAL and role not in (None, "t_energy"):
-        raise ValueError("Hamiltonian carries an (s, E_s) pair but the structure expects (t, E)")
-    if structure.kind is StructureKind.EXTENDED_B_S and role not in (None, "s_energy"):
-        raise ValueError("Hamiltonian carries a (t, E) pair but the structure expects (s, E_s)")
-    grad = np.asarray(h.gradient(state), dtype=float)
-    d = structure.total_dim
-    if grad.size != d:
-        raise ValueError(f"gradient has length {grad.size}, expected {d}")
-    n = structure.n
-    sigma = _pair_orientations(structure, state)
-    out = np.empty(d)
-    out[:n] = sigma[:n] * grad[n:2 * n]
-    out[n:2 * n] = -sigma[:n] * grad[:n]
-    if structure.is_extended:
-        out[2 * n] = sigma[n] * grad[2 * n + 1]
-        out[2 * n + 1] = -sigma[n] * grad[2 * n]
-    return out
+    return compile_field(structure, h)(state.to_array())
 
 
 def evaluate_form(structure: PhaseStructure, state: PhaseState,

@@ -126,7 +126,8 @@ def _family_value(spec: PotentialSpec, x: float) -> float:
     return 0.0
 
 
-def _family_slope(spec: PotentialSpec, x: float) -> float:
+def _family_slope(spec: PotentialSpec, x):
+    """dV/dx of a named family, for a float or elementwise for an array."""
     f = spec.family
     if f is PotentialFamily.LINEAR:
         return 0.5 * spec.lam
@@ -135,7 +136,7 @@ def _family_slope(spec: PotentialSpec, x: float) -> float:
     if f is PotentialFamily.GENERAL_QUADRATIC:
         return 0.5 * spec.lam * (1.0 + spec.alpha * x)
     if f is PotentialFamily.PERIODIC:
-        return -0.5 * spec.lam * math.sin(x)
+        return -0.5 * spec.lam * np.sin(x)
     return 0.0
 
 

@@ -20,18 +20,34 @@ Runs terminate on the first of four events:
 Near the critical set the adaptive controller additionally clamps the step
 so the singular coordinate cannot shrink by more than half per step, which
 prevents overshooting across Z.
+
+Batches
+-------
+:func:`integrate_batch` integrates many initial conditions in one call, all
+through the one flat-array kernel of :func:`~bhamsys.geometry.compile_field`.
+Every row carries its own direction, and ``-1`` negates the field exactly, so
+the forward and backward runs of N initial conditions go in together as 2N
+rows.  Fixed-step RK4 advances all rows in lockstep on the shared time grid
+``t = k * step`` and stores one block of samples per step; each row keeps
+its own events and leaves the batch when one fires.  Adaptive DP5 rows
+choose their own steps and are advanced one at a time.  A row's trajectory
+is the same, to the bit, in any batch; :func:`integrate` is the one-row case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
-from .geometry import (PhaseState, PhaseStructure, StructureKind,
-                       hamiltonian_vector_field)
+# hamiltonian_vector_field is not called here; it stays importable as
+# bhamsys.integrate.hamiltonian_vector_field, where perfbench/tracer.py wraps it.
+from .geometry import (PhaseState, PhaseStructure, _check_state,  # noqa: F401
+                       _defining_index, compile_field, hamiltonian_vector_field)
 
 __all__ = [
     "Method",
@@ -40,9 +56,9 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "BlowupError",
-    "field_function",
     "step",
     "integrate",
+    "integrate_batch",
     "merge_backward_forward",
     "sign_preservation_check",
 ]
@@ -55,6 +71,10 @@ STEP_GROW = 5.0
 
 #: Bisection tolerance (in time) for event localization.
 EVENT_TIME_TOL = 1e-10
+
+#: Float64 elements the sample store of a fixed-step batch starts with at
+#: most; it doubles whenever a longer run needs more.
+STORE_ELEMENTS = 1 << 22
 
 
 class BlowupError(RuntimeError):
@@ -189,18 +209,30 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # steppers
 
-def field_function(structure: PhaseStructure, h, direction: int = 1) -> Callable:
-    """Flat-array view of the Hamiltonian field, for steppers and scans."""
-    n = structure.n
-    ext = structure.is_extended
+#: Exceptions that end a run with a ``blowup`` event instead of an error.
+_BLOWUP_ERRORS = (BlowupError, OverflowError, FloatingPointError)
 
-    if direction == 1:
-        def f(y):
-            return hamiltonian_vector_field(structure, h, PhaseState.from_array(y, n, ext))
-    else:
-        def f(y):
-            return -hamiltonian_vector_field(structure, h, PhaseState.from_array(y, n, ext))
-    return f
+
+def _directed(F, sign, Y, errors=None):
+    """``sign * F(Y)``: the field, negated on rows integrated backward.
+
+    With an ``errors`` dict, a batch whose evaluation raises is evaluated
+    again row by row: a row that raises gets NaN velocities and its first
+    exception is kept in ``errors`` under its row number, so it cannot stop
+    the rows that do not raise.
+    """
+    try:
+        return sign * F(Y)
+    except Exception:
+        if errors is None:
+            raise
+    out = np.full_like(Y, np.nan)
+    for j in range(len(Y)):
+        try:
+            out[j] = sign[j] * F(Y[j])
+        except Exception as exc:
+            errors.setdefault(j, exc)
+    return out
 
 
 def _rk4_step(f, y, dt, k1):
@@ -239,9 +271,10 @@ def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseSta
     """One explicit RK4 step of the Hamiltonian field (4th-order accurate)."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    f = field_function(structure, h, 1)
+    _check_state(structure, state)
+    F = compile_field(structure, h)
     y = state.to_array()
-    y_new = _rk4_step(f, y, dt, f(y))
+    y_new = _rk4_step(F, y, dt, F(y))
     if not np.all(np.isfinite(y_new)):
         raise BlowupError("state became non-finite during the step")
     return PhaseState.from_array(y_new, structure.n, structure.is_extended)
@@ -249,17 +282,6 @@ def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseSta
 
 # ---------------------------------------------------------------------------
 # event helpers
-
-def _defining_index(structure: PhaseStructure) -> int:
-    """Flat position of the coordinate cutting out the critical set."""
-    if structure.kind is StructureKind.TWISTED_B:
-        return structure.n + structure.singular_index
-    if structure.kind is StructureKind.NONTWISTED_B:
-        return structure.singular_index
-    if structure.kind is StructureKind.EXTENDED_B_S:
-        return 2 * structure.n
-    raise ValueError("structure has no critical set")
-
 
 def _locate_z_crossing(d0: float, d1: float, z_eps: float, dt: float) -> float:
     """First tau in (0, dt] where |d| <= z_eps on the linear interpolant.
@@ -280,8 +302,14 @@ def _locate_z_crossing(d0: float, d1: float, z_eps: float, dt: float) -> float:
     return hi
 
 
+def _fires_z(d0, d1, z_eps):
+    """Whether a step from d0 to d1 of the defining function enters Z's
+    neighborhood or crosses Z (elementwise for arrays)."""
+    return (np.abs(d1) <= z_eps) | ((d0 > 0.0) != (d1 > 0.0))
+
+
 # ---------------------------------------------------------------------------
-# main driver
+# drivers
 
 def integrate(structure: PhaseStructure, h, initial: PhaseState,
               config: Optional[IntegratorConfig] = None,
@@ -292,27 +320,184 @@ def integrate(structure: PhaseStructure, h, initial: PhaseState,
     backward-time orbits as forward runs.  The returned trajectory records
     every accepted step; for singular structures started off the critical
     set, the sign of the defining function is preserved along the whole run
-    (the Z event fires before any crossing).
+    (the Z event fires before any crossing).  This is the one-row case of
+    :func:`integrate_batch`; a failing run raises its error.
+    """
+    _check_state(structure, initial)
+    (result,) = integrate_batch(structure, h, [initial.to_array()], config, [direction])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[IntegratorConfig] = None,
+                    directions=None) -> list:
+    """Integrate every initial state of ``Y0`` until its own event fires.
+
+    ``Y0`` holds flat initial states, one per row, each of length
+    ``structure.total_dim``; ``directions`` holds ``+1`` or ``-1`` per row
+    (default all ``+1``), where ``-1`` integrates the negated field.  Returns
+    one entry per row, in order: the row's :class:`Trajectory`, or the
+    exception that stopped it (a malformed or non-finite initial state, or
+    an error raised by the Hamiltonian), so a failing row never stops the
+    others.  Each trajectory is the one :func:`integrate` returns for its row
+    alone.  The trajectories of one fixed-step batch are views of one
+    shared sample store.
     """
     if config is None:
         config = IntegratorConfig()
-    if direction not in (1, -1):
+    rows = [np.asarray(y, dtype=float) for y in Y0]
+    directions = [1] * len(rows) if directions is None else list(directions)
+    if len(directions) != len(rows):
+        raise ValueError("need one direction per initial state")
+    if any(s not in (1, -1) for s in directions):
         raise ValueError("direction must be +1 or -1")
-    if not initial.is_finite():
-        raise ValueError("initial state must be finite")
+    F = compile_field(structure, h)
+    d = structure.total_dim
 
-    f = field_function(structure, h, direction)
-    y = initial.to_array()
+    results = [None] * len(rows)
+    valid = []
+    for i, y in enumerate(rows):
+        if y.shape != (d,):
+            results[i] = ValueError(f"expected a flat state of length {d}, got shape {y.shape}")
+        elif not np.all(np.isfinite(y)):
+            results[i] = ValueError("initial state must be finite")
+        else:
+            valid.append(i)
+    if not valid:
+        return results
+
+    if config.method is Method.RK_ADAPTIVE:
+        for i in valid:
+            try:
+                results[i] = _integrate_adaptive(structure, h, F, float(directions[i]),
+                                                 rows[i], config)
+            except Exception as exc:  # per-row isolation
+                results[i] = exc
+    else:
+        sign = np.array([[float(directions[i])] for i in valid])
+        runs = _integrate_lockstep(structure, h, F, sign, np.array([rows[i] for i in valid]),
+                                   config)
+        for i, run in zip(valid, runs):
+            results[i] = run
+    return results
+
+
+def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
+    """Fixed-step RK4 of all rows of ``Y0`` on one shared time grid.
+
+    The rows still running are the active set; each step advances them with
+    one kernel call per RK4 stage and writes their new states into the
+    sample store as one block.  A row leaves the active set when one of its
+    events fires; its end is recorded as (last sample index, time of that
+    sample, terminal event), and the Z-event sample overwrites the slot of
+    the step that fired it.
+    """
+    M, d = Y0.shape
+    results = [None] * M
+    ends = {}
+    cap = min(math.ceil(config.t_max / config.step) + 1, max(2, STORE_ELEMENTS // (M * d)))
+    store = np.empty((M, cap, d))
+    store[:, 0] = Y0
+    times = [0.0]
+    z_col = _defining_index(structure) if structure.is_singular else None
+    z_eps = config.z_epsilon
+
+    active = np.arange(M)
+    Y = Y0
+    errors = {}
+    K = _directed(F, sign, Y, errors)
+    for j, exc in errors.items():
+        results[j] = exc
+    fixed = np.max(np.abs(K), axis=1) < config.fp_epsilon  # False on NaN rows
+    for j in np.flatnonzero(fixed):
+        ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
+    keep = ~fixed
+    keep[list(errors)] = False
+    z_armed = (np.abs(Y[:, z_col]) >= z_eps) if z_col is not None else np.zeros(M, bool)
+    active, Y, K, sign, z_armed = (a[keep] for a in (active, Y, K, sign, z_armed))
+
+    t = 0.0
+    k = 0
+    while active.size:
+        if config.t_max - t <= config.t_max * 1e-14:
+            for r in active:
+                ends[r] = (k, times[k], Event(config.t_max, EventKind.T_MAX))
+            break
+        k += 1
+        t_new = k * config.step
+        if t_new >= config.t_max - config.step * 1e-9:
+            t_new = config.t_max
+        dt = t_new - t
+
+        failed = {}
+        Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y, dt, K)
+        ok = np.isfinite(Y_new).all(axis=1)
+        live = np.flatnonzero(ok)
+        late = {}
+        if live.size == ok.size:
+            K_new = _directed(F, sign, Y_new, late)
+        else:  # the field is not evaluated on states that already blew up
+            K_new = np.full_like(Y_new, np.nan)
+            K_new[live] = _directed(F, sign[live], Y_new[live], late)
+        if late:
+            failed.update((live[j], exc) for j, exc in late.items())
+            ok[live[list(late)]] = False
+
+        if k == store.shape[1]:
+            store = np.concatenate([store, np.empty_like(store)], axis=1)
+        store[active, k] = Y_new
+        times.append(t_new)
+
+        fired = np.zeros(active.size, bool)
+        if z_col is not None:
+            d0, d1 = Y[:, z_col], Y_new[:, z_col]
+            fired = z_armed & ok & _fires_z(d0, d1, z_eps)
+        kept = ok & ~fired
+        blown = kept & (np.abs(Y_new).max(axis=1) > config.blowup_bound)
+        fixed = kept & ~blown & (np.abs(K_new).max(axis=1) < config.fp_epsilon)
+        keep = kept & ~blown & ~fixed
+        if keep.all():
+            Y, K, t = Y_new, K_new, t_new
+            continue
+
+        for j in np.flatnonzero(~keep):
+            r = active[j]
+            if j in failed and not isinstance(failed[j], _BLOWUP_ERRORS):
+                results[r] = failed[j]
+            elif not ok[j]:
+                ends[r] = (k - 1, times[k - 1], Event(t_new, EventKind.BLOWUP))
+            elif fired[j]:
+                tau = _locate_z_crossing(d0[j], d1[j], z_eps, dt)
+                store[r, k] = Y[j] + (Y_new[j] - Y[j]) * (tau / dt)
+                ends[r] = (k, t + tau, Event(t + tau, EventKind.REACHED_Z))
+            elif blown[j]:
+                ends[r] = (k, t_new, Event(t_new, EventKind.BLOWUP))
+            else:
+                ends[r] = (k, t_new, Event(t_new, EventKind.FIXED_POINT))
+        active, Y, K, sign, z_armed = (a[keep] for a in (active, Y_new, K_new, sign, z_armed))
+        t = t_new
+
+    grid = np.array(times)
+    for r, (last, t_last, event) in ends.items():
+        row_times = grid[:last + 1].copy()
+        row_times[last] = t_last
+        results[r] = Trajectory(times=row_times, ys=store[r, :last + 1], events=(event,),
+                                structure=structure, hamiltonian=h)
+    return results
+
+
+def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
+    """Adaptive DP5 run of one row; raises what the Hamiltonian raises."""
+    f = partial(_directed, F, sign)
     f_cur = f(y)
 
     times = [0.0]
     samples = [y]
-    events = []
 
     def finish(event):
-        events.append(event)
         return Trajectory(times=np.array(times), ys=np.array(samples),
-                          events=tuple(events), structure=structure, hamiltonian=h)
+                          events=(event,), structure=structure, hamiltonian=h)
 
     if np.max(np.abs(f_cur)) < config.fp_epsilon:
         return finish(Event(0.0, EventKind.FIXED_POINT))
@@ -323,68 +508,50 @@ def integrate(structure: PhaseStructure, h, initial: PhaseState,
         z_idx = _defining_index(structure)
         z_armed = abs(y[z_idx]) >= config.z_epsilon
 
-    adaptive = config.method is Method.RK_ADAPTIVE
     t = 0.0
     dt_next = config.step
-    step_count = 0
-
     while True:
         remaining = config.t_max - t
         if remaining <= config.t_max * 1e-14:
             return finish(Event(config.t_max, EventKind.T_MAX))
 
-        if adaptive:
-            accepted = None
-            dt = min(max(dt_next, MIN_STEP), config.t_max / 10.0, remaining)
-            while accepted is None:
-                if z_armed:
-                    rate = abs(f_cur[z_idx])
-                    if rate > 0.0:
-                        dt = min(dt, abs(y[z_idx]) / (2.0 * rate))
-                dt = max(dt, MIN_STEP)
-                try:
-                    y_trial, err, k_end = _dp_step(f, y, dt, f_cur)
-                except (BlowupError, OverflowError, FloatingPointError):
-                    y_trial = np.array([np.nan])
-                if not np.all(np.isfinite(y_trial)):
-                    if dt <= 2 * MIN_STEP:
-                        return finish(Event(t + dt, EventKind.BLOWUP))
-                    dt = max(0.25 * dt, MIN_STEP)
-                    continue
-                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_trial))
-                err_norm = float(np.max(np.abs(err) / scale))
-                if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
-                    accepted = (y_trial, k_end)
-                    factor = STEP_GROW if err_norm == 0.0 else min(
-                        STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2))
-                    dt_next = dt * factor
-                else:
-                    dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2)
-            y_new, f_new = accepted
-            t_new = t + dt
-            if remaining - dt <= config.t_max * 1e-14:
-                t_new = config.t_max
-        else:
-            step_count += 1
-            t_new = step_count * config.step
-            if t_new >= config.t_max - config.step * 1e-9:
-                t_new = config.t_max
-            dt = t_new - t
+        accepted = None
+        dt = min(max(dt_next, MIN_STEP), config.t_max / 10.0, remaining)
+        while accepted is None:
+            if z_armed:
+                rate = abs(f_cur[z_idx])
+                if rate > 0.0:
+                    dt = min(dt, abs(y[z_idx]) / (2.0 * rate))
+            dt = max(dt, MIN_STEP)
             try:
-                y_new = _rk4_step(f, y, dt, f_cur)
-                f_new = f(y_new) if np.all(np.isfinite(y_new)) else None
-            except (BlowupError, OverflowError, FloatingPointError):
-                return finish(Event(t_new, EventKind.BLOWUP))
-            if not np.all(np.isfinite(y_new)):
-                return finish(Event(t_new, EventKind.BLOWUP))
+                y_trial, err, k_end = _dp_step(f, y, dt, f_cur)
+            except _BLOWUP_ERRORS:
+                y_trial = np.array([np.nan])
+            if not np.all(np.isfinite(y_trial)):
+                if dt <= 2 * MIN_STEP:
+                    return finish(Event(t + dt, EventKind.BLOWUP))
+                dt = max(0.25 * dt, MIN_STEP)
+                continue
+            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_trial))
+            err_norm = float(np.max(np.abs(err) / scale))
+            if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
+                accepted = (y_trial, k_end)
+                factor = STEP_GROW if err_norm == 0.0 else min(
+                    STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2))
+                dt_next = dt * factor
+            else:
+                dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2)
+        y_new, f_new = accepted
+        t_new = t + dt
+        if remaining - dt <= config.t_max * 1e-14:
+            t_new = config.t_max
 
         if z_armed:
             d0, d1 = y[z_idx], y_new[z_idx]
-            if abs(d1) <= config.z_epsilon or (d0 > 0.0) != (d1 > 0.0):
+            if _fires_z(d0, d1, config.z_epsilon):
                 tau = _locate_z_crossing(d0, d1, config.z_epsilon, dt)
-                y_event = y + (y_new - y) * (tau / dt)
                 times.append(t + tau)
-                samples.append(y_event)
+                samples.append(y + (y_new - y) * (tau / dt))
                 return finish(Event(t + tau, EventKind.REACHED_Z))
 
         times.append(t_new)

@@ -22,8 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (PhaseState, PhaseStructure, StructureKind,
-                       defining_function, hamiltonian_vector_field)
+# hamiltonian_vector_field is not called here; it stays importable as
+# bhamsys.liftcheck.hamiltonian_vector_field, where perfbench/tracer.py wraps it.
+from .geometry import (PhaseState, PhaseStructure, StructureKind,  # noqa: F401
+                       _check_state, _defining_index, compile_field,
+                       hamiltonian_vector_field)
 from .hamiltonians import LogMomentumHamiltonian
 
 __all__ = [
@@ -94,23 +97,32 @@ def projectability_test(structure: PhaseStructure, h, base_points, fiber_samples
     if all(np.array_equal(f, fibers[0]) for f in fibers[1:]):
         return LiftVerdict(Verdict.INCONCLUSIVE)
 
-    worst = None
-    for base in bases:
-        states = []
-        for fiber in fibers:
-            state = PhaseState(q=base, p=fiber)
-            if structure.is_singular and defining_function(structure, state) == 0.0:
-                raise ValueError("fiber sample lies on the critical set")
-            states.append(state)
-        base_velocities = [hamiltonian_vector_field(structure, h, s)[:n] for s in states]
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                diff = float(np.max(np.abs(base_velocities[i] - base_velocities[j])))
-                if worst is None or diff > worst.difference:
-                    worst = Witness(states[i], states[j], diff)
-    if worst is not None and worst.difference > tol:
-        return LiftVerdict(Verdict.NOT_PROJECTABLE, witness=worst)
-    return LiftVerdict(Verdict.PROJECTABLE)
+    # extended structures need a conjugate pair the samples do not carry
+    _check_state(structure, PhaseState(q=bases[0], p=fibers[0]))
+    # every (base, fiber) state as one flat row: Y[b, f] = (base b, fiber f)
+    B, F = len(bases), len(fibers)
+    Y = np.empty((B, F, 2 * n))
+    Y[:, :, :n] = np.array(bases)[:, None, :]
+    Y[:, :, n:] = np.array(fibers)[None, :, :]
+    if structure.is_singular and np.any(Y[:, :, _defining_index(structure)] == 0.0):
+        raise ValueError("fiber sample lies on the critical set")
+    velocity = compile_field(structure, h)(Y.reshape(-1, 2 * n)).reshape(B, F, 2 * n)[:, :, :n]
+
+    # The largest max-norm difference over fiber pairs is, per component, the
+    # spread max - min; rounding is monotone, so it is the same float as the
+    # largest pairwise difference.  As in a scan over the pairs in order, the
+    # first base point attaining the maximum wins, and its witness is the
+    # first fiber pair (i < j) attaining it.
+    spread = velocity.max(axis=1) - velocity.min(axis=1)
+    worst = float(np.max(spread))
+    if not worst > tol:
+        return LiftVerdict(Verdict.PROJECTABLE)
+    b = int(np.argmax(np.max(spread, axis=1)))
+    lo, hi = np.argmin(velocity[b], axis=0), np.argmax(velocity[b], axis=0)
+    i, j = min(sorted((lo[c], hi[c])) for c in range(n) if spread[b, c] == worst)
+    witness = Witness(PhaseState(q=bases[b], p=fibers[i]), PhaseState(q=bases[b], p=fibers[j]),
+                      worst)
+    return LiftVerdict(Verdict.NOT_PROJECTABLE, witness=witness)
 
 
 def toric_moment_field(structure: PhaseStructure, c: Optional[float] = None) -> LogMomentumHamiltonian:

@@ -29,10 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PhaseState, PhaseStructure, StructureKind
+from .geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from .hamiltonians import HamiltonianSpec, PotentialFamily
-from .integrate import (EventKind, IntegratorConfig, Trajectory, field_function,
-                        integrate, merge_backward_forward)
+from .integrate import (EventKind, IntegratorConfig, Trajectory, integrate,
+                        integrate_batch, merge_backward_forward)
 
 __all__ = [
     "OrbitKind",
@@ -114,7 +114,7 @@ def _first_return(traj: Trajectory, structure: PhaseStructure, h,
     if len(traj) < 3:
         return None
     x0 = traj.ys[0]
-    f = field_function(structure, h)
+    f = compile_field(structure, h)
     v0 = f(x0)
     speed = float(np.linalg.norm(v0))
     if speed < 1e-12:
@@ -193,19 +193,27 @@ def phase_portrait(structure: PhaseStructure, h, grid, config: IntegratorConfig,
                    include_backward: bool = True) -> list:
     """Integrate and classify every initial condition in ``grid``.
 
-    Backward runs integrate the negated field.  Per-record failures are
-    recorded on the record and never abort the batch; the output order
-    matches the input order.
+    The forward runs and the backward runs (the negated field) of all
+    initial conditions go through one :func:`integrate_batch` call.
+    Per-record failures are recorded on the record and never abort the
+    batch; the output order matches the input order.
     """
     if not grid:
         raise ValueError("grid must contain at least one initial condition")
+    starts = [initial.to_array() for initial in grid]
+    directions = [1] * len(grid)
+    if include_backward:
+        starts += starts
+        directions += [-1] * len(grid)
+    runs = integrate_batch(structure, h, starts, config, directions)
     records = []
-    for initial in grid:
+    for i, initial in enumerate(grid):
+        forward = runs[i]
+        backward = runs[len(grid) + i] if include_backward else None
         try:
-            forward = integrate(structure, h, initial, config)
-            backward = None
-            if include_backward:
-                backward = integrate(structure, h, initial, config, direction=-1)
+            for run in (forward, backward):
+                if isinstance(run, Exception):
+                    raise run
             cls = classify_orbit(forward, structure, h)
             records.append(PortraitRecord(initial, forward, backward, cls))
         except Exception as exc:  # per-record isolation
