@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .hamiltonians import HamiltonianSpec, PotentialFamily, PotentialSpec
 # integrate is not called here; it stays importable as bhamsys.cli.integrate,
 # where perfbench/tracer.py wraps it.
 from .integrate import (IntegratorConfig, Method, Trajectory, integrate,  # noqa: F401
-                        integrate_batch)
+                        integrate_batch, write_table)
 from .liftcheck import projectability_test, toric_moment_field
 from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
@@ -114,18 +115,34 @@ def _reject_unknown(section: dict, allowed: set, path: str) -> None:
             raise ConfigError(f"unknown key: {where}")
 
 
-def _as_number(value, path: str) -> float:
-    """A JSON number as a float; booleans are not numbers here."""
+def _as_number(value, path: str, finite: bool = True) -> float:
+    """A JSON number as a float; booleans are not numbers here.
+
+    ``NaN``, ``Infinity`` and numbers past the float range are rejected
+    unless ``finite`` is false, as for the entries of an initial state, where
+    a non-finite value fails only its own record.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite")
+    return value
 
 
-def _as_point(value, path: str):
-    """A point given as one number (n = 1) or as a list of numbers."""
+def _as_point(value, path: str, n: int) -> list:
+    """A point of n finite components, given as a list of numbers or, for
+    n = 1, as one number."""
     if isinstance(value, list):
-        return [_as_number(v, f"{path}[{j}]") for j, v in enumerate(value)]
-    return _as_number(value, path)
+        point = [_as_number(v, f"{path}[{j}]") for j, v in enumerate(value)]
+    else:
+        point = [_as_number(value, path)]
+    if len(point) != n:
+        raise ConfigError(f"{path} must have {n} component(s), got {len(point)}")
+    return point
 
 
 def _number(section: dict, key: str, path: str, default=None, positive=False):
@@ -149,14 +166,18 @@ def _build_structure(section, warnings) -> PhaseStructure:
     dim = section.get("dim", 2)
     if not isinstance(dim, int):
         raise ConfigError("structure.dim must be an integer")
+    index = section.get("singular_index", 0)
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ConfigError("structure.singular_index must be an integer")
     mask = section.get("angular_mask", ())
-    if mask and not all(isinstance(b, bool) for b in mask):
+    if not isinstance(mask, (list, tuple)) or not all(isinstance(b, bool) for b in mask):
         raise ConfigError("structure.angular_mask must be a list of booleans")
+    weight = _number(section, "modular_weight", "structure", 1.0)
     try:
         return PhaseStructure(
             kind=kind, dim=dim,
-            modular_weight=_number(section, "modular_weight", "structure", 1.0),
-            singular_index=section.get("singular_index", 0),
+            modular_weight=weight,
+            singular_index=index,
             angular_mask=tuple(mask))
     except ValueError as exc:
         raise ConfigError(f"structure: {exc}")
@@ -219,15 +240,16 @@ def _expand_axis_spec(spec, path) -> list:
         values = spec["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values must be a nonempty list")
-        return [_as_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
+        return [_as_number(v, f"{path}.values[{i}]", finite=False)
+                for i, v in enumerate(values)]
     for key in ("start", "stop", "count"):
         if key not in spec:
             raise ConfigError(f"{path}.{key} is required for a range spec")
     count = spec["count"]
     if not isinstance(count, int) or count < 1:
         raise ConfigError(f"{path}.count must be a positive integer")
-    return list(np.linspace(_as_number(spec["start"], f"{path}.start"),
-                            _as_number(spec["stop"], f"{path}.stop"), count))
+    return list(np.linspace(_as_number(spec["start"], f"{path}.start", finite=False),
+                            _as_number(spec["stop"], f"{path}.stop", finite=False), count))
 
 
 def _build_initials(section, n) -> list:
@@ -248,7 +270,8 @@ def _build_initials(section, n) -> list:
         if not isinstance(row, list) or len(row) != 2 * n:
             raise ConfigError(f"initial[{i}] must be a flat list of length {2 * n} "
                               f"(q1..q{n}, p1..p{n})")
-        values = [_as_number(v, f"initial[{i}][{j}]") for j, v in enumerate(row)]
+        values = [_as_number(v, f"initial[{i}][{j}]", finite=False)
+                  for j, v in enumerate(row)]
         states.append(PhaseState(values[:n], values[n:]))
     return states
 
@@ -332,7 +355,7 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     if not isinstance(initial, list) or len(initial) != 2 * n:
         raise ConfigError(f"initial must be a flat list of length {2 * n} "
                           f"(q1..q{n}, v1..v{n})")
-    values = [_as_number(v, f"initial[{j}]") for j, v in enumerate(initial)]
+    values = [_as_number(v, f"initial[{j}]", finite=False) for j, v in enumerate(initial)]
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
@@ -343,28 +366,47 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
 def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
     if "structure" not in document:
         raise ConfigError("structure section is required")
-    cfg.structure = _build_structure(document["structure"], cfg.warnings)
+    structure = cfg.structure = _build_structure(document["structure"], cfg.warnings)
+    n = structure.n
+    if structure.is_extended:
+        raise ConfigError("structure.kind: extended structures run through "
+                          "the timescale command")
     has_potential = "potential" in document
     has_toric = "toric" in document
     if has_potential == has_toric:
         raise ConfigError("provide exactly one of potential or toric")
     if has_potential:
         cfg.potential, cfg.axis = _build_potential(document["potential"])
-        cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential,
-                                          n=cfg.structure.n, axis=cfg.axis)
+        if cfg.axis >= n:
+            raise ConfigError(f"potential.axis {cfg.axis} out of range for n={n}")
+        cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=n, axis=cfg.axis)
     else:
+        if structure.kind is not StructureKind.TWISTED_B:
+            raise ConfigError("toric: the lifted torus generator lives on the twisted structure")
         toric = _require_mapping(document["toric"], "toric")
         _reject_unknown(toric, {"c"}, "toric")
-        cfg.toric_c = _number(toric, "c", "toric", cfg.structure.modular_weight)
+        cfg.toric_c = _number(toric, "c", "toric", structure.modular_weight)
+        if cfg.toric_c == 0.0:
+            raise ConfigError("toric.c must be nonzero")
     cfg.base_points = document.get("base_points", [0.0])
     cfg.fiber_samples = document.get("fiber_samples", [1.0, 2.0])
     if not isinstance(cfg.base_points, list) or not cfg.base_points:
         raise ConfigError("base_points must be a nonempty list")
     if not isinstance(cfg.fiber_samples, list) or len(cfg.fiber_samples) < 2:
         raise ConfigError("fiber_samples must contain at least two samples")
-    cfg.base_points = [_as_point(b, f"base_points[{i}]") for i, b in enumerate(cfg.base_points)]
-    cfg.fiber_samples = [_as_point(f, f"fiber_samples[{i}]")
+    cfg.base_points = [_as_point(b, f"base_points[{i}]", n)
+                       for i, b in enumerate(cfg.base_points)]
+    cfg.fiber_samples = [_as_point(f, f"fiber_samples[{i}]", n)
                          for i, f in enumerate(cfg.fiber_samples)]
+    # the field is probed off the critical set, which a twisted structure
+    # puts on a momentum and a nontwisted one on a position
+    k = structure.singular_index
+    for key, kind, name in (("fiber_samples", StructureKind.TWISTED_B, "p"),
+                            ("base_points", StructureKind.NONTWISTED_B, "q")):
+        if structure.kind is kind:
+            for i, point in enumerate(getattr(cfg, key)):
+                if point[k] == 0.0:
+                    raise ConfigError(f"{key}[{i}] lies on the critical set {name}{k + 1} = 0")
     tol = _number(document, "tol", "config", 1e-9, positive=True)
     cfg.tol = tol
     return cfg
@@ -372,10 +414,6 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # artifact writers
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
@@ -396,26 +434,14 @@ def _config_hash(raw: dict) -> str:
 
 
 def _write_extended_csv(path, traj: Trajectory, clock: str) -> None:
-    n = traj.n
-    cols = (["t"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-            + ["t_ext", "E", "clock"])
-    lines = [",".join(cols)]
-    for t, y in zip(traj.times, traj.ys):
-        lines.append(",".join([_fmt(t), *(_fmt(v) for v in y), clock]))
-    ev = traj.terminal_event
-    lines.append(f"# event: {ev.kind.value} at t={_fmt(ev.time)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cols, values, footer = traj.csv_table()
+    write_table(path, cols + ["clock"], values, footer, suffix="," + clock)
 
 
 def _write_realtime_csv(path, rt) -> None:
     n = rt.q.shape[1]
     cols = ["t"] + [f"q{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
-    lines = [",".join(cols)]
-    for i, t in enumerate(rt.times):
-        lines.append(",".join(_fmt(v) for v in (t, *rt.q[i], *rt.velocity[i])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, cols, np.column_stack([rt.times, rt.q, rt.velocity]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +569,10 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: str) -> list:
             traj = _trajectory(run)
             q_exact, p_exact = oracle(initial, traj.times)
             name = f"compare_{i:03d}.csv"
-            lines = ["t,q_sim,p_sim,q_exact,p_exact"]
-            for j, t in enumerate(traj.times):
-                lines.append(",".join(_fmt(v) for v in (
-                    t, traj.q[j, 0], traj.p[j, 0], q_exact[j], p_exact[j])))
-            with open(os.path.join(out_dir, name), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            write_table(os.path.join(out_dir, name),
+                        ["t", "q_sim", "p_sim", "q_exact", "p_exact"],
+                        np.column_stack([traj.times, traj.q[:, 0], traj.p[:, 0],
+                                         q_exact, p_exact]))
             err_q = float(np.max(np.abs(traj.q[:, 0] - q_exact)))
             err_p = float(np.max(np.abs(traj.p[:, 0] - p_exact)))
             record.update(status="ok", file=name, max_abs_q_error=err_q,
@@ -679,7 +703,9 @@ def main(argv=None) -> int:
         if args.horizon is not None:
             document["horizon"] = args.horizon
         if args.family is not None:
-            document.setdefault("potential", {})["family"] = args.family
+            potential = document.setdefault("potential", {})
+            if isinstance(potential, dict):  # parse_config rejects any other value
+                potential["family"] = args.family
     try:
         cfg = parse_config(document, args.command)
     except ConfigError as exc:

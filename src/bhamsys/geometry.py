@@ -314,11 +314,17 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     else:
         block = slice(structure.singular_index, structure.singular_index + n + 1, n)
 
+    # for n = 1 the singular pair is the whole (q, p) state
+    whole = not ext and n == 1
+
     def scale(Y, out):
         # the state-dependent block: (sigma dH/dy, -sigma dH/dx), sigma = Y[col]/c
         if col is not None:
-            pair = out[..., block]
-            pair *= (Y[..., col] / c)[..., None]
+            sigma = Y[..., col:col + 1]
+            if c != 1.0:  # x / 1.0 is x, to the bit
+                sigma = sigma / c
+            pair = out if whole else out[..., block]
+            pair *= sigma
         return out
 
     if (isinstance(h, HamiltonianSpec) and h.extended is ExtendedKind.NONE
@@ -330,7 +336,8 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
             # grad H = (dV/dq, p) with dV/dq zero off the potential's axis
             out = np.empty_like(Y, dtype=float)
             out[..., :n] = Y[..., n:]
-            out[..., n:] = -0.0
+            if n > 1:
+                out[..., n:] = -0.0
             out[..., n + axis] = -_family_slope(spec, Y[..., axis])
             return scale(Y, out)
 

@@ -29,9 +29,22 @@ Every row carries its own direction, and ``-1`` negates the field exactly, so
 the forward and backward runs of N initial conditions go in together as 2N
 rows.  Fixed-step RK4 advances all rows in lockstep on the shared time grid
 ``t = k * step`` and stores one block of samples per step; each row keeps
-its own events and leaves the batch when one fires.  Adaptive DP5 rows
-choose their own steps and are advanced one at a time.  A row's trajectory
-is the same, to the bit, in any batch; :func:`integrate` is the one-row case.
+its own events and leaves the batch when one fires.  Each RK4 stage is one
+call of the batch kernel; only a batch evaluation that raises falls back to
+evaluating its rows one by one, so that a row that raises cannot stop the
+others.  Most steps are quiet: no row raises, leaves the finite range or
+``blowup_bound``, reaches a fixed point or fires Z.  One combined test over
+the whole batch recognizes such a step, and the per-row event bookkeeping
+runs only on the other steps.  Adaptive DP5 rows choose their own steps and
+are advanced one at a time.  A row's trajectory is the same, to the bit, in
+any batch; :func:`integrate` is the one-row case.
+
+CSV
+---
+:func:`write_table` is the one CSV writer of the package: it formats a whole
+file with one ``%`` over a row template, ``%.17g`` per value.
+:meth:`Trajectory.write_csv` writes a trajectory through it, and the CLI
+writes its extended, real-time and oracle-comparison files with it.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ __all__ = [
     "Event",
     "IntegratorConfig",
     "Trajectory",
+    "write_table",
     "BlowupError",
     "step",
     "integrate",
@@ -190,20 +204,42 @@ class Trajectory:
     def final_state(self) -> PhaseState:
         return self.state(-1)
 
-    def write_csv(self, path) -> None:
-        """Serialize as CSV: header ``t,q1..qn,p1..pn[,t_ext,E]``, floats with
-        17 significant digits, and the terminal event as a trailing comment."""
+    def csv_table(self) -> tuple:
+        """The CSV form as ``(columns, values, footer)`` for :func:`write_table`:
+        header ``t,q1..qn,p1..pn[,t_ext,E]``, one row per sample, and the
+        terminal event as a trailing comment."""
         n = self.n
         cols = ["t"] + [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
         if self.extended:
             cols += ["t_ext", "E"]
-        lines = [",".join(cols)]
-        for t, y in zip(self.times, self.ys):
-            lines.append(",".join(f"{v:.17g}" for v in (t, *y)))
         ev = self.terminal_event
-        lines.append(f"# event: {ev.kind.value} at t={ev.time:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return (cols, np.column_stack([self.times, self.ys]),
+                f"# event: {ev.kind.value} at t={ev.time:.17g}")
+
+    def write_csv(self, path) -> None:
+        """Serialize as CSV (see :meth:`csv_table`), floats with 17
+        significant digits."""
+        write_table(path, *self.csv_table())
+
+
+def write_table(path, columns, values, footer=None, suffix="") -> None:
+    """Write a CSV file: the header ``columns``, one line per row of
+    ``values`` and, when given, the line ``footer``.
+
+    Every value is printed with 17 significant digits (``%.17g``, the same
+    digits as ``f"{v:.17g}"``), so a float64 reads back to the same bits.
+    ``suffix`` is appended verbatim to every row, for a constant trailing
+    column.  The rows are formatted in one ``%`` over a file-wide template.
+    """
+    values = np.asarray(values, dtype=float)
+    lines = [",".join(columns)]
+    if len(values):
+        row = ",".join(["%.17g"] * values.shape[1]) + suffix.replace("%", "%%")
+        lines.append("\n".join([row] * len(values)) % tuple(values.ravel().tolist()))
+    if footer is not None:
+        lines.append(footer)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +262,12 @@ def _directed(F, sign, Y, errors=None):
     except Exception:
         if errors is None:
             raise
+    return _rowwise(F, sign, Y, errors)
+
+
+def _rowwise(F, sign, Y, errors):
+    """``sign * F(Y)`` evaluated row by row: a row that raises gets NaN
+    velocities and its first exception is kept in ``errors``."""
     out = np.full_like(Y, np.nan)
     for j in range(len(Y)):
         try:
@@ -392,6 +434,14 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
     events fires; its end is recorded as (last sample index, time of that
     sample, terminal event), and the Z-event sample overwrites the slot of
     the step that fired it.
+
+    Most steps are quiet: the batch kernel raises nowhere, every new state
+    is finite and within ``blowup_bound``, every row's field stays at or
+    above ``fp_epsilon`` and no armed row fires Z.  Such a step is decided by
+    one combined test and skips the per-row bookkeeping.  A step where the
+    batch kernel raises is evaluated again through :func:`_directed`, which
+    isolates the rows that raise, and a step that fails the combined test
+    sorts its rows one by one; both give the same rows the same bits.
     """
     M, d = Y0.shape
     results = [None] * M
@@ -402,6 +452,9 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
     times = [0.0]
     z_col = _defining_index(structure) if structure.is_singular else None
     z_eps = config.z_epsilon
+    bound, fp_eps = config.blowup_bound, config.fp_epsilon
+    t_tiny = config.t_max * 1e-14
+    t_snap = config.t_max - config.step * 1e-9
 
     active = np.arange(M)
     Y = Y0
@@ -409,53 +462,85 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
     K = _directed(F, sign, Y, errors)
     for j, exc in errors.items():
         results[j] = exc
-    fixed = np.max(np.abs(K), axis=1) < config.fp_epsilon  # False on NaN rows
+    fixed = np.max(np.abs(K), axis=1) < fp_eps  # False on NaN rows
     for j in np.flatnonzero(fixed):
         ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
     keep = ~fixed
     keep[list(errors)] = False
-    z_armed = (np.abs(Y[:, z_col]) >= z_eps) if z_col is not None else np.zeros(M, bool)
-    active, Y, K, sign, z_armed = (a[keep] for a in (active, Y, K, sign, z_armed))
+    z_side = z_lim = None
+    if z_col is not None:
+        # The Z event is armed on a row that starts outside the neighborhood.
+        # Until it fires, the defining function d keeps the sign it started
+        # with, so a step fires it exactly when side * d <= z_eps afterwards.
+        # An unarmed row gets the limit -inf, which no finite d reaches.
+        d = Y[:, z_col]
+        z_side = np.where(d > 0.0, 1.0, -1.0)
+        z_lim = np.where(np.abs(d) >= z_eps, z_eps, -np.inf)
+    active, Y, K, sign, z_side, z_lim = (
+        a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
 
     t = 0.0
     k = 0
     while active.size:
-        if config.t_max - t <= config.t_max * 1e-14:
+        if config.t_max - t <= t_tiny:
             for r in active:
                 ends[r] = (k, times[k], Event(config.t_max, EventKind.T_MAX))
             break
         k += 1
         t_new = k * config.step
-        if t_new >= config.t_max - config.step * 1e-9:
+        if t_new >= t_snap:
             t_new = config.t_max
         dt = t_new - t
-
-        failed = {}
-        Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y, dt, K)
-        ok = np.isfinite(Y_new).all(axis=1)
-        live = np.flatnonzero(ok)
-        late = {}
-        if live.size == ok.size:
-            K_new = _directed(F, sign, Y_new, late)
-        else:  # the field is not evaluated on states that already blew up
-            K_new = np.full_like(Y_new, np.nan)
-            K_new[live] = _directed(F, sign[live], Y_new[live], late)
-        if late:
-            failed.update((live[j], exc) for j, exc in late.items())
-            ok[live[list(late)]] = False
-
         if k == store.shape[1]:
             store = np.concatenate([store, np.empty_like(store)], axis=1)
-        store[active, k] = Y_new
         times.append(t_new)
+
+        failed = {}
+        late = {}
+        h2 = 0.5 * dt  # 0.5 * dt * k in _rk4_step is (0.5 * dt) * k: the same bits
+        try:
+            k2 = sign * F(Y + h2 * K)
+            k3 = sign * F(Y + h2 * k2)
+            k4 = sign * F(Y + dt * k3)
+        except Exception:
+            Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y, dt, K)
+        else:
+            Y_new = Y + (dt / 6.0) * (K + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.abs(Y_new).max() <= bound:  # every row finite and in bounds, so none failed
+            try:
+                K_new = sign * F(Y_new)
+            except Exception:
+                K_new = _rowwise(F, sign, Y_new, late)
+            if (not late and np.abs(K_new).max(axis=1).min() >= fp_eps
+                    and (z_col is None or (z_side * Y_new[:, z_col] > z_lim).all())):
+                if active.size == M:
+                    store[:, k] = Y_new
+                else:
+                    store[active, k] = Y_new
+                Y, K, t = Y_new, K_new, t_new
+                continue
+            ok = np.ones(active.size, bool)
+        else:
+            ok = np.isfinite(Y_new).all(axis=1)
+            live = np.flatnonzero(ok)
+            if live.size == ok.size:
+                K_new = _directed(F, sign, Y_new, late)
+            else:  # the field is not evaluated on states that already blew up
+                K_new = np.full_like(Y_new, np.nan)
+                K_new[live] = _directed(F, sign[live], Y_new[live], late)
+            late = {live[j]: exc for j, exc in late.items()}
+        if late:
+            failed.update(late)
+            ok[list(late)] = False
+        store[active, k] = Y_new
 
         fired = np.zeros(active.size, bool)
         if z_col is not None:
             d0, d1 = Y[:, z_col], Y_new[:, z_col]
-            fired = z_armed & ok & _fires_z(d0, d1, z_eps)
+            fired = ok & (z_side * d1 <= z_lim)
         kept = ok & ~fired
-        blown = kept & (np.abs(Y_new).max(axis=1) > config.blowup_bound)
-        fixed = kept & ~blown & (np.abs(K_new).max(axis=1) < config.fp_epsilon)
+        blown = kept & (np.abs(Y_new).max(axis=1) > bound)
+        fixed = kept & ~blown & (np.abs(K_new).max(axis=1) < fp_eps)
         keep = kept & ~blown & ~fixed
         if keep.all():
             Y, K, t = Y_new, K_new, t_new
@@ -475,7 +560,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
                 ends[r] = (k, t_new, Event(t_new, EventKind.BLOWUP))
             else:
                 ends[r] = (k, t_new, Event(t_new, EventKind.FIXED_POINT))
-        active, Y, K, sign, z_armed = (a[keep] for a in (active, Y_new, K_new, sign, z_armed))
+        active, Y, K, sign, z_side, z_lim = (
+            a if a is None else a[keep] for a in (active, Y_new, K_new, sign, z_side, z_lim))
         t = t_new
 
     grid = np.array(times)

@@ -108,6 +108,16 @@ def _hermite(y0, y1, f0, f1, dt, tau):
     return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
+def _median(values: np.ndarray) -> float:
+    """The float ``np.median`` gives for finite ``values``, without the
+    ``numpy.ma`` import its first call pays."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _first_return(traj: Trajectory, structure: PhaseStructure, h,
                   ball: float, min_steps: int) -> Optional[float]:
     """Time of first return to the initial state, or None."""
@@ -127,7 +137,7 @@ def _first_return(traj: Trajectory, structure: PhaseStructure, h,
     dist = np.max(np.abs(deltas), axis=1)
     gate = max(0.05 * (1.0 + float(np.max(np.abs(x0)))), 100.0 * ball)
 
-    med_dt = float(np.median(np.diff(traj.times)))
+    med_dt = _median(np.diff(traj.times))
     t_floor = min_steps * med_dt
 
     for i in range(1, len(traj)):

@@ -8,13 +8,17 @@ of :func:`integrate_batch` against a one-row :func:`integrate`.
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bhamsys
 from bhamsys.cli import main
 from bhamsys.geometry import (PhaseState, PhaseStructure, StructureKind, compile_field,
-                              hamiltonian_vector_field)
+                              hamiltonian_vector_field, poisson_bivector)
 from bhamsys.hamiltonians import ExtendedKind, HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import (EventKind, IntegratorConfig, Method, Trajectory, integrate,
                                integrate_batch)
@@ -258,3 +262,87 @@ def test_liftcheck_control_stays_projectable():
                                   [[0.0, 1.0], [math.pi, -1.0]],
                                   [[0.5, 1.0], [-2.0, 3.0], [1.0, -1.0]])
     assert verdict.witness is None and verdict.verdict.value == "projectable"
+
+
+@pytest.mark.parametrize("kind", [StructureKind.TWISTED_B, StructureKind.NONTWISTED_B])
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_unit_weight_kernel_equals_the_bivector_product(kind, family):
+    """With c = 1 and n = 1 the kernel scales the whole state by the singular
+    coordinate itself; it must agree with P . grad H."""
+    structure = PhaseStructure(kind)
+    h = HamiltonianSpec(family)
+    Y = np.random.default_rng(11).uniform(-3.0, 3.0, size=(30, 2))
+    fast = compile_field(structure, h)(Y)
+    assert bits(fast) == bits(compile_field(structure, RowByRow(h))(Y))
+    for y, v in zip(Y, fast):
+        state = PhaseState(y[:1], y[1:])
+        np.testing.assert_array_equal(v, poisson_bivector(structure, state) @ h.gradient(state))
+
+
+class NaNBeyond:
+    """Classical H = (p^2 + q^2)/2 whose gradient turns NaN past q = 1.2,
+    without raising."""
+
+    extra_role = None
+
+    def gradient(self, state):
+        q, p = state.q[0], state.p[0]
+        return np.array([np.nan if q > 1.2 else q, p])
+
+
+def test_nan_gradient_ends_its_row_in_blowup_without_touching_the_others():
+    structure = STRUCTURES["canonical"]
+    h = NaNBeyond()
+    config = IntegratorConfig(step=0.01, t_max=4.0)
+    # rows 0 and 3 circle at radius <= 1 and go on; rows 1 and 2 cross q = 1.2
+    states = [PhaseState(0.0, 1.0), PhaseState(1.0, 1.0), PhaseState(-1.0, -1.0),
+              PhaseState(0.5, -0.5)]
+    directions = [1, 1, -1, -1]
+    runs = run_both_ways(structure, h, states, config, directions)
+    for i in (0, 3):
+        assert runs[i].terminal_event.kind is EventKind.T_MAX
+    for i in (1, 2):
+        run = runs[i]
+        assert run.terminal_event.kind is EventKind.BLOWUP
+        assert np.all(np.isfinite(run.ys)) and len(run) > 10
+        # the last sample is the last finite one: one step on, the state is NaN
+        assert run.terminal_event.time == pytest.approx(run.times[-1] + 0.01)
+
+
+def test_classify_leaves_numpy_ma_unimported(tmp_path):
+    """The first-return scan takes a median without numpy.ma, whose import
+    would cost a classify process 17-30 ms."""
+    doc = {"structure": {"kind": "canonical"}, "potential": {"family": "pure_quadratic"},
+           "initial": [[1.0, 0.0]], "integrator": {"step": 0.01, "t_max": 20.0}}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    code = ("import json, sys\n"
+            "from bhamsys.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(bhamsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, "classify", "--config",
+                          str(tmp_path / "run.json"), "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+    payload = json.loads((tmp_path / "out" / "classifications.json").read_text())
+    assert payload[0]["classification"]["kind"] == "periodic"
+
+
+def test_fixed_point_reached_mid_run():
+    """A row whose field decays below fp_epsilon leaves at the first sample
+    where it does, while the other rows go on."""
+    structure = PhaseStructure(StructureKind.TWISTED_B)
+    h = HamiltonianSpec(FAMILIES["linear"])
+    config = IntegratorConfig(step=0.01, t_max=20.0, z_epsilon=1e-3, fp_epsilon=1e-5,
+                              blowup_bound=1e6)
+    # p decays as exp(-t/2): the row started inside Z's neighborhood, where
+    # the Z event is not armed, stops at p/2 < 1e-5, near t = 2 ln 25
+    states = [PhaseState(0.0, 5e-4), PhaseState(0.0, 1.0), PhaseState(1.0, -2.0)]
+    runs = run_both_ways(structure, h, states, config, [1, 1, -1])
+    fixed = runs[0]
+    assert fixed.terminal_event.kind is EventKind.FIXED_POINT
+    assert fixed.terminal_event.time == pytest.approx(2.0 * math.log(25.0), abs=0.02)
+    F = compile_field(structure, h)
+    assert np.max(np.abs(F(fixed.ys[-1]))) < 1e-5 <= np.max(np.abs(F(fixed.ys[-2])))
+    assert [r.terminal_event.kind for r in runs[1:]] == [EventKind.REACHED_Z, EventKind.BLOWUP]
