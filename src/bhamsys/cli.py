@@ -19,6 +19,7 @@ command currently draws random numbers.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -49,6 +50,9 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 logger = logging.getLogger("bhamsys")
 
 COMMANDS = ("simulate", "portrait", "classify", "oracle-compare", "timescale", "liftcheck")
+
+#: Most steps a fixed-step run may take, ``ceil(t_max / step)``.
+MAX_FIXED_STEPS = 10**7
 
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
 _POTENTIAL_KEYS = {"family", "lambda", "alpha", "axis"}
@@ -115,6 +119,11 @@ def _reject_unknown(section: dict, allowed: set, path: str) -> None:
             raise ConfigError(f"unknown key: {where}")
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_number(value, path: str, finite: bool = True) -> float:
     """A JSON number as a float; booleans are not numbers here.
 
@@ -164,10 +173,10 @@ def _build_structure(section, warnings) -> PhaseStructure:
         raise ConfigError(
             f"structure.kind must be one of {[k.value for k in StructureKind]}, got {kind!r}")
     dim = section.get("dim", 2)
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise ConfigError("structure.dim must be an integer")
     index = section.get("singular_index", 0)
-    if isinstance(index, bool) or not isinstance(index, int):
+    if not _is_int(index):
         raise ConfigError("structure.singular_index must be an integer")
     mask = section.get("angular_mask", ())
     if not isinstance(mask, (list, tuple)) or not all(isinstance(b, bool) for b in mask):
@@ -202,7 +211,7 @@ def _build_potential(section) -> tuple:
     if alpha != 0.0 and family is not PotentialFamily.GENERAL_QUADRATIC:
         raise ConfigError("potential.alpha is only valid for family general_quadratic")
     axis = section.get("axis", 0)
-    if not isinstance(axis, int) or axis < 0:
+    if not _is_int(axis) or axis < 0:
         raise ConfigError("potential.axis must be a nonnegative integer")
     return PotentialSpec(family=family, lam=lam, alpha=alpha), axis
 
@@ -228,9 +237,14 @@ def _build_integrator(section, structure, warnings) -> IntegratorConfig:
         warnings.append("integrator.z_epsilon has no effect for canonical "
                         "structures and is ignored")
     try:
-        return IntegratorConfig(**kwargs)
+        config = IntegratorConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}")
+    # ceil(t_max / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
+    if config.method is Method.RK4_FIXED and config.t_max / config.step > MAX_FIXED_STEPS:
+        raise ConfigError(f"integrator.t_max: t_max / step must not exceed {MAX_FIXED_STEPS} "
+                          f"fixed steps, got {config.t_max!r} / {config.step!r}")
+    return config
 
 
 def _expand_axis_spec(spec, path) -> list:
@@ -246,7 +260,7 @@ def _expand_axis_spec(spec, path) -> list:
         if key not in spec:
             raise ConfigError(f"{path}.{key} is required for a range spec")
     count = spec["count"]
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ConfigError(f"{path}.count must be a positive integer")
     return list(np.linspace(_as_number(spec["start"], f"{path}.start", finite=False),
                             _as_number(spec["stop"], f"{path}.stop", finite=False), count))
@@ -346,7 +360,7 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     if cfg.horizon is None:
         raise ConfigError("horizon must be a positive number")
     n = document.get("n", 1)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError("n must be a positive integer")
     cfg.n = n
     if cfg.axis >= n:
@@ -415,9 +429,21 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
 # ---------------------------------------------------------------------------
 # artifact writers
 
+def _standard_json(value):
+    """``value`` with every non-finite float, which standard JSON cannot
+    hold, as the string ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {key: _standard_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_standard_json(item) for item in value]
+    return value
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_standard_json(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -622,7 +648,7 @@ def _run_liftcheck(cfg: RunConfig, out_dir: str) -> list:
             "difference": float(verdict.witness.difference),
         }
     _write_json(os.path.join(out_dir, "verdict.json"), payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(_standard_json(payload), sort_keys=True, indent=2, allow_nan=False))
     return [{"index": 0, "status": "ok", "verdict": verdict.verdict.value,
              "file": "verdict.json"}]
 
@@ -717,6 +743,13 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
 
+
+# The objects made by the imports above, numpy's most of all, live until
+# the process exits.  Freezing them keeps every later collection, the final
+# ones at interpreter shutdown included, from walking them again.  This runs
+# once, on import, so that repeated calls of main() in one process do not
+# freeze the garbage of earlier runs.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

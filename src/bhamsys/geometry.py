@@ -288,15 +288,20 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
     That the structure and the Hamiltonian fit together (the conjugate pair
     an extended Hamiltonian carries) is checked here, once, not on every
-    evaluation.  The named potential families of a non-extended
-    :class:`~bhamsys.hamiltonians.HamiltonianSpec` are evaluated as array
-    expressions; any other ``h`` (extended variants, custom potentials,
-    duck-typed objects exposing ``gradient(state)``) is evaluated row by row
-    through ``h.gradient`` and raises whatever that raises.  Rows never mix,
-    so a row's velocity is the same, to the bit, in any batch.
+    evaluation.  For a :class:`~bhamsys.hamiltonians.HamiltonianSpec` with a
+    named potential family, the gradient is computed on the flat states
+    directly: as array expressions for the plain variant, and with the one
+    scalar formula of the extended variants, row by row, for the others;
+    these raise what ``h.gradient`` raises, an ``OverflowError`` past
+    ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Any other ``h``
+    (custom potentials, duck-typed objects exposing ``gradient(state)``) is
+    evaluated row by row through ``h.gradient`` and raises whatever that
+    raises.  Rows never mix, so a row's velocity is the same, to the bit, in
+    any batch.
     """
     # hamiltonians imports this module, so its names are looked up here
-    from .hamiltonians import ExtendedKind, HamiltonianSpec, PotentialFamily, _family_slope
+    from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily,
+                               _extended_gradient, _family_slope)
 
     role = getattr(h, "extra_role", None)
     if structure.kind is StructureKind.EXTENDED_CANONICAL and role not in (None, "t_energy"):
@@ -327,9 +332,9 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
             pair *= sigma
         return out
 
-    if (isinstance(h, HamiltonianSpec) and h.extended is ExtendedKind.NONE
-            and h.potential.family is not PotentialFamily.CUSTOM
-            and h.n == n and not ext):
+    named = (isinstance(h, HamiltonianSpec) and h.potential.family is not PotentialFamily.CUSTOM
+             and h.n == n)
+    if named and h.extended is ExtendedKind.NONE and not ext:
         spec, axis = h.potential, h.axis
 
         def field(Y):
@@ -340,6 +345,25 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
                 out[..., n:] = -0.0
             out[..., n + axis] = -_family_slope(spec, Y[..., axis])
             return scale(Y, out)
+
+        return field
+
+    if named and h.extended is not ExtendedKind.NONE and ext:
+        canonical = structure.kind is StructureKind.EXTENDED_CANONICAL
+
+        def row_field(y):
+            # the same products as the general path below, on one row's scalars
+            g = _extended_gradient(h, y)
+            v = g[n:2 * n] + [-x for x in g[:n]]
+            if canonical:  # the (t, E) block has the constant scale -1
+                return v + [-g[2 * n + 1], g[2 * n]]
+            sigma = y[2 * n] / c  # the (s, E_s) pair, scaled by s/c
+            return v + [g[2 * n + 1] * sigma, -g[2 * n] * sigma]
+
+        def field(Y):
+            if Y.ndim == 1:
+                return np.array(row_field(Y))
+            return np.array([row_field(y) for y in Y]).reshape(Y.shape)
 
         return field
 

@@ -258,40 +258,60 @@ class HamiltonianSpec:
             out[:n] = potential_gradient(self.potential, state.q, 0.0, self.axis)
             out[n:] = state.p
             return out
-        out = np.empty(2 * n + 2)
-        out[n:2 * n] = state.p
-        if self.extended is ExtendedKind.PLAIN_EXTENDED:
-            t, _ = state.extra
-            out[:n] = potential_gradient(self.potential, state.q, t, self.axis)
-            out[2 * n] = potential_time_derivative(self.potential, state.q, t, self.axis)
-            out[2 * n + 1] = -1.0
-            return out
-        if self.extended is ExtendedKind.RESCALED_EXTENDED:
-            t, e = state.extra
-            lam = self.friction
-            if lam * t > EXP_GUARD:
-                raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
-            elt = math.exp(lam * t)
-            e2lt = elt * elt
-            v = potential_value(self.potential, state.q, t, self.axis)
-            v_t = potential_time_derivative(self.potential, state.q, t, self.axis)
-            out[:n] = e2lt / lam**2 * potential_gradient(self.potential, state.q, t, self.axis)
-            out[2 * n] = 2 * e2lt / lam * v + e2lt / lam**2 * v_t - elt * e
-            out[2 * n + 1] = -elt / lam
-            return out
-        # s-coordinates
-        s, e_s = state.extra
-        if s <= 0.0:
+        return np.array(_extended_gradient(self, state.to_array()))
+
+
+def _extended_gradient(h: HamiltonianSpec, y: np.ndarray) -> list:
+    """Exact partials of an extended ``h`` at one flat state ``y``, laid out
+    ``(q, p, t, E)`` or ``(q, p, s, E_s)``, as a list in the order of
+    :meth:`HamiltonianSpec.gradient`.
+
+    This is the one formula of the three extended variants, used by
+    :meth:`HamiltonianSpec.gradient` and, row by row, by
+    :func:`~bhamsys.geometry.compile_field`.  It works on the scalars of one
+    row, with ``math.exp`` of ``lam*t`` and ``math.log`` of ``s``, since
+    numpy's ``exp`` can differ from them in the last bit.  ``t`` or ``s``
+    stays a numpy scalar, so that a division by an underflowed power of
+    ``s`` gives inf or NaN, as an array division does, instead of raising.
+    """
+    n, axis, spec, lam = h.n, h.axis, h.potential, h.friction
+    plain = h.extended is ExtendedKind.PLAIN_EXTENDED
+    rescaled = h.extended is ExtendedKind.RESCALED_EXTENDED
+    values = y.tolist()
+    a, b = y[2 * n], values[2 * n + 1]  # (t, E) or (s, E_s)
+    if plain or rescaled:
+        t = a
+        if rescaled and lam * t > EXP_GUARD:
+            raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
+    else:
+        if a <= 0.0:
             raise ValueError("Hamiltonian singular at s=0")
-        lam = self.friction
-        t = -math.log(s) / lam
-        v = potential_value(self.potential, state.q, t, self.axis)
-        v_t = potential_time_derivative(self.potential, state.q, t, self.axis)
-        out[:n] = potential_gradient(self.potential, state.q, t, self.axis) / (lam * s) ** 2
-        # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
-        out[2 * n] = -v_t / (lam**3 * s**3) - 2 * v / (lam**2 * s**3) + e_s / s**2
-        out[2 * n + 1] = -1.0 / s
-        return out
+        t = -math.log(a) / lam
+    if spec.family is PotentialFamily.CUSTOM:
+        q = y[:n]
+        v = None if plain else potential_value(spec, q, t, axis)
+        v_t = potential_time_derivative(spec, q, t, axis)
+        grad = potential_gradient(spec, q, t, axis).tolist()
+    else:  # V depends on q[axis] alone, not on t
+        x = values[axis]
+        v = None if plain else _family_value(spec, x)
+        v_t = 0.0
+        grad = [0.0] * n
+        grad[axis] = _family_slope(spec, x)
+    p = values[n:2 * n]
+    if plain:
+        return grad + p + [v_t, -1.0]
+    if rescaled:
+        elt = math.exp(lam * t)
+        e2lt = elt * elt
+        scale = e2lt / lam**2
+        return ([scale * g for g in grad] + p
+                + [2 * e2lt / lam * v + scale * v_t - elt * b, -elt / lam])
+    # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
+    ls2 = (lam * a) ** 2
+    s3 = a**3
+    return ([g / ls2 for g in grad] + p
+            + [-v_t / (lam**3 * s3) - 2 * v / (lam**2 * s3) + b / a**2, -1.0 / a])
 
 
 @dataclass(frozen=True)

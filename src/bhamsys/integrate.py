@@ -36,8 +36,11 @@ others.  Most steps are quiet: no row raises, leaves the finite range or
 ``blowup_bound``, reaches a fixed point or fires Z.  One combined test over
 the whole batch recognizes such a step, and the per-row event bookkeeping
 runs only on the other steps.  Adaptive DP5 rows choose their own steps and
-are advanced one at a time.  A row's trajectory is the same, to the bit, in
-any batch; :func:`integrate` is the one-row case.
+are advanced one at a time; a trial step keeps its seven stages as the rows
+of one array and forms each weighted stage sum as one product and one sum
+over those rows, and a forward row calls the kernel without negating it.  A
+row's trajectory is the same, to the bit, in any batch; :func:`integrate` is
+the one-row case.
 
 CSV
 ---
@@ -294,19 +297,28 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the weight rows as columns, each to scale the stage rows it multiplies
+_DP_A_COLS = tuple(np.array(row)[:, None] for row in _DP_A)
+_DP_B5_COL = np.array(_DP_B5)[:, None]
+_DP_ERR_COL = np.array(_DP_ERR)[:, None]
 
 
 def _dp_step(f, y, dt, k1):
-    """One Dormand-Prince trial step; returns (y5, error_estimate, f(y5))."""
-    ks = [k1]
-    for row in _DP_A:
-        acc = sum(a * k for a, k in zip(row, ks))
-        ks.append(f(y + dt * acc))
-    y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    k7 = f(y5)
-    ks.append(k7)
-    err = dt * sum(e * k for e, k in zip(_DP_ERR, ks))
-    return y5, err, k7
+    """One Dormand-Prince trial step; returns (y5, error_estimate, f(y5)).
+
+    The seven stages are the rows of one array.  Every weighted sum is one
+    product of a weight column with the filled rows and one sum over them
+    along axis 0, which numpy starts from its identity 0.0 and runs in stage
+    order, so each sum has the bits of ``sum(a * k for a, k in zip(row,
+    stages))``.
+    """
+    K = np.empty((7, y.size))
+    K[0] = k1
+    for i, a in enumerate(_DP_A_COLS, 1):
+        K[i] = f(y + dt * (a * K[:i]).sum(axis=0))
+    y5 = y + dt * (_DP_B5_COL * K[:6]).sum(axis=0)
+    k7 = K[6] = f(y5)
+    return y5, dt * (_DP_ERR_COL * K).sum(axis=0), k7
 
 
 def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseState:
@@ -363,7 +375,10 @@ def integrate(structure: PhaseStructure, h, initial: PhaseState,
     every accepted step; for singular structures started off the critical
     set, the sign of the defining function is preserved along the whole run
     (the Z event fires before any crossing).  This is the one-row case of
-    :func:`integrate_batch`; a failing run raises its error.
+    :func:`integrate_batch`; a failing run raises its error.  For the named
+    potential families, extended variants included, every field evaluation
+    goes through the flat-array kernel of
+    :func:`~bhamsys.geometry.compile_field`, never through ``h.gradient``.
     """
     _check_state(structure, initial)
     (result,) = integrate_batch(structure, h, [initial.to_array()], config, [direction])
@@ -575,7 +590,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
 
 def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
     """Adaptive DP5 run of one row; raises what the Hamiltonian raises."""
-    f = partial(_directed, F, sign)
+    f = F if sign == 1.0 else partial(_directed, F, sign)  # 1.0 * x is x, to the bit
     f_cur = f(y)
 
     times = [0.0]

@@ -2,20 +2,26 @@
 
 A non-numeric entry, or a boolean read as a number, is a configuration error
 naming the entry's path (exit code 2); a non-finite initial state is still a
-per-record failure (exit code 1).  So are the values that parse but would
-crash the run: a non-finite number outside the initial states, a liftcheck
-sample on the critical set or of the wrong length, a non-integer
-``singular_index`` and a non-object ``potential`` under ``--family``.
+per-record failure (exit code 1), and its manifest entry holds the value as
+the string ``"inf"``, ``"-inf"`` or ``"nan"``, so every artifact stays
+standard JSON.  The values that parse but would crash or never end the run
+are configuration errors too: a non-finite number outside the initial
+states, a liftcheck sample on the critical set or of the wrong length, a
+non-integer ``singular_index``, a boolean where an integer belongs
+(``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
+non-object ``potential`` under ``--family`` and a fixed-step run of more than
+``MAX_FIXED_STEPS`` steps.
 """
 
 import copy
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from bhamsys.cli import ConfigError, main, parse_config
+from bhamsys.cli import MAX_FIXED_STEPS, ConfigError, main, parse_config
 
 SIMULATE = {
     "structure": {"kind": "twisted_b", "dim": 2},
@@ -164,3 +170,85 @@ def test_family_flag_on_a_non_object_potential(tmp_path, capsys, potential):
     text = json.dumps(dict(TIMESCALE, potential=potential))
     assert run_main(tmp_path, "timescale", text, "--family", "linear") == 2
     assert "config error: potential must be a JSON object" in capsys.readouterr().err
+
+
+BOOLEAN_INTEGERS = [
+    ("simulate", edit(SIMULATE, ("potential", "axis"), True), "potential.axis"),
+    ("timescale", dict(TIMESCALE, n=True), "n"),
+    ("portrait", edit(GRID, ("initial", "grid", "q", "count"), True), "initial.grid.q.count"),
+    ("simulate", edit(SIMULATE, ("structure", "dim"), True), "structure.dim"),
+]
+
+
+@pytest.mark.parametrize("command,doc,where", BOOLEAN_INTEGERS,
+                         ids=[c[2] for c in BOOLEAN_INTEGERS])
+def test_a_boolean_is_not_an_integer(tmp_path, capsys, command, doc, where):
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be a"):
+        parse_config(doc, command)
+    assert run_main(tmp_path, command, json.dumps(doc)) == 2
+    assert f"config error: {where} must be a" in capsys.readouterr().err
+
+
+def test_fixed_step_runs_are_bounded(tmp_path, capsys):
+    doc = dict(SIMULATE, integrator={"t_max": 1e12})
+    with pytest.raises(ConfigError, match=r"^integrator\.t_max: .*10000000 fixed steps"):
+        parse_config(doc, "simulate")
+    assert run_main(tmp_path, "simulate", json.dumps(doc)) == 2
+    assert "config error: integrator.t_max" in capsys.readouterr().err
+    # the bound is ceil(t_max / step) <= MAX_FIXED_STEPS, on the default step too
+    parse_config(dict(SIMULATE, integrator={"t_max": MAX_FIXED_STEPS * 1e-3}), "simulate")
+    with pytest.raises(ConfigError, match=r"^integrator\.t_max"):
+        parse_config(dict(SIMULATE, integrator={"t_max": 1e4, "step": 0.999e-3}), "simulate")
+    with pytest.raises(ConfigError, match=r"^integrator\.t_max"):
+        parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-300}),
+                     "timescale")
+    # an adaptive run chooses its own steps
+    parse_config(dict(SIMULATE, integrator={"method": "rk_adaptive", "t_max": 1e12}), "simulate")
+
+
+def strict_loads(text):
+    """Parse standard JSON: NaN and Infinity are not allowed."""
+    def reject(literal):
+        raise ValueError(f"non-standard JSON constant {literal}")
+    return json.loads(text, parse_constant=reject)
+
+
+def strict_json(path):
+    return strict_loads(path.read_text())
+
+
+# json.dumps writes the infinite entry as Infinity, for the test to replace
+NON_FINITE_INITIAL = [
+    ("simulate", dict(SIMULATE, initial=[[math.inf, 1.0]]), ["manifest.json"]),
+    ("portrait", dict(SIMULATE, initial=[[math.inf, 1.0]]), ["manifest.json", "portrait.json"]),
+    ("classify", dict(SIMULATE, initial=[[math.inf, 1.0]]),
+     ["manifest.json", "classifications.json"]),
+    ("oracle-compare", dict(SIMULATE, initial=[[math.inf, 1.0]]),
+     ["manifest.json", "summary.json"]),
+    ("timescale", dict(TIMESCALE, initial=[math.inf, 1.0]), ["manifest.json"]),
+]
+
+
+@pytest.mark.parametrize("command,doc,files", NON_FINITE_INITIAL,
+                         ids=[c[0] for c in NON_FINITE_INITIAL])
+@pytest.mark.parametrize("literal,text", [("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan")])
+def test_non_finite_initial_entries_are_standard_json(tmp_path, command, doc, files,
+                                                      literal, text):
+    config = json.dumps(doc).replace("Infinity", literal)
+    assert run_main(tmp_path, command, config) == 1
+    documents = {name: strict_json(tmp_path / "out" / name) for name in files}
+    (record,) = documents["manifest.json"]["records"]
+    assert record["status"].startswith("error: ValueError")
+    assert record["initial"]["q"] == [text]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_witness_is_standard_json(tmp_path, capsys):
+    # p^2 of the fibre 1e200 overflows, so the two fibres differ by inf
+    doc = dict(LIFTCHECK, structure={"kind": "twisted_b", "dim": 2}, base_points=[0.0],
+               fiber_samples=[1.0, 1e200])
+    assert run_main(tmp_path, "liftcheck", json.dumps(doc)) == 0
+    verdict = strict_json(tmp_path / "out" / "verdict.json")
+    assert verdict["witness"]["difference"] == "inf"
+    assert strict_loads(capsys.readouterr().out) == verdict
+    strict_json(tmp_path / "out" / "manifest.json")
