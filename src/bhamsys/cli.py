@@ -2,7 +2,7 @@
 
 Usage::
 
-    bhamsys <command> --config run.json [--out DIR] [--seed N]
+    bhamsys <command> --config run.json [--out DIR]
 
 with commands ``simulate``, ``portrait``, ``classify``, ``oracle-compare``,
 ``timescale`` and ``liftcheck``.  Configurations are JSON documents; unknown
@@ -11,9 +11,13 @@ with 17 significant digits) and JSON with sorted keys, so identical
 configurations produce byte-identical outputs.  Exit codes: 0 on success,
 1 when some record failed numerically, 2 on configuration errors.
 
+Every command but ``liftcheck`` builds its manifest records in one loop,
+:func:`_records`: one record per initial state, ``ok`` or the error that
+stopped it.  The side files (``portrait.json``, ``classifications.json``,
+``summary.json``) are projections of those records.
+
 The environment variable ``BHAMSYS_LOG`` (debug/info/warning/error) controls
-log verbosity; ``--seed`` is accepted and recorded for future use but no
-command currently draws random numbers.
+log verbosity.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from .liftcheck import projectability_test, toric_moment_field
 from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
                       stokes_exact)
-from .orbits import classify_orbit, phase_portrait
-from .timescale import reconstruct_real_time, run_rescaled, run_s_coordinates
+from .orbits import OrbitKind, classify_orbit, phase_portrait
+from .timescale import (curvilinear_horizon, reconstruct_real_time, run_rescaled,
+                        run_s_coordinates)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -51,7 +56,8 @@ logger = logging.getLogger("bhamsys")
 
 COMMANDS = ("simulate", "portrait", "classify", "oracle-compare", "timescale", "liftcheck")
 
-#: Most steps a fixed-step run may take, ``ceil(t_max / step)``.
+#: Most steps a fixed-step run may take, ``ceil(t_max / step)``; for
+#: ``timescale``, ``ceil(sigma_end / step)`` over its curvilinear horizon.
 MAX_FIXED_STEPS = 10**7
 
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
@@ -85,7 +91,7 @@ class RunConfig:
     raw: dict
     warnings: list = field(default_factory=list)
     structure: Optional[PhaseStructure] = None
-    hamiltonian: Optional[HamiltonianSpec] = None
+    hamiltonian: Optional[HamiltonianSpec] = None  # for a toric liftcheck, its generator
     potential: Optional[PotentialSpec] = None
     axis: int = 0
     initials: list = field(default_factory=list)
@@ -97,13 +103,11 @@ class RunConfig:
     clock: Optional[str] = None
     horizon: Optional[float] = None
     e0: Optional[float] = None
-    n: int = 1
     initial_qv: Optional[tuple] = None
     # liftcheck
     base_points: Optional[list] = None
     fiber_samples: Optional[list] = None
     tol: float = 1e-9
-    toric_c: Optional[float] = None
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -163,7 +167,14 @@ def _number(section: dict, key: str, path: str, default=None, positive=False):
     return value
 
 
-def _build_structure(section, warnings) -> PhaseStructure:
+def _section(document: dict, key: str):
+    if key not in document:
+        raise ConfigError(f"{key} section is required")
+    return document[key]
+
+
+def _build_structure(section) -> PhaseStructure:
+    """A non-extended structure; extended ones belong to ``timescale``."""
     section = _require_mapping(section, "structure")
     _reject_unknown(section, _STRUCTURE_KEYS, "structure")
     kind = section.get("kind")
@@ -183,16 +194,21 @@ def _build_structure(section, warnings) -> PhaseStructure:
         raise ConfigError("structure.angular_mask must be a list of booleans")
     weight = _number(section, "modular_weight", "structure", 1.0)
     try:
-        return PhaseStructure(
+        structure = PhaseStructure(
             kind=kind, dim=dim,
             modular_weight=weight,
             singular_index=index,
             angular_mask=tuple(mask))
     except ValueError as exc:
         raise ConfigError(f"structure: {exc}")
+    if structure.is_extended:
+        raise ConfigError("structure.kind: extended structures run through "
+                          "the timescale command")
+    return structure
 
 
-def _build_potential(section) -> tuple:
+def _build_potential(section, n: int) -> tuple:
+    """The potential and its axis, which must be below ``n``."""
     section = _require_mapping(section, "potential")
     _reject_unknown(section, _POTENTIAL_KEYS, "potential")
     family = section.get("family")
@@ -213,7 +229,17 @@ def _build_potential(section) -> tuple:
     axis = section.get("axis", 0)
     if not _is_int(axis) or axis < 0:
         raise ConfigError("potential.axis must be a nonnegative integer")
+    if axis >= n:
+        raise ConfigError(f"potential.axis {axis} out of range for n={n}")
     return PotentialSpec(family=family, lam=lam, alpha=alpha), axis
+
+
+def _bound_fixed_steps(config: IntegratorConfig, horizon: float, key: str, what: str) -> None:
+    """Reject a fixed-step run of more than MAX_FIXED_STEPS steps over ``horizon``."""
+    # ceil(horizon / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
+    if config.method is Method.RK4_FIXED and horizon / config.step > MAX_FIXED_STEPS:
+        raise ConfigError(f"integrator.{key}: {what} / step must not exceed {MAX_FIXED_STEPS} "
+                          f"fixed steps, got {horizon!r} / {config.step!r}")
 
 
 def _build_integrator(section, structure, warnings) -> IntegratorConfig:
@@ -240,10 +266,7 @@ def _build_integrator(section, structure, warnings) -> IntegratorConfig:
         config = IntegratorConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}")
-    # ceil(t_max / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
-    if config.method is Method.RK4_FIXED and config.t_max / config.step > MAX_FIXED_STEPS:
-        raise ConfigError(f"integrator.t_max: t_max / step must not exceed {MAX_FIXED_STEPS} "
-                          f"fixed steps, got {config.t_max!r} / {config.step!r}")
+    _bound_fixed_steps(config, config.t_max, "t_max", "t_max")
     return config
 
 
@@ -317,22 +340,12 @@ def parse_config(document, command: Optional[str] = None) -> RunConfig:
     if command == "liftcheck":
         return _parse_liftcheck(document, cfg)
 
-    if "structure" not in document:
-        raise ConfigError("structure section is required")
-    if "potential" not in document:
-        raise ConfigError("potential section is required")
-    cfg.structure = _build_structure(document["structure"], cfg.warnings)
-    if cfg.structure.is_extended:
-        raise ConfigError("structure.kind: extended structures run through "
-                          "the timescale command")
-    cfg.potential, cfg.axis = _build_potential(document["potential"])
-    if cfg.axis >= cfg.structure.n:
-        raise ConfigError(f"potential.axis {cfg.axis} out of range for n={cfg.structure.n}")
+    structure, potential = _section(document, "structure"), _section(document, "potential")
+    cfg.structure = _build_structure(structure)
+    cfg.potential, cfg.axis = _build_potential(potential, cfg.structure.n)
     cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=cfg.structure.n,
                                       axis=cfg.axis)
-    if "initial" not in document:
-        raise ConfigError("initial section is required")
-    cfg.initials = _build_initials(document["initial"], cfg.structure.n)
+    cfg.initials = _build_initials(_section(document, "initial"), cfg.structure.n)
     cfg.integrator = _build_integrator(document.get("integrator"), cfg.structure,
                                        cfg.warnings)
     if command == "portrait":
@@ -346,9 +359,11 @@ def parse_config(document, command: Optional[str] = None) -> RunConfig:
 
 
 def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
-    if "potential" not in document:
-        raise ConfigError("potential section is required")
-    cfg.potential, cfg.axis = _build_potential(document["potential"])
+    potential = _section(document, "potential")
+    n = document.get("n", 1)
+    if not _is_int(n) or n < 1:
+        raise ConfigError("n must be a positive integer")
+    cfg.potential, cfg.axis = _build_potential(potential, n)
     cfg.friction = _number(document, "friction", "config", None, positive=True)
     if cfg.friction is None:
         raise ConfigError("friction must be a positive number")
@@ -359,12 +374,6 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.horizon = _number(document, "horizon", "config", None, positive=True)
     if cfg.horizon is None:
         raise ConfigError("horizon must be a positive number")
-    n = document.get("n", 1)
-    if not _is_int(n) or n < 1:
-        raise ConfigError("n must be a positive integer")
-    cfg.n = n
-    if cfg.axis >= n:
-        raise ConfigError(f"potential.axis {cfg.axis} out of range for n={n}")
     initial = document.get("initial")
     if not isinstance(initial, list) or len(initial) != 2 * n:
         raise ConfigError(f"initial must be a flat list of length {2 * n} "
@@ -374,34 +383,31 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
         cfg.integrator = _build_integrator(document["integrator"], None, cfg.warnings)
+        # the run replaces t_max by the curvilinear horizon it needs
+        sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
+        _bound_fixed_steps(cfg.integrator, sigma_end, "step", "the curvilinear horizon")
     return cfg
 
 
 def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
-    if "structure" not in document:
-        raise ConfigError("structure section is required")
-    structure = cfg.structure = _build_structure(document["structure"], cfg.warnings)
+    structure = cfg.structure = _build_structure(_section(document, "structure"))
     n = structure.n
-    if structure.is_extended:
-        raise ConfigError("structure.kind: extended structures run through "
-                          "the timescale command")
     has_potential = "potential" in document
     has_toric = "toric" in document
     if has_potential == has_toric:
         raise ConfigError("provide exactly one of potential or toric")
     if has_potential:
-        cfg.potential, cfg.axis = _build_potential(document["potential"])
-        if cfg.axis >= n:
-            raise ConfigError(f"potential.axis {cfg.axis} out of range for n={n}")
+        cfg.potential, cfg.axis = _build_potential(document["potential"], n)
         cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=n, axis=cfg.axis)
     else:
         if structure.kind is not StructureKind.TWISTED_B:
             raise ConfigError("toric: the lifted torus generator lives on the twisted structure")
         toric = _require_mapping(document["toric"], "toric")
         _reject_unknown(toric, {"c"}, "toric")
-        cfg.toric_c = _number(toric, "c", "toric", structure.modular_weight)
-        if cfg.toric_c == 0.0:
+        c = _number(toric, "c", "toric", structure.modular_weight)
+        if c == 0.0:
             raise ConfigError("toric.c must be nonzero")
+        cfg.hamiltonian = toric_moment_field(structure, c)
     cfg.base_points = document.get("base_points", [0.0])
     cfg.fiber_samples = document.get("fiber_samples", [1.0, 2.0])
     if not isinstance(cfg.base_points, list) or not cfg.base_points:
@@ -421,8 +427,7 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
             for i, point in enumerate(getattr(cfg, key)):
                 if point[k] == 0.0:
                     raise ConfigError(f"{key}[{i}] lies on the critical set {name}{k + 1} = 0")
-    tol = _number(document, "tol", "config", 1e-9, positive=True)
-    cfg.tol = tol
+    cfg.tol = _number(document, "tol", "config", 1e-9, positive=True)
     return cfg
 
 
@@ -448,10 +453,7 @@ def _write_json(path, payload) -> None:
 
 
 def _state_payload(state: PhaseState):
-    payload = {"q": [float(v) for v in state.q], "p": [float(v) for v in state.p]}
-    if state.extra is not None:
-        payload["extra"] = [float(v) for v in state.extra]
-    return payload
+    return {"q": [float(v) for v in state.q], "p": [float(v) for v in state.p]}
 
 
 def _config_hash(raw: dict) -> str:
@@ -479,27 +481,33 @@ def _integrate_all(cfg: RunConfig) -> list:
                            [initial.to_array() for initial in cfg.initials], cfg.integrator)
 
 
-def _trajectory(run) -> Trajectory:
-    if isinstance(run, Exception):
-        raise run
-    return run
-
-
-def _run_simulate(cfg: RunConfig, out_dir: str) -> list:
+def _records(initials, runs, body, failed=None) -> list:
+    """One manifest record per initial state: ``index``, ``initial`` (its
+    entry in ``initials``) and ``status``, ``ok`` with the fields
+    ``body(i, run)`` returns, or ``error: <Type>: <msg>`` with the fields of
+    ``failed`` when ``run`` (a trajectory, or the exception that stopped it)
+    is an exception or ``body`` raises."""
     records = []
-    for i, (initial, run) in enumerate(zip(cfg.initials, _integrate_all(cfg))):
-        name = f"traj_{i:03d}.csv"
-        record = {"index": i, "initial": _state_payload(initial)}
+    for i, (initial, run) in enumerate(zip(initials, runs)):
+        record = {"index": i, "initial": initial}
         try:
-            traj = _trajectory(run)
-            traj.write_csv(os.path.join(out_dir, name))
-            record.update(status="ok", file=name,
-                          event={"kind": traj.terminal_event.kind.value,
-                                 "t": float(traj.terminal_event.time)})
+            if isinstance(run, Exception):
+                raise run
+            record.update(body(i, run), status="ok")
         except Exception as exc:
-            record.update(status=f"error: {type(exc).__name__}: {exc}")
+            record.update(failed or {}, status=f"error: {type(exc).__name__}: {exc}")
         records.append(record)
     return records
+
+
+def _without(records, *keys) -> list:
+    """The records without the fields ``keys``; side files are such projections."""
+    return [{k: v for k, v in record.items() if k not in keys} for record in records]
+
+
+def _event_payload(traj: Trajectory) -> dict:
+    event = traj.terminal_event
+    return {"kind": event.kind.value, "t": float(event.time)}
 
 
 def _classification_payload(cls):
@@ -511,134 +519,114 @@ def _classification_payload(cls):
     return payload
 
 
+def _run_simulate(cfg: RunConfig, out_dir: str) -> list:
+    def body(i, traj):
+        name = f"traj_{i:03d}.csv"
+        traj.write_csv(os.path.join(out_dir, name))
+        return {"file": name, "event": _event_payload(traj)}
+
+    return _records(map(_state_payload, cfg.initials), _integrate_all(cfg), body)
+
+
 def _run_portrait(cfg: RunConfig, out_dir: str) -> list:
     results = phase_portrait(cfg.structure, cfg.hamiltonian, cfg.initials,
                              cfg.integrator, include_backward=cfg.backward)
-    records = []
-    index = []
-    for i, rec in enumerate(results):
-        record = {"index": i, "initial": _state_payload(rec.initial)}
-        files = []
-        if rec.error is not None:
-            record["status"] = f"error: {rec.error}"
-        else:
-            fwd = f"traj_{i:03d}_forward.csv"
-            rec.trajectory.write_csv(os.path.join(out_dir, fwd))
-            files.append(fwd)
-            if rec.backward is not None:
-                bwd = f"traj_{i:03d}_backward.csv"
-                rec.backward.write_csv(os.path.join(out_dir, bwd))
-                files.append(bwd)
-            record.update(status="ok",
-                          event={"kind": rec.trajectory.terminal_event.kind.value,
-                                 "t": float(rec.trajectory.terminal_event.time)})
-        record["files"] = files
-        record["classification"] = _classification_payload(rec.classification)
-        records.append(record)
-        index.append({"index": i, "initial": _state_payload(rec.initial),
-                      "classification": _classification_payload(rec.classification),
-                      "files": files})
-    _write_json(os.path.join(out_dir, "portrait.json"), index)
+
+    def body(i, rec):
+        files = [f"traj_{i:03d}_forward.csv"]
+        if rec.backward is not None:
+            files.append(f"traj_{i:03d}_backward.csv")
+        for name, traj in zip(files, (rec.trajectory, rec.backward)):
+            traj.write_csv(os.path.join(out_dir, name))
+        return {"files": files, "classification": _classification_payload(rec.classification),
+                "event": _event_payload(rec.trajectory)}
+
+    runs = [rec if rec.error is None else rec.error for rec in results]
+    records = _records(map(_state_payload, cfg.initials), runs, body,
+                       {"files": [], "classification": {"kind": OrbitKind.UNDETERMINED.value}})
+    _write_json(os.path.join(out_dir, "portrait.json"), _without(records, "status", "event"))
     return records
 
 
 def _run_classify(cfg: RunConfig, out_dir: str) -> list:
-    records = []
-    for i, (initial, run) in enumerate(zip(cfg.initials, _integrate_all(cfg))):
-        record = {"index": i, "initial": _state_payload(initial)}
-        try:
-            cls = classify_orbit(_trajectory(run))
-            record.update(status="ok", classification=_classification_payload(cls))
-        except Exception as exc:
-            record.update(status=f"error: {type(exc).__name__}: {exc}")
-        records.append(record)
-    _write_json(os.path.join(out_dir, "classifications.json"),
-                [{k: r[k] for k in r if k != "index"} for r in records])
+    def body(i, traj):
+        return {"classification": _classification_payload(classify_orbit(traj))}
+
+    records = _records(map(_state_payload, cfg.initials), _integrate_all(cfg), body)
+    _write_json(os.path.join(out_dir, "classifications.json"), _without(records, "index"))
     return records
+
+
+def _tanh_oracle(q0, p0, lam, times):
+    """The twisted pure-quadratic closed form, on either half plane."""
+    if p0 == 0.0:
+        return np.full_like(times, q0), np.zeros_like(times)
+    sign = 1.0 if p0 > 0 else -1.0
+    c1, c2 = quadratic_tanh_constants(q0, abs(p0), lam)
+    return (quadratic_tanh(c1, c2, lam, times),
+            sign * quadratic_tanh_momentum(c1, c2, lam, times))
+
+
+#: closed form ``(q0, p0, lam, times) -> (q, p)`` per structure kind and family
+_ORACLES = {
+    (StructureKind.TWISTED_B, PotentialFamily.LINEAR): stokes_exact,
+    (StructureKind.CANONICAL, PotentialFamily.LINEAR): classical_parabola,
+    (StructureKind.TWISTED_B, PotentialFamily.PURE_QUADRATIC): _tanh_oracle,
+}
 
 
 def _oracle_for(cfg: RunConfig):
     kind = cfg.structure.kind
     family = cfg.potential.family
-    lam = cfg.potential.lam
     if cfg.structure.n != 1:
         raise ConfigError("oracle-compare supports n=1 systems")
-    if kind is StructureKind.TWISTED_B and family is PotentialFamily.LINEAR:
-        def oracle(initial, times):
-            return stokes_exact(initial.q[0], initial.p[0], lam, times)
-        return oracle
-    if kind is StructureKind.CANONICAL and family is PotentialFamily.LINEAR:
-        def oracle(initial, times):
-            return classical_parabola(initial.q[0], initial.p[0], lam, times)
-        return oracle
-    if kind is StructureKind.TWISTED_B and family is PotentialFamily.PURE_QUADRATIC:
-        def oracle(initial, times):
-            p0 = initial.p[0]
-            if p0 == 0.0:
-                return np.full_like(times, initial.q[0]), np.zeros_like(times)
-            sign = 1.0 if p0 > 0 else -1.0
-            c1, c2 = quadratic_tanh_constants(initial.q[0], abs(p0), lam)
-            return (quadratic_tanh(c1, c2, lam, times),
-                    sign * quadratic_tanh_momentum(c1, c2, lam, times))
-        return oracle
-    raise ConfigError(f"no closed-form oracle for structure.kind={kind.value} "
-                      f"with potential.family={family.value}")
+    if (kind, family) not in _ORACLES:
+        raise ConfigError(f"no closed-form oracle for structure.kind={kind.value} "
+                          f"with potential.family={family.value}")
+    return _ORACLES[kind, family]
 
 
 def _run_oracle_compare(cfg: RunConfig, out_dir: str) -> list:
     oracle = _oracle_for(cfg)
-    records = []
-    summary = []
-    for i, (initial, run) in enumerate(zip(cfg.initials, _integrate_all(cfg))):
-        record = {"index": i, "initial": _state_payload(initial)}
-        try:
-            traj = _trajectory(run)
-            q_exact, p_exact = oracle(initial, traj.times)
-            name = f"compare_{i:03d}.csv"
-            write_table(os.path.join(out_dir, name),
-                        ["t", "q_sim", "p_sim", "q_exact", "p_exact"],
-                        np.column_stack([traj.times, traj.q[:, 0], traj.p[:, 0],
-                                         q_exact, p_exact]))
-            err_q = float(np.max(np.abs(traj.q[:, 0] - q_exact)))
-            err_p = float(np.max(np.abs(traj.p[:, 0] - p_exact)))
-            record.update(status="ok", file=name, max_abs_q_error=err_q,
-                          max_abs_p_error=err_p)
-            summary.append({"initial": _state_payload(initial), "file": name,
-                            "max_abs_q_error": err_q, "max_abs_p_error": err_p})
-        except Exception as exc:
-            record.update(status=f"error: {type(exc).__name__}: {exc}")
-        records.append(record)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+
+    def body(i, traj):
+        initial = cfg.initials[i]
+        q_exact, p_exact = oracle(initial.q[0], initial.p[0], cfg.potential.lam, traj.times)
+        name = f"compare_{i:03d}.csv"
+        write_table(os.path.join(out_dir, name),
+                    ["t", "q_sim", "p_sim", "q_exact", "p_exact"],
+                    np.column_stack([traj.times, traj.q[:, 0], traj.p[:, 0],
+                                     q_exact, p_exact]))
+        return {"file": name,
+                "max_abs_q_error": float(np.max(np.abs(traj.q[:, 0] - q_exact))),
+                "max_abs_p_error": float(np.max(np.abs(traj.p[:, 0] - p_exact)))}
+
+    records = _records(map(_state_payload, cfg.initials), _integrate_all(cfg), body)
+    _write_json(os.path.join(out_dir, "summary.json"),
+                _without([r for r in records if r["status"] == "ok"], "index", "status"))
     return records
 
 
 def _run_timescale(cfg: RunConfig, out_dir: str) -> list:
     q0, v0 = cfg.initial_qv
-    record = {"index": 0, "initial": {"q": [float(v) for v in q0],
-                                      "v": [float(v) for v in v0]}}
-    try:
-        runner = run_rescaled if cfg.clock == "t" else run_s_coordinates
-        ext = runner(cfg.potential, cfg.friction, q0, v0, cfg.horizon,
+    runner = run_rescaled if cfg.clock == "t" else run_s_coordinates
+
+    def body(i, initial):
+        ext = runner(cfg.potential, cfg.friction, *initial, cfg.horizon,
                      config=cfg.integrator, axis=cfg.axis, e0=cfg.e0)
         _write_extended_csv(os.path.join(out_dir, "extended_000.csv"),
                             ext.trajectory, cfg.clock)
         rt = reconstruct_real_time(ext)
         _write_realtime_csv(os.path.join(out_dir, "realtime_000.csv"), rt)
-        record.update(status="ok", files=["extended_000.csv", "realtime_000.csv"],
-                      clock=cfg.clock,
-                      event={"kind": ext.trajectory.terminal_event.kind.value,
-                             "t": float(ext.trajectory.terminal_event.time)})
-    except Exception as exc:
-        record.update(status=f"error: {type(exc).__name__}: {exc}")
-    return [record]
+        return {"files": ["extended_000.csv", "realtime_000.csv"], "clock": cfg.clock,
+                "event": _event_payload(ext.trajectory)}
+
+    initial = {"q": [float(v) for v in q0], "v": [float(v) for v in v0]}
+    return _records([initial], [cfg.initial_qv], body)
 
 
 def _run_liftcheck(cfg: RunConfig, out_dir: str) -> list:
-    if cfg.toric_c is not None:
-        h = toric_moment_field(cfg.structure, cfg.toric_c)
-    else:
-        h = cfg.hamiltonian
-    verdict = projectability_test(cfg.structure, h, cfg.base_points,
+    verdict = projectability_test(cfg.structure, cfg.hamiltonian, cfg.base_points,
                                   cfg.fiber_samples, cfg.tol)
     payload = {"verdict": verdict.verdict.value, "tol": cfg.tol, "witness": None}
     if verdict.witness is not None:
@@ -663,8 +651,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, out_dir: Optional[str] = None,
-        seed: Optional[int] = None) -> int:
+def run(cfg: RunConfig, out_dir: Optional[str] = None) -> int:
     """Execute a validated configuration; returns the process exit status."""
     out_dir = out_dir or cfg.out_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
@@ -674,12 +661,11 @@ def run(cfg: RunConfig, out_dir: Optional[str] = None,
         "command": cfg.command,
         "config_sha256": _config_hash(cfg.raw),
         "version": __version__,
-        "seed": seed,
         "warnings": cfg.warnings,
         "records": records,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    failed = [r for r in records if not str(r.get("status", "")).startswith("ok")]
+    failed = [r for r in records if r["status"] != "ok"]
     for r in failed:
         logger.warning("record %s failed: %s", r.get("index"), r.get("status"))
     return 1 if failed else 0
@@ -694,8 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory (overrides out_dir)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="reserved; recorded in the manifest")
         if name == "timescale":
             cmd.add_argument("--friction", type=float, default=None)
             cmd.add_argument("--family", default=None)
@@ -710,35 +694,29 @@ def main(argv=None) -> int:
         stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            document = json.load(fh)
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "timescale":
-        if not isinstance(document, dict):
-            print("config error: config must be a JSON object", file=sys.stderr)
-            return 2
-        if args.friction is not None:
-            document["friction"] = args.friction
-        if args.clock is not None:
-            document["clock"] = args.clock
-        if args.horizon is not None:
-            document["horizon"] = args.horizon
-        if args.family is not None:
-            potential = document.setdefault("potential", {})
-            if isinstance(potential, dict):  # parse_config rejects any other value
-                potential["family"] = args.family
-    try:
+        try:
+            with open(args.config) as fh:
+                document = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc}")
+        if args.command == "timescale":
+            if not isinstance(document, dict):
+                raise ConfigError("config must be a JSON object")
+            for key in ("friction", "clock", "horizon"):
+                if getattr(args, key) is not None:
+                    document[key] = getattr(args, key)
+            if args.family is not None:
+                potential = document.setdefault("potential", {})
+                if isinstance(potential, dict):  # parse_config rejects any other value
+                    potential["family"] = args.family
         cfg = parse_config(document, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(cfg, out_dir=args.out, seed=args.seed)
+        return run(cfg, out_dir=args.out)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

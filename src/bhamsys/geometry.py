@@ -51,8 +51,6 @@ __all__ = [
 #: Default tolerance on the defining function for rank/degeneracy checks.
 DEGENERACY_TOL = 1e-14
 
-TWO_PI = 2.0 * np.pi
-
 
 class StructureKind(str, Enum):
     CANONICAL = "canonical"
@@ -186,12 +184,6 @@ class PhaseState:
             raise ValueError(f"expected a flat vector of length {expected}, got {y.size}")
         extra = (y[2 * n], y[2 * n + 1]) if extended else None
         return cls._trusted(y[:n], y[n:2 * n], extra)
-
-    def is_finite(self) -> bool:
-        ok = bool(np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p)))
-        if self.extra is not None:
-            ok = ok and all(np.isfinite(v) for v in self.extra)
-        return ok
 
 
 def _check_state(structure: PhaseStructure, state: PhaseState) -> None:

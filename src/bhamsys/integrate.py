@@ -72,6 +72,7 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "write_table",
+    "hermite",
     "BlowupError",
     "step",
     "integrate",
@@ -360,6 +361,18 @@ def _fires_z(d0, d1, z_eps):
     """Whether a step from d0 to d1 of the defining function enters Z's
     neighborhood or crosses Z (elementwise for arrays)."""
     return (np.abs(d1) <= z_eps) | ((d0 > 0.0) != (d1 > 0.0))
+
+
+def hermite(y0, y1, f0, f1, dt, tau):
+    """Cubic Hermite interpolant, ``tau`` into a step of length ``dt`` from
+    ``y0`` to ``y1`` with derivatives ``f0`` and ``f1``; elementwise, so
+    ``dt`` and ``tau`` may be columns against rows of samples."""
+    u = tau / dt
+    h00 = (1 + 2 * u) * (1 - u) ** 2
+    h10 = u * (1 - u) ** 2
+    h01 = u * u * (3 - 2 * u)
+    h11 = u * u * (u - 1)
+    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ def projectability_test(structure: PhaseStructure, h, base_points, fiber_samples
     evaluated.  Returns ``not_projectable`` with a witness as soon as some
     base point shows base-velocity variation above ``tol`` across fibers,
     ``projectable`` when all variations stay within ``tol``, and
-    ``inconclusive`` when the sampling is degenerate (all fibers equal).
+    ``inconclusive`` when the sampling is degenerate (all fibers equal) or
+    when no variation exceeds ``tol`` but some is NaN, as when the field
+    overflows on every fiber.
 
     For singular structures the fiber samples must stay off the critical
     set.
@@ -112,11 +114,14 @@ def projectability_test(structure: PhaseStructure, h, base_points, fiber_samples
     # spread max - min; rounding is monotone, so it is the same float as the
     # largest pairwise difference.  As in a scan over the pairs in order, the
     # first base point attaining the maximum wins, and its witness is the
-    # first fiber pair (i < j) attaining it.
+    # first fiber pair (i < j) attaining it.  A NaN spread (inf - inf, when
+    # the field overflows on every fiber) decides nothing and is left out.
     spread = velocity.max(axis=1) - velocity.min(axis=1)
+    undecided = np.isnan(spread)
+    spread[undecided] = -np.inf
     worst = float(np.max(spread))
     if not worst > tol:
-        return LiftVerdict(Verdict.PROJECTABLE)
+        return LiftVerdict(Verdict.INCONCLUSIVE if undecided.any() else Verdict.PROJECTABLE)
     b = int(np.argmax(np.max(spread, axis=1)))
     lo, hi = np.argmin(velocity[b], axis=0), np.argmax(velocity[b], axis=0)
     i, j = min(sorted((lo[c], hi[c])) for c in range(n) if spread[b, c] == worst)

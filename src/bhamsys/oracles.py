@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PhaseState
 from .hamiltonians import PotentialSpec, potential_gradient
 
 __all__ = [
@@ -58,10 +57,6 @@ class OracleResult:
     ps: np.ndarray
     source: OracleSource
     step: Optional[float] = None
-
-    @property
-    def states(self):
-        return [PhaseState(q=self.qs[i], p=self.ps[i]) for i in range(len(self.times))]
 
 
 def stokes_exact(q0: float, p0: float, lam: float, t):

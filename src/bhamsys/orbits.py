@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from .hamiltonians import HamiltonianSpec, PotentialFamily
-from .integrate import (EventKind, IntegratorConfig, Trajectory, integrate,
+from .integrate import (EventKind, IntegratorConfig, Trajectory, hermite, integrate,
                         integrate_batch, merge_backward_forward)
 
 __all__ = [
@@ -88,7 +88,7 @@ class PortraitRecord:
     trajectory: Optional[Trajectory]
     backward: Optional[Trajectory]
     classification: OrbitClassification
-    error: Optional[str] = None
+    error: Optional[Exception] = None
 
 
 def _angular_delta(ys: np.ndarray, x0: np.ndarray, angular_idx: np.ndarray) -> np.ndarray:
@@ -97,15 +97,6 @@ def _angular_delta(ys: np.ndarray, x0: np.ndarray, angular_idx: np.ndarray) -> n
     if angular_idx.size:
         d[..., angular_idx] = np.mod(d[..., angular_idx] + np.pi, 2 * np.pi) - np.pi
     return d
-
-
-def _hermite(y0, y1, f0, f1, dt, tau):
-    u = tau / dt
-    h00 = (1 + 2 * u) * (1 - u) ** 2
-    h10 = u * (1 - u) ** 2
-    h01 = u * u * (3 - 2 * u)
-    h11 = u * u * (u - 1)
-    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
 def _median(values: np.ndarray) -> float:
@@ -118,13 +109,13 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
-def _first_return(traj: Trajectory, structure: PhaseStructure, h,
-                  ball: float, min_steps: int) -> Optional[float]:
+def _first_return(traj: Trajectory) -> Optional[float]:
     """Time of first return to the initial state, or None."""
     if len(traj) < 3:
         return None
+    structure = traj.structure
     x0 = traj.ys[0]
-    f = compile_field(structure, h)
+    f = compile_field(structure, traj.hamiltonian)
     v0 = f(x0)
     speed = float(np.linalg.norm(v0))
     if speed < 1e-12:
@@ -135,10 +126,10 @@ def _first_return(traj: Trajectory, structure: PhaseStructure, h,
     deltas = _angular_delta(traj.ys.copy(), x0, angular_idx)
     progress = deltas @ v0n
     dist = np.max(np.abs(deltas), axis=1)
-    gate = max(0.05 * (1.0 + float(np.max(np.abs(x0)))), 100.0 * ball)
+    gate = max(0.05 * (1.0 + float(np.max(np.abs(x0)))), 100.0 * RETURN_BALL)
 
     med_dt = _median(np.diff(traj.times))
-    t_floor = min_steps * med_dt
+    t_floor = MIN_PERIOD_STEPS * med_dt
 
     for i in range(1, len(traj)):
         if traj.times[i] < t_floor:
@@ -152,7 +143,7 @@ def _first_return(traj: Trajectory, structure: PhaseStructure, h,
         dt = traj.times[i] - traj.times[i - 1]
 
         def prog(tau):
-            y = _hermite(y0, y1, f0, f1, dt, tau)
+            y = hermite(y0, y1, f0, f1, dt, tau)
             return float(_angular_delta(y, x0, angular_idx) @ v0n)
 
         lo, hi = 0.0, dt
@@ -165,22 +156,16 @@ def _first_return(traj: Trajectory, structure: PhaseStructure, h,
             if hi - lo < 1e-14 * max(1.0, dt):
                 break
         tau = 0.5 * (lo + hi)
-        y_ret = _hermite(y0, y1, f0, f1, dt, tau)
+        y_ret = hermite(y0, y1, f0, f1, dt, tau)
         d_ret = float(np.max(np.abs(_angular_delta(y_ret, x0, angular_idx))))
         t_ret = traj.times[i - 1] + tau
-        if d_ret < ball and t_ret >= t_floor and np.max(np.abs(f(y_ret))) > 1e-12:
+        if d_ret < RETURN_BALL and t_ret >= t_floor and np.max(np.abs(f(y_ret))) > 1e-12:
             return float(t_ret)
     return None
 
 
-def classify_orbit(traj: Trajectory, structure: Optional[PhaseStructure] = None,
-                   h=None, ball: float = RETURN_BALL,
-                   min_period_steps: int = MIN_PERIOD_STEPS) -> OrbitClassification:
+def classify_orbit(traj: Trajectory) -> OrbitClassification:
     """Assign one of the qualitative orbit types to a trajectory."""
-    if structure is None:
-        structure = traj.structure
-    if h is None:
-        h = traj.hamiltonian
     terminal = traj.terminal_event
 
     if terminal.kind is EventKind.FIXED_POINT and len(traj) == 1:
@@ -191,7 +176,7 @@ def classify_orbit(traj: Trajectory, structure: Optional[PhaseStructure] = None,
             return OrbitClassification(OrbitKind.HETEROCLINIC_SEGMENT,
                                        limit_state=traj.final_state)
         return OrbitClassification(OrbitKind.ESCAPE_ORBIT, limit_state=traj.final_state)
-    period = _first_return(traj, structure, h, ball, min_period_steps)
+    period = _first_return(traj)
     if period is not None:
         return OrbitClassification(OrbitKind.PERIODIC, period=period)
     if terminal.kind is EventKind.BLOWUP:
@@ -224,19 +209,17 @@ def phase_portrait(structure: PhaseStructure, h, grid, config: IntegratorConfig,
             for run in (forward, backward):
                 if isinstance(run, Exception):
                     raise run
-            cls = classify_orbit(forward, structure, h)
+            cls = classify_orbit(forward)
             records.append(PortraitRecord(initial, forward, backward, cls))
         except Exception as exc:  # per-record isolation
             records.append(PortraitRecord(
-                initial, None, None, OrbitClassification(OrbitKind.UNDETERMINED),
-                error=f"{type(exc).__name__}: {exc}"))
+                initial, None, None, OrbitClassification(OrbitKind.UNDETERMINED), error=exc))
     return records
 
 
-def level_set_residual(traj: Trajectory, h=None) -> float:
+def level_set_residual(traj: Trajectory) -> float:
     """Max deviation of H from its initial value along the trajectory."""
-    if h is None:
-        h = traj.hamiltonian
+    h = traj.hamiltonian
     values = np.array([h.value(traj.state(i)) for i in range(len(traj))])
     return float(np.max(np.abs(values - values[0])))
 

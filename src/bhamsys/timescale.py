@@ -42,7 +42,7 @@ import numpy as np
 from .geometry import PhaseState, PhaseStructure, StructureKind
 from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialSpec,
                            potential_gradient, potential_value)
-from .integrate import EventKind, IntegratorConfig, Method, Trajectory, integrate
+from .integrate import EventKind, IntegratorConfig, Method, Trajectory, hermite, integrate
 
 __all__ = [
     "Clock",
@@ -57,6 +57,7 @@ __all__ = [
     "to_s_coordinates",
     "plain_initial_state",
     "rescaled_initial_state",
+    "curvilinear_horizon",
     "run_rescaled",
     "run_s_coordinates",
     "reconstruct_real_time",
@@ -129,25 +130,14 @@ class ExtendedTrajectory:
                 if np.any(np.diff(col) <= 0):
                     raise ValueError("t must increase strictly along the run")
 
-    def real_times(self) -> np.ndarray:
-        col = self.trajectory.extra[:, 0]
-        if self.trajectory.structure.kind is StructureKind.EXTENDED_B_S:
-            return s_to_time(col, self.lam)
-        return col.copy()
-
 
 def _hermite_resample(ts: np.ndarray, ys: np.ndarray, ders: np.ndarray,
                       t_new: np.ndarray) -> np.ndarray:
     """Piecewise cubic Hermite evaluation of (ys, ders) sampled at ts."""
     t_new = np.clip(np.asarray(t_new, dtype=float), ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, t_new, side="right") - 1, 0, ts.size - 2)
-    h = (ts[idx + 1] - ts[idx])[:, None]
-    u = ((t_new - ts[idx])[:, None]) / h
-    h00 = (1 + 2 * u) * (1 - u) ** 2
-    h10 = u * (1 - u) ** 2
-    h01 = u * u * (3 - 2 * u)
-    h11 = u * u * (u - 1)
-    return h00 * ys[idx] + h10 * h * ders[idx] + h01 * ys[idx + 1] + h11 * h * ders[idx + 1]
+    return hermite(ys[idx], ys[idx + 1], ders[idx], ders[idx + 1],
+                   (ts[idx + 1] - ts[idx])[:, None], (t_new - ts[idx])[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +237,20 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
     return PhaseState(q=q0, p=p0, extra=(t0, e0))
 
 
-def _default_adaptive(sigma_end: float, blowup_bound: float = 1e30) -> IntegratorConfig:
+def curvilinear_horizon(lam: float, t_target: float) -> tuple:
+    """``(sigma_end, s_end)`` where physical time reaches ``t_target`` +
+    ``HORIZON_PAD``: the curvilinear parameter, from dt/dsigma = exp(lam t)/lam
+    in closed form, and s = exp(-lam t) = 1 - sigma_end."""
+    if not t_target > 0:
+        raise ValueError("t_target must be > 0")
+    s_end = math.exp(-lam * (t_target + HORIZON_PAD))
+    return 1.0 - s_end, s_end
+
+
+def _default_adaptive(sigma_end: float) -> IntegratorConfig:
     return IntegratorConfig(method=Method.RK_ADAPTIVE, step=min(1e-3, sigma_end / 10),
                             rel_tol=1e-10, abs_tol=1e-10, t_max=sigma_end,
-                            blowup_bound=blowup_bound)
+                            blowup_bound=1e30)
 
 
 def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
@@ -258,18 +258,15 @@ def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
                  e0: Optional[float] = None) -> ExtendedTrajectory:
     """Integrate the rescaled system until physical time reaches ``t_target``.
 
-    The curvilinear horizon is sigma_end = 1 - exp(-lam*(t_target + pad)),
-    obtained by solving dt/dsigma = exp(lam t)/lam in closed form; any
-    ``config`` supplied has its ``t_max`` replaced by that value.  Beware
+    The curvilinear horizon is sigma_end of :func:`curvilinear_horizon`;
+    any ``config`` supplied has its ``t_max`` replaced by that value.  Beware
     that exp(lam t) overflows past lam*t = 700; longer horizons should use
     :func:`run_s_coordinates`.
     """
-    if not t_target > 0:
-        raise ValueError("t_target must be > 0")
+    sigma_end, _ = curvilinear_horizon(lam, t_target)
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
     initial = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
-    sigma_end = 1.0 - math.exp(-lam * (t_target + HORIZON_PAD))
     if config is None:
         config = _default_adaptive(sigma_end)
     else:
@@ -287,21 +284,18 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     """Integrate the s-coordinate system until physical time reaches ``t_target``.
 
     s decays from 1 at exactly unit curvilinear speed, so the horizon is
-    sigma_end = 1 - exp(-lam*(t_target + pad)).  The default configuration
+    sigma_end of :func:`curvilinear_horizon`.  The default configuration
     keeps ``z_epsilon`` below the target s so the critical-set event cannot
     fire before the horizon.
     """
-    if not t_target > 0:
-        raise ValueError("t_target must be > 0")
+    sigma_end, s_end = curvilinear_horizon(lam, t_target)
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
     structure_s, h_s = to_s_coordinates(structure, h)
     initial_t = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
     initial = to_s_state(initial_t, lam)
-    s_target = math.exp(-lam * (t_target + HORIZON_PAD))
-    sigma_end = 1.0 - s_target
     if config is None:
-        config = replace(_default_adaptive(sigma_end), z_epsilon=s_target / 2)
+        config = replace(_default_adaptive(sigma_end), z_epsilon=s_end / 2)
     else:
         config = replace(config, t_max=sigma_end)
     traj = integrate(structure_s, h_s, initial, config)

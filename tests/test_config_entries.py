@@ -252,3 +252,39 @@ def test_an_overflowing_witness_is_standard_json(tmp_path, capsys):
     assert verdict["witness"]["difference"] == "inf"
     assert strict_loads(capsys.readouterr().out) == verdict
     strict_json(tmp_path / "out" / "manifest.json")
+
+
+def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys):
+    # t_max allows two steps, but the run replaces it by its curvilinear
+    # horizon sigma_end = 1 - exp(-1) and would take 6e8 steps
+    doc = dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-9, "t_max": 2e-9})
+    with pytest.raises(ConfigError, match=r"^integrator\.step: .*10000000 fixed steps"):
+        parse_config(doc, "timescale")
+    for clock in ("t", "s"):
+        assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
+        assert "config error: integrator.step" in capsys.readouterr().err
+    # 6.3e6 steps fit the bound, 1.26e7 do not; an adaptive run chooses its own
+    parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-7,
+                                             "t_max": 1e-6}), "timescale")
+    with pytest.raises(ConfigError, match=r"^integrator\.step"):
+        parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 5e-8,
+                                                 "t_max": 1e-6}), "timescale")
+    parse_config(dict(TIMESCALE, integrator={"method": "rk_adaptive", "step": 1e-9,
+                                             "t_max": 2e-9}), "timescale")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("fibers,verdict,difference", [
+    ([1e200, 3e200], "inconclusive", None),  # every velocity is inf: inf - inf is NaN
+    ([1.0, 2.0, 1e200, 3e200], "not_projectable", "inf"),
+], ids=["all-overflow", "mixed"])
+def test_an_overflowing_field_is_never_projectable(tmp_path, capsys, fibers, verdict,
+                                                   difference):
+    doc = dict(LIFTCHECK, structure={"kind": "twisted_b", "dim": 2}, base_points=[0.0, 1.0],
+               fiber_samples=fibers)
+    assert run_main(tmp_path, "liftcheck", json.dumps(doc)) == 0
+    payload = strict_json(tmp_path / "out" / "verdict.json")
+    assert payload["verdict"] == verdict
+    witness = payload["witness"]
+    assert (witness and witness["difference"]) == difference

@@ -11,6 +11,7 @@ from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import (EventKind, IntegratorConfig, Method, Trajectory,
                                integrate, merge_backward_forward,
                                sign_preservation_check, step)
+from bhamsys.integrate import hermite
 from bhamsys.oracles import classical_parabola, stokes_exact
 
 TWISTED = PhaseStructure(StructureKind.TWISTED_B)
@@ -228,3 +229,31 @@ class TestTrajectory:
         npt.assert_array_equal(data[:, 0], traj.times)
         npt.assert_array_equal(data[:, 1], traj.q[:, 0])
         npt.assert_array_equal(data[:, 2], traj.p[:, 0])
+
+
+class TestHermite:
+    def test_exact_on_cubics(self):
+        def y(t):
+            return t**3 - 2.0 * t**2 + 0.5 * t + 1.0
+
+        def dy(t):
+            return 3.0 * t**2 - 4.0 * t + 0.5
+
+        t0, t1 = 0.5, 2.0
+        taus = np.linspace(0.0, t1 - t0, 7)
+        got = hermite(y(t0), y(t1), dy(t0), dy(t1), t1 - t0, taus)
+        npt.assert_allclose(got, y(t0 + taus), rtol=0, atol=1e-14)
+        assert got[0] == y(t0) and got[-1] == y(t1)
+
+    def test_columns_evaluate_many_steps(self):
+        # two steps of a two-component state, each at its own offset
+        y0 = np.array([[0.0, 1.0], [2.0, -1.0]])
+        y1 = np.array([[1.0, 3.0], [0.0, 0.5]])
+        f0 = np.array([[0.5, 0.0], [1.0, 2.0]])
+        f1 = np.array([[-1.0, 2.0], [0.0, 1.0]])
+        dt = np.array([[0.5], [2.0]])
+        tau = np.array([[0.2], [1.5]])
+        rows = hermite(y0, y1, f0, f1, dt, tau)
+        for i in range(2):
+            npt.assert_array_equal(rows[i], hermite(y0[i], y1[i], f0[i], f1[i],
+                                                    dt[i, 0], tau[i, 0]))
