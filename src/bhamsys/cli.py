@@ -266,7 +266,6 @@ def _build_integrator(section, structure, warnings) -> IntegratorConfig:
         config = IntegratorConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}")
-    _bound_fixed_steps(config, config.t_max, "t_max", "t_max")
     return config
 
 
@@ -348,6 +347,7 @@ def parse_config(document, command: Optional[str] = None) -> RunConfig:
     cfg.initials = _build_initials(_section(document, "initial"), cfg.structure.n)
     cfg.integrator = _build_integrator(document.get("integrator"), cfg.structure,
                                        cfg.warnings)
+    _bound_fixed_steps(cfg.integrator, cfg.integrator.t_max, "t_max", "t_max")
     if command == "portrait":
         backward = document.get("backward", True)
         if not isinstance(backward, bool):
@@ -383,8 +383,12 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
         cfg.integrator = _build_integrator(document["integrator"], None, cfg.warnings)
-        # the run replaces t_max by the curvilinear horizon it needs
+        # the run replaces t_max by the curvilinear horizon it needs, so the
+        # step is bounded by that horizon alone
         sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
+        if not cfg.integrator.step < sigma_end:
+            raise ConfigError(f"integrator.step must be smaller than the curvilinear horizon "
+                              f"{sigma_end!r}, got {cfg.integrator.step!r}")
         _bound_fixed_steps(cfg.integrator, sigma_end, "step", "the curvilinear horizon")
     return cfg
 

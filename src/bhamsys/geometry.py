@@ -290,6 +290,11 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     evaluated row by row through ``h.gradient`` and raises whatever that
     raises.  Rows never mix, so a row's velocity is the same, to the bit, in
     any batch.
+
+    ``F.row`` is the one-row form: it takes one state as a list of floats
+    and returns its velocity as a list of floats, with the bits of ``F``.
+    For the extended variants it is the scalar formula itself, with no
+    array; every other kernel wraps ``F`` in ``np.array`` and ``tolist``.
     """
     # hamiltonians imports this module, so its names are looked up here
     from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily,
@@ -338,25 +343,29 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
             out[..., n + axis] = -_family_slope(spec, Y[..., axis])
             return scale(Y, out)
 
-        return field
+        return _with_row(field)
 
     if named and h.extended is not ExtendedKind.NONE and ext:
         canonical = structure.kind is StructureKind.EXTENDED_CANONICAL
+        gradient = _extended_gradient(h)
 
         def row_field(y):
             # the same products as the general path below, on one row's scalars
-            g = _extended_gradient(h, y)
+            g = gradient(y)
             v = g[n:2 * n] + [-x for x in g[:n]]
             if canonical:  # the (t, E) block has the constant scale -1
-                return v + [-g[2 * n + 1], g[2 * n]]
-            sigma = y[2 * n] / c  # the (s, E_s) pair, scaled by s/c
-            return v + [g[2 * n + 1] * sigma, -g[2 * n] * sigma]
+                v += [-g[2 * n + 1], g[2 * n]]
+            else:
+                sigma = y[2 * n] / c  # the (s, E_s) pair, scaled by s/c
+                v += [g[2 * n + 1] * sigma, -g[2 * n] * sigma]
+            return list(map(float, v))  # numpy scalars of the formula as floats
 
         def field(Y):
             if Y.ndim == 1:
-                return np.array(row_field(Y))
-            return np.array([row_field(y) for y in Y]).reshape(Y.shape)
+                return np.array(row_field(Y.tolist()))
+            return np.array([row_field(y) for y in Y.tolist()]).reshape(Y.shape)
 
+        field.row = row_field
         return field
 
     # swap(grad H) with the constant block scales: +-1, and -1 on (t, E)
@@ -375,6 +384,13 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
             grad[i] = g
         return scale(rows, grad[:, swap] * sign).reshape(np.shape(Y))
 
+    return _with_row(field)
+
+
+def _with_row(field):
+    """``field`` with its one-row form: ``field.row(y)`` takes one state as
+    a list of floats and returns its velocity as a list of floats."""
+    field.row = lambda y: field(np.array(y)).tolist()
     return field
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -258,60 +259,75 @@ class HamiltonianSpec:
             out[:n] = potential_gradient(self.potential, state.q, 0.0, self.axis)
             out[n:] = state.p
             return out
-        return np.array(_extended_gradient(self, state.to_array()))
+        return np.array(_extended_gradient(self)(state.to_array().tolist()))
 
 
-def _extended_gradient(h: HamiltonianSpec, y: np.ndarray) -> list:
-    """Exact partials of an extended ``h`` at one flat state ``y``, laid out
-    ``(q, p, t, E)`` or ``(q, p, s, E_s)``, as a list in the order of
-    :meth:`HamiltonianSpec.gradient`.
+def _extended_gradient(h: HamiltonianSpec):
+    """The exact partials of an extended ``h`` as a function of one flat row.
+
+    Returns ``grad(y)``, where ``y`` is the list of one state's floats, laid
+    out ``(q, p, t, E)`` or ``(q, p, s, E_s)``, and ``grad(y)`` the list of
+    partials in the order of :meth:`HamiltonianSpec.gradient`.  The variant,
+    the potential's value and slope, ``lam**2`` and ``lam**3`` are bound
+    here, once per Hamiltonian.
 
     This is the one formula of the three extended variants, used by
-    :meth:`HamiltonianSpec.gradient` and, row by row, by
+    :meth:`HamiltonianSpec.gradient` and by the kernel of
     :func:`~bhamsys.geometry.compile_field`.  It works on the scalars of one
     row, with ``math.exp`` of ``lam*t`` and ``math.log`` of ``s``, since
-    numpy's ``exp`` can differ from them in the last bit.  ``t`` or ``s``
-    stays a numpy scalar, so that a division by an underflowed power of
-    ``s`` gives inf or NaN, as an array division does, instead of raising.
+    numpy's ``exp`` can differ from them in the last bit.  ``t`` or ``s`` is
+    a numpy scalar, so that a division by an underflowed power of ``s``
+    gives inf or NaN, as an array division does, instead of raising.
     """
     n, axis, spec, lam = h.n, h.axis, h.potential, h.friction
     plain = h.extended is ExtendedKind.PLAIN_EXTENDED
-    rescaled = h.extended is ExtendedKind.RESCALED_EXTENDED
-    values = y.tolist()
-    a, b = y[2 * n], values[2 * n + 1]  # (t, E) or (s, E_s)
-    if plain or rescaled:
-        t = a
-        if rescaled and lam * t > EXP_GUARD:
-            raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
-    else:
-        if a <= 0.0:
-            raise ValueError("Hamiltonian singular at s=0")
-        t = -math.log(a) / lam
     if spec.family is PotentialFamily.CUSTOM:
-        q = y[:n]
-        v = None if plain else potential_value(spec, q, t, axis)
-        v_t = potential_time_derivative(spec, q, t, axis)
-        grad = potential_gradient(spec, q, t, axis).tolist()
+        def potential(y, t):
+            # (V, dV/dt, dV/dq); V is not needed by the plain variant
+            q = np.array(y[:n])
+            v = None if plain else potential_value(spec, q, t, axis)
+            return (v, potential_time_derivative(spec, q, t, axis),
+                    potential_gradient(spec, q, t, axis).tolist())
     else:  # V depends on q[axis] alone, not on t
-        x = values[axis]
-        v = None if plain else _family_value(spec, x)
-        v_t = 0.0
-        grad = [0.0] * n
-        grad[axis] = _family_slope(spec, x)
-    p = values[n:2 * n]
+        value, slope = partial(_family_value, spec), partial(_family_slope, spec)
+
+        def potential(y, t):
+            x = y[axis]
+            grad = [0.0] * n
+            grad[axis] = slope(x)
+            return None if plain else value(x), 0.0, grad
+
     if plain:
-        return grad + p + [v_t, -1.0]
-    if rescaled:
-        elt = math.exp(lam * t)
-        e2lt = elt * elt
-        scale = e2lt / lam**2
-        return ([scale * g for g in grad] + p
-                + [2 * e2lt / lam * v + scale * v_t - elt * b, -elt / lam])
-    # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
-    ls2 = (lam * a) ** 2
-    s3 = a**3
-    return ([g / ls2 for g in grad] + p
-            + [-v_t / (lam**3 * s3) - 2 * v / (lam**2 * s3) + b / a**2, -1.0 / a])
+        def grad(y):
+            _, v_t, g = potential(y, np.float64(y[2 * n]))
+            return g + y[n:2 * n] + [v_t, -1.0]
+        return grad
+
+    lam2, lam3 = lam**2, lam**3
+    if h.extended is ExtendedKind.RESCALED_EXTENDED:
+        def grad(y):
+            t = np.float64(y[2 * n])
+            if lam * t > EXP_GUARD:
+                raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
+            v, v_t, g = potential(y, t)
+            elt = math.exp(lam * t)
+            e2lt = elt * elt
+            scale = e2lt / lam2
+            return ([scale * x for x in g] + y[n:2 * n]
+                    + [2 * e2lt / lam * v + scale * v_t - elt * y[2 * n + 1], -elt / lam])
+        return grad
+
+    def grad(y):
+        # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
+        s = np.float64(y[2 * n])
+        if s <= 0.0:
+            raise ValueError("Hamiltonian singular at s=0")
+        v, v_t, g = potential(y, -math.log(s) / lam)
+        ls2 = (lam * s) ** 2
+        s3 = s**3
+        return ([x / ls2 for x in g] + y[n:2 * n]
+                + [-v_t / (lam3 * s3) - 2 * v / (lam2 * s3) + y[2 * n + 1] / s**2, -1.0 / s])
+    return grad
 
 
 @dataclass(frozen=True)

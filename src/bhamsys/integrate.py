@@ -36,11 +36,13 @@ others.  Most steps are quiet: no row raises, leaves the finite range or
 ``blowup_bound``, reaches a fixed point or fires Z.  One combined test over
 the whole batch recognizes such a step, and the per-row event bookkeeping
 runs only on the other steps.  Adaptive DP5 rows choose their own steps and
-are advanced one at a time; a trial step keeps its seven stages as the rows
-of one array and forms each weighted stage sum as one product and one sum
-over those rows, and a forward row calls the kernel without negating it.  A
-row's trajectory is the same, to the bit, in any batch; :func:`integrate` is
-the one-row case.
+are advanced one at a time, on Python floats: the state and the stages are
+lists, each stage is a scalar weighted sum per component, added in stage
+order from 0, and the field is the kernel's one-row form ``F.row``, which
+a forward row calls without negating it.  At 2 to 6 floats a row, this
+costs less than numpy's per-call overhead on arrays that small.  A row's
+trajectory is the same, to the bit, in any batch; :func:`integrate` is the
+one-row case.
 
 CSV
 ---
@@ -298,28 +300,34 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# the weight rows as columns, each to scale the stage rows it multiplies
-_DP_A_COLS = tuple(np.array(row)[:, None] for row in _DP_A)
-_DP_B5_COL = np.array(_DP_B5)[:, None]
-_DP_ERR_COL = np.array(_DP_ERR)[:, None]
 
 
 def _dp_step(f, y, dt, k1):
-    """One Dormand-Prince trial step; returns (y5, error_estimate, f(y5)).
+    """One Dormand-Prince trial step on lists of floats; returns (y5,
+    error_estimate, f(y5)).
 
-    The seven stages are the rows of one array.  Every weighted sum is one
-    product of a weight column with the filled rows and one sum over them
-    along axis 0, which numpy starts from its identity 0.0 and runs in stage
-    order, so each sum has the bits of ``sum(a * k for a, k in zip(row,
-    stages))``.
+    Every stage is ``y_j + dt * (0 + a1*k1_j + a2*k2_j + ...)``: a weighted
+    sum in stage order that starts from 0, as numpy's sum over stage rows
+    did.  The zero weights stay in their sums, so a NaN or inf of ``k2``
+    still reaches ``y5`` and the error, and a sum of -0.0 terms is +0.0.
     """
-    K = np.empty((7, y.size))
-    K[0] = k1
-    for i, a in enumerate(_DP_A_COLS, 1):
-        K[i] = f(y + dt * (a * K[:i]).sum(axis=0))
-    y5 = y + dt * (_DP_B5_COL * K[:6]).sum(axis=0)
-    k7 = K[6] = f(y5)
-    return y5, dt * (_DP_ERR_COL * K).sum(axis=0), k7
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, b2, b3, b4, b5, b6 = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = _DP_ERR
+    k2 = f([x + dt * (0.0 + a21 * p) for x, p in zip(y, k1)])
+    k3 = f([x + dt * (0.0 + a31 * p + a32 * q) for x, p, q in zip(y, k1, k2)])
+    k4 = f([x + dt * (0.0 + a41 * p + a42 * q + a43 * r) for x, p, q, r in zip(y, k1, k2, k3)])
+    k5 = f([x + dt * (0.0 + a51 * p + a52 * q + a53 * r + a54 * u)
+            for x, p, q, r, u in zip(y, k1, k2, k3, k4)])
+    k6 = f([x + dt * (0.0 + a61 * p + a62 * q + a63 * r + a64 * u + a65 * v)
+            for x, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [x + dt * (0.0 + b1 * p + b2 * q + b3 * r + b4 * u + b5 * v + b6 * w)
+          for x, p, q, r, u, v, w in zip(y, k1, k2, k3, k4, k5, k6)]
+    k7 = f(y5)
+    err = [dt * (0.0 + e1 * p + e2 * q + e3 * r + e4 * u + e5 * v + e6 * w + e7 * z)
+           for p, q, r, u, v, w, z in zip(k1, k2, k3, k4, k5, k6, k7)]
+    return y5, err, k7
 
 
 def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseState:
@@ -355,12 +363,6 @@ def _locate_z_crossing(d0: float, d1: float, z_eps: float, dt: float) -> float:
         else:
             lo = mid
     return hi
-
-
-def _fires_z(d0, d1, z_eps):
-    """Whether a step from d0 to d1 of the defining function enters Z's
-    neighborhood or crosses Z (elementwise for arrays)."""
-    return (np.abs(d1) <= z_eps) | ((d0 > 0.0) != (d1 > 0.0))
 
 
 def hermite(y0, y1, f0, f1, dt, tau):
@@ -601,9 +603,23 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
     return results
 
 
+def _amax(values):
+    """``np.max`` of floats that are >= 0 or NaN: NaN when any of them is,
+    where Python's ``max`` returns a NaN only when it comes first."""
+    total = sum(values)  # NaN exactly when a value is: inf + inf is inf
+    return max(values) if total == total else total
+
+
 def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
-    """Adaptive DP5 run of one row; raises what the Hamiltonian raises."""
-    f = F if sign == 1.0 else partial(_directed, F, sign)  # 1.0 * x is x, to the bit
+    """Adaptive DP5 run of one row; raises what the Hamiltonian raises.
+
+    The row is a list of floats and every field evaluation goes through the
+    one-row form ``F.row``; the samples become the trajectory's arrays once,
+    at the end.
+    """
+    row = F.row
+    f = row if sign == 1.0 else (lambda x: [-v for v in row(x)])  # -v has the bits of -1.0 * v
+    y = y.tolist()
     f_cur = f(y)
 
     times = [0.0]
@@ -613,7 +629,7 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         return Trajectory(times=np.array(times), ys=np.array(samples),
                           events=(event,), structure=structure, hamiltonian=h)
 
-    if np.max(np.abs(f_cur)) < config.fp_epsilon:
+    if _amax([abs(v) for v in f_cur]) < config.fp_epsilon:
         return finish(Event(0.0, EventKind.FIXED_POINT))
 
     z_armed = False
@@ -622,6 +638,7 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         z_idx = _defining_index(structure)
         z_armed = abs(y[z_idx]) >= config.z_epsilon
 
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     t = 0.0
     dt_next = config.step
     while True:
@@ -640,14 +657,14 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
             try:
                 y_trial, err, k_end = _dp_step(f, y, dt, f_cur)
             except _BLOWUP_ERRORS:
-                y_trial = np.array([np.nan])
-            if not np.all(np.isfinite(y_trial)):
+                y_trial = [math.nan]
+            if not all(map(math.isfinite, y_trial)):
                 if dt <= 2 * MIN_STEP:
                     return finish(Event(t + dt, EventKind.BLOWUP))
                 dt = max(0.25 * dt, MIN_STEP)
                 continue
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_trial))
-            err_norm = float(np.max(np.abs(err) / scale))
+            err_norm = _amax([abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                              for e, a, b in zip(err, y, y_trial)])
             if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
                 accepted = (y_trial, k_end)
                 factor = STEP_GROW if err_norm == 0.0 else min(
@@ -662,18 +679,20 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
 
         if z_armed:
             d0, d1 = y[z_idx], y_new[z_idx]
-            if _fires_z(d0, d1, config.z_epsilon):
+            # Z is reached or crossed
+            if abs(d1) <= config.z_epsilon or (d0 > 0.0) != (d1 > 0.0):
                 tau = _locate_z_crossing(d0, d1, config.z_epsilon, dt)
+                u = tau / dt
                 times.append(t + tau)
-                samples.append(y + (y_new - y) * (tau / dt))
+                samples.append([a + (b - a) * u for a, b in zip(y, y_new)])
                 return finish(Event(t + tau, EventKind.REACHED_Z))
 
         times.append(t_new)
         samples.append(y_new)
 
-        if np.max(np.abs(y_new)) > config.blowup_bound:
+        if _amax([abs(v) for v in y_new]) > config.blowup_bound:
             return finish(Event(t_new, EventKind.BLOWUP))
-        if np.max(np.abs(f_new)) < config.fp_epsilon:
+        if _amax([abs(v) for v in f_new]) < config.fp_epsilon:
             return finish(Event(t_new, EventKind.FIXED_POINT))
 
         y = y_new

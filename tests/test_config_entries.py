@@ -9,8 +9,9 @@ are configuration errors too: a non-finite number outside the initial
 states, a liftcheck sample on the critical set or of the wrong length, a
 non-integer ``singular_index``, a boolean where an integer belongs
 (``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
-non-object ``potential`` under ``--family`` and a fixed-step run of more than
-``MAX_FIXED_STEPS`` steps.
+non-object ``potential`` under ``--family``, a fixed-step run of more than
+``MAX_FIXED_STEPS`` steps and a ``timescale`` step that does not fit the
+curvilinear horizon.
 """
 
 import copy
@@ -199,7 +200,7 @@ def test_fixed_step_runs_are_bounded(tmp_path, capsys):
     parse_config(dict(SIMULATE, integrator={"t_max": MAX_FIXED_STEPS * 1e-3}), "simulate")
     with pytest.raises(ConfigError, match=r"^integrator\.t_max"):
         parse_config(dict(SIMULATE, integrator={"t_max": 1e4, "step": 0.999e-3}), "simulate")
-    with pytest.raises(ConfigError, match=r"^integrator\.t_max"):
+    with pytest.raises(ConfigError, match=r"^integrator\.step"):
         parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-300}),
                      "timescale")
     # an adaptive run chooses its own steps
@@ -271,6 +272,28 @@ def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys
                                                  "t_max": 1e-6}), "timescale")
     parse_config(dict(TIMESCALE, integrator={"method": "rk_adaptive", "step": 1e-9,
                                              "t_max": 2e-9}), "timescale")
+
+
+def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards():
+    # t_max / step is 2e8 steps, but the run takes 6.3e6 over its horizon
+    integrator = {"method": "rk4_fixed", "step": 1e-7}
+    cfg = parse_config(dict(TIMESCALE, integrator=integrator), "timescale")
+    assert cfg.integrator.t_max / cfg.integrator.step > MAX_FIXED_STEPS
+    with pytest.raises(ConfigError, match=r"^integrator\.t_max: "):
+        parse_config(dict(SIMULATE, integrator=integrator), "simulate")
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "rk_adaptive"])
+def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
+    # friction 1, horizon 1: sigma_end = 1 - exp(-1 - 1e-6) = 0.632
+    doc = dict(TIMESCALE, integrator={"method": method, "step": 0.9, "t_max": 2.0})
+    with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than the "
+                                          r"curvilinear horizon 0\.632"):
+        parse_config(doc, "timescale")
+    for clock in ("t", "s"):
+        assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
+        assert "config error: integrator.step" in capsys.readouterr().err
+    parse_config(dict(TIMESCALE, integrator={"method": method, "step": 0.6}), "timescale")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

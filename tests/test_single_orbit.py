@@ -3,8 +3,9 @@ import heap of the CLI.
 
 Each rewrite must keep the bits of what it replaces, so every test here
 compares against a reference kept in this file: the scalar formulas of the
-extended gradients, the swap and scale of ``h.gradient`` into a field, and
-the generator sums of the Dormand-Prince step.
+extended gradients, the swap and scale of ``h.gradient`` into a field (for
+the array kernel and its one-row form ``F.row``), and the generator sums of
+the Dormand-Prince step.
 """
 
 import math
@@ -137,10 +138,14 @@ def test_extended_kernel_matches_the_swapped_gradient(variant, family, n, data):
         if isinstance(want, tuple):
             assert got == want
             assert outcome(F, y) == want
+            assert outcome(F.row, y.tolist()) == want
         else:
             assert same_bits(got, want)
             expected.append(swapped_field(structure, h, y))
             assert same_bits(F(y), expected[-1])
+            row = F.row(y.tolist())
+            assert all(type(v) is float for v in row)
+            assert same_bits(row, expected[-1])
     if len(expected) == len(Y):
         assert same_bits(F(Y), np.array(expected))
 
@@ -161,7 +166,9 @@ def test_time_factors_on_a_seeded_sweep(variant):
         state = PhaseState.from_array(y, 1, True)
         assert same_bits(h.gradient(state), scalar_gradient(h, state))
     expected = np.array([swapped_field(structure, h, y) for y in Y])
-    assert same_bits(compile_field(structure, h)(Y), expected)
+    F = compile_field(structure, h)
+    assert same_bits(F(Y), expected)
+    assert same_bits([F.row(y) for y in Y.tolist()], expected)
 
 
 @pytest.mark.parametrize("variant,extra,error", [
@@ -176,7 +183,9 @@ def test_kernel_guards_raise_what_the_gradient_raises(variant, extra, error):
             else StructureKind.EXTENDED_CANONICAL)
     y = np.array([0.5, -1.0, *extra])
     assert outcome(scalar_gradient, h, PhaseState.from_array(y, 1, True)) == error
-    assert outcome(compile_field(PhaseStructure(kind), h), np.array([y, y])) == error
+    F = compile_field(PhaseStructure(kind), h)
+    assert outcome(F, np.array([y, y])) == error
+    assert outcome(F.row, y.tolist()) == error
 
 
 def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
@@ -226,7 +235,8 @@ def test_dp_step_matches_the_generator_sums(name, dt, data):
     if structure.kind is StructureKind.EXTENDED_B_S:
         y[2 * structure.n] = data.draw(st.floats(0.5, 1.0))  # s > 0 in every stage
     k1 = F(y)
-    for got, want in zip(_dp_step(F, y, dt, k1), dp_reference(F, y, dt, k1)):
+    for got, want in zip(_dp_step(F.row, y.tolist(), dt, k1.tolist()),
+                         dp_reference(F, y, dt, k1)):
         assert same_bits(got, want)
 
 
@@ -238,7 +248,11 @@ def test_dp_step_keeps_the_sign_of_zero_sums(y, k1):
     # this f turns the sign of a zero input into a different stage
     def f(x):
         return np.where(x == 0.0, np.copysign(0.5, x), np.sin(x))
-    for got, want in zip(_dp_step(f, y, 0.1, k1), dp_reference(f, y, 0.1, k1)):
+
+    def f_row(x):
+        return f(np.array(x)).tolist()
+    for got, want in zip(_dp_step(f_row, y.tolist(), 0.1, k1.tolist()),
+                         dp_reference(f, y, 0.1, k1)):
         assert same_bits(got, want)
 
 
