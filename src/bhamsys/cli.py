@@ -382,13 +382,16 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
-        cfg.integrator = _build_integrator(document["integrator"], None, cfg.warnings)
-        # the run replaces t_max by the curvilinear horizon it needs, so the
-        # step is bounded by that horizon alone
+        # the run replaces t_max by the curvilinear horizon, which alone bounds the step
         sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
-        if not cfg.integrator.step < sigma_end:
+        section = dict(_require_mapping(document["integrator"], "integrator"))
+        _number(section, "t_max", "integrator", None, positive=True)
+        step = _number(section, "step", "integrator", IntegratorConfig.step, positive=True)
+        if not step < sigma_end:
             raise ConfigError(f"integrator.step must be smaller than the curvilinear horizon "
-                              f"{sigma_end!r}, got {cfg.integrator.step!r}")
+                              f"{sigma_end!r}, got {step!r}")
+        section.pop("t_max", None)
+        cfg.integrator = _build_integrator(section, None, cfg.warnings)
         _bound_fixed_steps(cfg.integrator, sigma_end, "step", "the curvilinear horizon")
     return cfg
 

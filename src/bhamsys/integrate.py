@@ -8,18 +8,14 @@ structure preservation.
 
 Runs terminate on the first of four events:
 
-* ``reached_Z_neighborhood`` -- the defining function of the critical set
-  drops below ``z_epsilon`` in absolute value (armed only when the initial
-  state starts outside that neighborhood).  The event time is localized by
-  bisection on the linear interpolant between accepted steps.
+* ``reached_Z_neighborhood`` -- the defining function of the critical set,
+  with its initial sign, is at most ``z_epsilon`` (armed only off that
+  neighborhood); time and sample are located by bisection on the step's
+  own interpolant: cubic Hermite for RK4, the DP5 continuous extension.
 * ``fixed_point``            -- the field magnitude falls below ``fp_epsilon``.
 * ``blowup``                 -- a state component exceeds ``blowup_bound`` or a
   field evaluation stops being finite.
 * ``t_max_reached``          -- the time horizon is exhausted.
-
-Near the critical set the adaptive controller additionally clamps the step
-so the singular coordinate cannot shrink by more than half per step, which
-prevents overshooting across Z.
 
 Batches
 -------
@@ -88,9 +84,6 @@ MIN_STEP = 1e-12
 STEP_SAFETY = 0.9
 STEP_SHRINK = 0.2
 STEP_GROW = 5.0
-
-#: Bisection tolerance (in time) for event localization.
-EVENT_TIME_TOL = 1e-10
 
 #: Float64 elements the sample store of a fixed-step batch starts with at
 #: most; it doubles whenever a longer run needs more.
@@ -300,11 +293,22 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Shampine's continuous extension (Math. Comp. 46, 1986), scipy's RK45.P:
+# u = tau / dt into a step, stage i has the weight P[i] . (u, u^2, u^3, u^4).
+_DP_P = (
+    (1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+    (0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+    (0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
+    (0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
 
 
 def _dp_step(f, y, dt, k1):
     """One Dormand-Prince trial step on lists of floats; returns (y5,
-    error_estimate, f(y5)).
+    error_estimate, (k1, ..., k7)), where k7 is f(y5).
 
     Every stage is ``y_j + dt * (0 + a1*k1_j + a2*k2_j + ...)``: a weighted
     sum in stage order that starts from 0, as numpy's sum over stage rows
@@ -327,7 +331,17 @@ def _dp_step(f, y, dt, k1):
     k7 = f(y5)
     err = [dt * (0.0 + e1 * p + e2 * q + e3 * r + e4 * u + e5 * v + e6 * w + e7 * z)
            for p, q, r, u, v, w, z in zip(k1, k2, k3, k4, k5, k6, k7)]
-    return y5, err, k7
+    return y5, err, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _dp_dense(y, stages, dt, tau):
+    """The continuous extension ``tau`` into a Dormand-Prince step of length
+    ``dt`` from ``y``, summed as in :func:`_dp_step`."""
+    u = tau / dt
+    b1, b2, b3, b4, b5, b6, b7 = [0.0 + c1 * u + c2 * u * u + c3 * u * u * u + c4 * u * u * u * u
+                                  for c1, c2, c3, c4 in _DP_P]
+    return [x + dt * (0.0 + b1 * p + b2 * q + b3 * r + b4 * s + b5 * v + b6 * w + b7 * z)
+            for x, p, q, r, s, v, w, z in zip(y, *stages)]
 
 
 def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseState:
@@ -346,23 +360,20 @@ def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseSta
 # ---------------------------------------------------------------------------
 # event helpers
 
-def _locate_z_crossing(d0: float, d1: float, z_eps: float, dt: float) -> float:
-    """First tau in (0, dt] where |d| <= z_eps on the linear interpolant.
-
-    Assumes |d0| > z_eps and that the step fires the event, i.e. d changes
-    sign or |d1| <= z_eps; |d| is then monotone on the bracketing interval.
-    """
+def _bisect(g, dt) -> tuple:
+    """Bracket ``(lo, hi)`` of a root of ``g`` on ``[0, dt]``, where ``g < 0``
+    at 0 and ``g >= 0`` at ``dt``, after at most 80 halvings or once it is
+    narrower than ``1e-14 * max(1, dt)``."""
     lo, hi = 0.0, dt
-    if (d0 > 0.0) != (d1 > 0.0):
-        hi = dt * d0 / (d0 - d1)
-    slope = (d1 - d0) / dt
-    while hi - lo > EVENT_TIME_TOL:
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if abs(d0 + slope * mid) <= z_eps:
-            hi = mid
-        else:
+        if g(mid) < 0.0:
             lo = mid
-    return hi
+        else:
+            hi = mid
+        if hi - lo < 1e-14 * max(1.0, dt):
+            break
+    return lo, hi
 
 
 def hermite(y0, y1, f0, f1, dt, tau):
@@ -566,8 +577,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
 
         fired = np.zeros(active.size, bool)
         if z_col is not None:
-            d0, d1 = Y[:, z_col], Y_new[:, z_col]
-            fired = ok & (z_side * d1 <= z_lim)
+            fired = ok & (z_side * Y_new[:, z_col] <= z_lim)
         kept = ok & ~fired
         blown = kept & (np.abs(Y_new).max(axis=1) > bound)
         fixed = kept & ~blown & (np.abs(K_new).max(axis=1) < fp_eps)
@@ -583,8 +593,10 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
             elif not ok[j]:
                 ends[r] = (k - 1, times[k - 1], Event(t_new, EventKind.BLOWUP))
             elif fired[j]:
-                tau = _locate_z_crossing(d0[j], d1[j], z_eps, dt)
-                store[r, k] = Y[j] + (Y_new[j] - Y[j]) * (tau / dt)
+                # side * d as Python floats, which bisect faster than numpy scalars
+                y0, y1, f0, f1 = (float(z_side[j] * a[j, z_col]) for a in (Y, Y_new, K, K_new))
+                _, tau = _bisect(lambda u: z_eps - hermite(y0, y1, f0, f1, dt, u), dt)
+                store[r, k] = hermite(Y[j], Y_new[j], K[j], K_new[j], dt, tau)
                 ends[r] = (k, t + tau, Event(t + tau, EventKind.REACHED_Z))
             elif blown[j]:
                 ends[r] = (k, t_new, Event(t_new, EventKind.BLOWUP))
@@ -633,10 +645,11 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         return finish(Event(0.0, EventKind.FIXED_POINT))
 
     z_armed = False
-    z_idx = -1
+    z_eps = config.z_epsilon
     if structure.is_singular:
         z_idx = _defining_index(structure)
-        z_armed = abs(y[z_idx]) >= config.z_epsilon
+        z_armed = abs(y[z_idx]) >= z_eps
+        z_side = 1.0 if y[z_idx] > 0.0 else -1.0
 
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
     t = 0.0
@@ -649,13 +662,9 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         accepted = None
         dt = min(max(dt_next, MIN_STEP), config.t_max / 10.0, remaining)
         while accepted is None:
-            if z_armed:
-                rate = abs(f_cur[z_idx])
-                if rate > 0.0:
-                    dt = min(dt, abs(y[z_idx]) / (2.0 * rate))
             dt = max(dt, MIN_STEP)
             try:
-                y_trial, err, k_end = _dp_step(f, y, dt, f_cur)
+                y_trial, err, stages = _dp_step(f, y, dt, f_cur)
             except _BLOWUP_ERRORS:
                 y_trial = [math.nan]
             if not all(map(math.isfinite, y_trial)):
@@ -666,37 +675,33 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
             err_norm = _amax([abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
                               for e, a, b in zip(err, y, y_trial)])
             if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
-                accepted = (y_trial, k_end)
+                accepted = (y_trial, stages)
                 factor = STEP_GROW if err_norm == 0.0 else min(
                     STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2))
                 dt_next = dt * factor
             else:
                 dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2)
-        y_new, f_new = accepted
+        y_new, stages = accepted
         t_new = t + dt
         if remaining - dt <= config.t_max * 1e-14:
             t_new = config.t_max
 
-        if z_armed:
-            d0, d1 = y[z_idx], y_new[z_idx]
-            # Z is reached or crossed
-            if abs(d1) <= config.z_epsilon or (d0 > 0.0) != (d1 > 0.0):
-                tau = _locate_z_crossing(d0, d1, config.z_epsilon, dt)
-                u = tau / dt
-                times.append(t + tau)
-                samples.append([a + (b - a) * u for a, b in zip(y, y_new)])
-                return finish(Event(t + tau, EventKind.REACHED_Z))
+        if z_armed and z_side * y_new[z_idx] <= z_eps:
+            _, tau = _bisect(lambda u: z_eps - z_side * _dp_dense(y, stages, dt, u)[z_idx], dt)
+            times.append(t + tau)
+            samples.append(_dp_dense(y, stages, dt, tau))
+            return finish(Event(t + tau, EventKind.REACHED_Z))
 
         times.append(t_new)
         samples.append(y_new)
 
         if _amax([abs(v) for v in y_new]) > config.blowup_bound:
             return finish(Event(t_new, EventKind.BLOWUP))
-        if _amax([abs(v) for v in f_new]) < config.fp_epsilon:
+        f_cur = stages[6]
+        if _amax([abs(v) for v in f_cur]) < config.fp_epsilon:
             return finish(Event(t_new, EventKind.FIXED_POINT))
 
         y = y_new
-        f_cur = f_new
         t = t_new
 
 

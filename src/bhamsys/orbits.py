@@ -11,7 +11,8 @@ two fixed points.  This module detects those types:
 * ``periodic``               -- the state returns to its initial value (angles
   compared on the circle) with nonvanishing speed.  Detected by a first
   return through the hyperplane normal to the initial velocity, refined by
-  bisection on a cubic Hermite interpolant between accepted steps.
+  the shared bisection ``integrate._bisect`` on a cubic Hermite interpolant
+  between accepted steps.
 * ``heteroclinic_segment``   -- a two-sided trajectory whose both ends reached
   the Z neighborhood.
 * ``unbounded``              -- the run blew up.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from .hamiltonians import HamiltonianSpec, PotentialFamily
-from .integrate import (EventKind, IntegratorConfig, Trajectory, hermite, integrate,
+from .integrate import (EventKind, IntegratorConfig, Trajectory, _bisect, hermite, integrate,
                         integrate_batch, merge_backward_forward)
 
 __all__ = [
@@ -146,16 +147,7 @@ def _first_return(traj: Trajectory) -> Optional[float]:
             y = hermite(y0, y1, f0, f1, dt, tau)
             return float(_angular_delta(y, x0, angular_idx) @ v0n)
 
-        lo, hi = 0.0, dt
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if prog(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * max(1.0, dt):
-                break
-        tau = 0.5 * (lo + hi)
+        tau = 0.5 * sum(_bisect(prog, dt))
         y_ret = hermite(y0, y1, f0, f1, dt, tau)
         d_ret = float(np.max(np.abs(_angular_delta(y_ret, x0, angular_idx))))
         t_ret = traj.times[i - 1] + tau

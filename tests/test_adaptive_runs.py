@@ -1,9 +1,11 @@
 """Adaptive DP5 runs on Python floats against their numpy predecessor.
 
 The reference below is the numpy loop of adaptive runs that the scalar one
-replaced, kept here verbatim apart from its names: a trial step with its
-seven stages as the rows of one array, and the run's tests as ``np.max``
-over arrays.  Every run must give the reference's times, samples and events
+replaced, kept here verbatim apart from its names and its Z event, which
+now fires on the first sample with ``side * d <= z_epsilon`` and is located
+on the step's continuous extension, with no clamp of the step near Z: a
+trial step with its seven stages as the rows of one array, and the run's
+tests as ``np.max`` over arrays.  Every run must give the reference's times, samples and events
 to the bit, forward and backward, over the structures, families and
 Hamiltonian kinds the kernel has paths for.  The edge cases pin the
 decisions where NaN, inf and raising fields meet the run's tests.
@@ -18,15 +20,16 @@ import pytest
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec, LogMomentumHamiltonian,
                                   PotentialSpec)
-from bhamsys.integrate import (_BLOWUP_ERRORS, _DP_A, _DP_B5, _DP_ERR, MIN_STEP,
+from bhamsys.integrate import (_BLOWUP_ERRORS, _DP_A, _DP_B5, _DP_ERR, _DP_P, MIN_STEP,
                                STEP_GROW, STEP_SAFETY, STEP_SHRINK, Event, EventKind,
-                               IntegratorConfig, Method, Trajectory, _defining_index,
-                               _directed, _locate_z_crossing, integrate)
+                               IntegratorConfig, Method, Trajectory, _bisect,
+                               _defining_index, _directed, integrate)
 from bhamsys.timescale import build_rescaled_extended, to_s_coordinates, to_s_state
 
 _DP_A_COLS = tuple(np.array(row)[:, None] for row in _DP_A)
 _DP_B5_COL = np.array(_DP_B5)[:, None]
 _DP_ERR_COL = np.array(_DP_ERR)[:, None]
+_DP_P_ROWS = np.array(_DP_P).T
 
 
 def reference_dp_step(f, y, dt, k1):
@@ -35,12 +38,15 @@ def reference_dp_step(f, y, dt, k1):
     for i, a in enumerate(_DP_A_COLS, 1):
         K[i] = f(y + dt * (a * K[:i]).sum(axis=0))
     y5 = y + dt * (_DP_B5_COL * K[:6]).sum(axis=0)
-    k7 = K[6] = f(y5)
-    return y5, dt * (_DP_ERR_COL * K).sum(axis=0), k7
+    K[6] = f(y5)
+    return y5, dt * (_DP_ERR_COL * K).sum(axis=0), K
 
 
-def reference_fires_z(d0, d1, z_eps):
-    return (np.abs(d1) <= z_eps) | ((d0 > 0.0) != (d1 > 0.0))
+def reference_dense(y, K, dt, tau):
+    u = tau / dt
+    powers = np.array([u, u * u, u * u * u, u * u * u * u])[:, None]
+    weights = (powers * _DP_P_ROWS).sum(axis=0)[:, None]
+    return y + dt * (weights * K).sum(axis=0)
 
 
 def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
@@ -59,9 +65,11 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
 
     z_armed = False
     z_idx = -1
+    z_eps = config.z_epsilon
     if structure.is_singular:
         z_idx = _defining_index(structure)
-        z_armed = abs(y[z_idx]) >= config.z_epsilon
+        z_armed = abs(y[z_idx]) >= z_eps
+        z_side = 1.0 if y[z_idx] > 0.0 else -1.0
 
     t = 0.0
     dt_next = config.step
@@ -73,13 +81,9 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         accepted = None
         dt = min(max(dt_next, MIN_STEP), config.t_max / 10.0, remaining)
         while accepted is None:
-            if z_armed:
-                rate = abs(f_cur[z_idx])
-                if rate > 0.0:
-                    dt = min(dt, abs(y[z_idx]) / (2.0 * rate))
             dt = max(dt, MIN_STEP)
             try:
-                y_trial, err, k_end = reference_dp_step(f, y, dt, f_cur)
+                y_trial, err, K = reference_dp_step(f, y, dt, f_cur)
             except _BLOWUP_ERRORS:
                 y_trial = np.array([np.nan])
             if not np.all(np.isfinite(y_trial)):
@@ -90,24 +94,23 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_trial))
             err_norm = float(np.max(np.abs(err) / scale))
             if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
-                accepted = (y_trial, k_end)
+                accepted = (y_trial, K)
                 factor = STEP_GROW if err_norm == 0.0 else min(
                     STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2))
                 dt_next = dt * factor
             else:
                 dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2)
-        y_new, f_new = accepted
+        y_new, K = accepted
+        f_new = K[6]
         t_new = t + dt
         if remaining - dt <= config.t_max * 1e-14:
             t_new = config.t_max
 
-        if z_armed:
-            d0, d1 = y[z_idx], y_new[z_idx]
-            if reference_fires_z(d0, d1, config.z_epsilon):
-                tau = _locate_z_crossing(d0, d1, config.z_epsilon, dt)
-                times.append(t + tau)
-                samples.append(y + (y_new - y) * (tau / dt))
-                return finish(Event(t + tau, EventKind.REACHED_Z))
+        if z_armed and z_side * y_new[z_idx] <= z_eps:
+            _, tau = _bisect(lambda u: z_eps - z_side * reference_dense(y, K, dt, u)[z_idx], dt)
+            times.append(t + tau)
+            samples.append(reference_dense(y, K, dt, tau))
+            return finish(Event(t + tau, EventKind.REACHED_Z))
 
         times.append(t_new)
         samples.append(y_new)

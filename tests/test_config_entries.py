@@ -274,13 +274,23 @@ def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys
                                              "t_max": 2e-9}), "timescale")
 
 
-def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards():
+def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
     # t_max / step is 2e8 steps, but the run takes 6.3e6 over its horizon
     integrator = {"method": "rk4_fixed", "step": 1e-7}
     cfg = parse_config(dict(TIMESCALE, integrator=integrator), "timescale")
     assert cfg.integrator.t_max / cfg.integrator.step > MAX_FIXED_STEPS
     with pytest.raises(ConfigError, match=r"^integrator\.t_max: "):
         parse_config(dict(SIMULATE, integrator=integrator), "simulate")
+    # a step past t_max that fits the horizon sigma_end = 0.632 runs; the
+    # discarded t_max is still checked as a number
+    integrator = {"method": "rk4_fixed", "step": 0.5, "t_max": 0.1}
+    for clock in ("t", "s"):
+        doc = dict(TIMESCALE, clock=clock, integrator=integrator)
+        assert run_main(tmp_path, "timescale", json.dumps(doc)) == 0
+    with pytest.raises(ConfigError, match=r"^integrator: step must be smaller than t_max"):
+        parse_config(dict(SIMULATE, integrator=integrator), "simulate")
+    with pytest.raises(ConfigError, match=r"^integrator\.t_max must be > 0"):
+        parse_config(dict(TIMESCALE, integrator=dict(integrator, t_max=-0.1)), "timescale")
 
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rk_adaptive"])

@@ -199,16 +199,16 @@ def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
 
 
 def dp_reference(f, y, dt, k1):
-    """The Dormand-Prince step as generator sums over a list of stages."""
+    """The Dormand-Prince step as generator sums over a list of stages;
+    returns y5, the error estimate and the stages k1..k7 in one tuple."""
     ks = [k1]
     for row in _DP_A:
         acc = sum(a * k for a, k in zip(row, ks))
         ks.append(f(y + dt * acc))
     y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    k7 = f(y5)
-    ks.append(k7)
+    ks.append(f(y5))
     err = dt * sum(e * k for e, k in zip(_DP_ERR, ks))
-    return y5, err, k7
+    return (y5, err, *ks)
 
 
 FIELDS = {
@@ -235,8 +235,8 @@ def test_dp_step_matches_the_generator_sums(name, dt, data):
     if structure.kind is StructureKind.EXTENDED_B_S:
         y[2 * structure.n] = data.draw(st.floats(0.5, 1.0))  # s > 0 in every stage
     k1 = F(y)
-    for got, want in zip(_dp_step(F.row, y.tolist(), dt, k1.tolist()),
-                         dp_reference(F, y, dt, k1)):
+    y5, err, stages = _dp_step(F.row, y.tolist(), dt, k1.tolist())
+    for got, want in zip([y5, err, *stages], dp_reference(F, y, dt, k1), strict=True):
         assert same_bits(got, want)
 
 
@@ -251,8 +251,8 @@ def test_dp_step_keeps_the_sign_of_zero_sums(y, k1):
 
     def f_row(x):
         return f(np.array(x)).tolist()
-    for got, want in zip(_dp_step(f_row, y.tolist(), 0.1, k1.tolist()),
-                         dp_reference(f, y, 0.1, k1)):
+    y5, err, stages = _dp_step(f_row, y.tolist(), 0.1, k1.tolist())
+    for got, want in zip([y5, err, *stages], dp_reference(f, y, 0.1, k1), strict=True):
         assert same_bits(got, want)
 
 
