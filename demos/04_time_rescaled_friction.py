@@ -23,9 +23,9 @@ LAM = 0.2
 potential = PotentialSpec("pure_quadratic", lam=2.0)  # V = q^2 / 2
 Q0, V0, HORIZON = 1.0, 0.0, 10.0
 
-ext = run_rescaled(potential, LAM, Q0, V0, HORIZON)
-rt = reconstruct_real_time(ext)
-print(f"rescaled run: {len(ext.trajectory)} adaptive steps in the "
+traj = run_rescaled(potential, LAM, Q0, V0, HORIZON)
+rt = reconstruct_real_time(traj)
+print(f"rescaled run: {len(traj) - 1} adaptive steps in the "
       f"curvilinear parameter, physical horizon t = {HORIZON}")
 
 ts = np.linspace(0.0, HORIZON, 501)
@@ -35,8 +35,8 @@ print(f"max |q - reference|     : {np.max(np.abs(q[:, 0] - reference.qs[:, 0])):
 print(f"max |dq/dt - reference| : {np.max(np.abs(v[:, 0] - reference.ps[:, 0])):.2e}")
 print(f"friction ODE residual   : {friction_ode_residual(rt, dt=0.01):.2e}")
 
-ext_s = run_s_coordinates(potential, LAM, Q0, V0, HORIZON)
-q_s, v_s = reconstruct_real_time(ext_s).sample(ts)
+traj_s = run_s_coordinates(potential, LAM, Q0, V0, HORIZON)
+q_s, v_s = reconstruct_real_time(traj_s).sample(ts)
 print(f"s-chart route deviation : {np.max(np.abs(q_s - q)):.2e}")
 
 print(f"\n{'t':>5} {'q(t)':>12} {'dq/dt':>12}")

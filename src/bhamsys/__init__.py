@@ -27,8 +27,7 @@ from .oracles import (OracleResult, OracleSource, classical_parabola,
 from .orbits import (OrbitClassification, OrbitKind, PortraitRecord,
                      SingularPeriodicOrbit, assemble_singular_periodic,
                      classify_orbit, level_set_residual, phase_portrait)
-from .timescale import (Clock, ExtendedTrajectory, RealTimeTrajectory,
-                        build_plain_extended, build_rescaled_extended,
+from .timescale import (RealTimeTrajectory, build_plain_extended, build_rescaled_extended,
                         friction_ode_residual, from_s_state, plain_initial_state,
                         reconstruct_real_time, rescaled_initial_state,
                         run_rescaled, run_s_coordinates, s_to_time, time_to_s,

@@ -30,7 +30,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -47,8 +47,8 @@ from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
                       stokes_exact)
 from .orbits import OrbitKind, classify_orbit, phase_portrait
-from .timescale import (curvilinear_horizon, reconstruct_real_time, run_rescaled,
-                        run_s_coordinates)
+from .timescale import (DEFAULT_CONFIG, curvilinear_horizon, reconstruct_real_time,
+                        run_rescaled, run_s_coordinates)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -242,9 +242,11 @@ def _bound_fixed_steps(config: IntegratorConfig, horizon: float, key: str, what:
                           f"fixed steps, got {horizon!r} / {config.step!r}")
 
 
-def _build_integrator(section, structure, warnings) -> IntegratorConfig:
+def _build_integrator(section, structure, warnings,
+                      base=IntegratorConfig()) -> IntegratorConfig:
+    """``base`` with the keys of ``section`` replaced."""
     if section is None:
-        return IntegratorConfig()
+        return base
     section = _require_mapping(section, "integrator")
     _reject_unknown(section, _INTEGRATOR_KEYS, "integrator")
     kwargs = {}
@@ -263,7 +265,7 @@ def _build_integrator(section, structure, warnings) -> IntegratorConfig:
         warnings.append("integrator.z_epsilon has no effect for canonical "
                         "structures and is ignored")
     try:
-        config = IntegratorConfig(**kwargs)
+        config = replace(base, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}")
     return config
@@ -386,12 +388,15 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
         sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
         section = dict(_require_mapping(document["integrator"], "integrator"))
         _number(section, "t_max", "integrator", None, positive=True)
-        step = _number(section, "step", "integrator", IntegratorConfig.step, positive=True)
+        step = _number(section, "step", "integrator", DEFAULT_CONFIG.step, positive=True)
         if not step < sigma_end:
             raise ConfigError(f"integrator.step must be smaller than the curvilinear horizon "
                               f"{sigma_end!r}, got {step!r}")
         section.pop("t_max", None)
-        cfg.integrator = _build_integrator(section, None, cfg.warnings)
+        if "z_epsilon" in section:  # clock s sets it from the horizon; clock t has no Z
+            cfg.warnings.append("integrator.z_epsilon has no effect on timescale runs "
+                                "and is ignored")
+        cfg.integrator = _build_integrator(section, None, cfg.warnings, DEFAULT_CONFIG)
         _bound_fixed_steps(cfg.integrator, sigma_end, "step", "the curvilinear horizon")
     return cfg
 
@@ -619,14 +624,13 @@ def _run_timescale(cfg: RunConfig, out_dir: str) -> list:
     runner = run_rescaled if cfg.clock == "t" else run_s_coordinates
 
     def body(i, initial):
-        ext = runner(cfg.potential, cfg.friction, *initial, cfg.horizon,
-                     config=cfg.integrator, axis=cfg.axis, e0=cfg.e0)
-        _write_extended_csv(os.path.join(out_dir, "extended_000.csv"),
-                            ext.trajectory, cfg.clock)
-        rt = reconstruct_real_time(ext)
-        _write_realtime_csv(os.path.join(out_dir, "realtime_000.csv"), rt)
+        traj = runner(cfg.potential, cfg.friction, *initial, cfg.horizon,
+                      config=cfg.integrator, axis=cfg.axis, e0=cfg.e0)
+        _write_extended_csv(os.path.join(out_dir, "extended_000.csv"), traj, cfg.clock)
+        _write_realtime_csv(os.path.join(out_dir, "realtime_000.csv"),
+                            reconstruct_real_time(traj))
         return {"files": ["extended_000.csv", "realtime_000.csv"], "clock": cfg.clock,
-                "event": _event_payload(ext.trajectory)}
+                "event": _event_payload(traj)}
 
     initial = {"q": [float(v) for v in q0], "v": [float(v) for v in v0]}
     return _records([initial], [cfg.initial_qv], body)

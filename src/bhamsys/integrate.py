@@ -248,25 +248,18 @@ def write_table(path, columns, values, footer=None, suffix="") -> None:
 _BLOWUP_ERRORS = (BlowupError, OverflowError, FloatingPointError)
 
 
-def _directed(F, sign, Y, errors=None):
+def _directed(F, sign, Y, errors):
     """``sign * F(Y)``: the field, negated on rows integrated backward.
 
-    With an ``errors`` dict, a batch whose evaluation raises is evaluated
-    again row by row: a row that raises gets NaN velocities and its first
-    exception is kept in ``errors`` under its row number, so it cannot stop
-    the rows that do not raise.
+    A batch whose evaluation raises is evaluated again row by row: a row
+    that raises gets NaN velocities and its first exception is kept in the
+    dict ``errors`` under its row number, so it cannot stop the rows that
+    do not raise.
     """
     try:
         return sign * F(Y)
     except Exception:
-        if errors is None:
-            raise
-    return _rowwise(F, sign, Y, errors)
-
-
-def _rowwise(F, sign, Y, errors):
-    """``sign * F(Y)`` evaluated row by row: a row that raises gets NaN
-    velocities and its first exception is kept in ``errors``."""
+        pass
     out = np.full_like(Y, np.nan)
     for j in range(len(Y)):
         try:
@@ -538,20 +531,9 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
 
         failed = {}
         late = {}
-        h2 = 0.5 * dt  # 0.5 * dt * k in _rk4_step is (0.5 * dt) * k: the same bits
-        try:
-            k2 = sign * F(Y + h2 * K)
-            k3 = sign * F(Y + h2 * k2)
-            k4 = sign * F(Y + dt * k3)
-        except Exception:
-            Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y, dt, K)
-        else:
-            Y_new = Y + (dt / 6.0) * (K + 2.0 * k2 + 2.0 * k3 + k4)
+        Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y, dt, K)
         if np.abs(Y_new).max() <= bound:  # every row finite and in bounds, so none failed
-            try:
-                K_new = sign * F(Y_new)
-            except Exception:
-                K_new = _rowwise(F, sign, Y_new, late)
+            K_new = _directed(F, sign, Y_new, late)
             if (not late and np.abs(K_new).max(axis=1).min() >= fp_eps
                     and (z_col is None or (z_side * Y_new[:, z_col] > z_lim).all())):
                 if active.size == M:

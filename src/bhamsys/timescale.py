@@ -25,16 +25,20 @@ direction.  Momenta relate to physical velocity by dq/dt = lam*exp(-lam*t)*p
 = lam*s*p, so an initial velocity v0 at t = 0 enters as p0 = v0/lam.  E is
 initialized so that H = 0 unless overridden.
 
-``reconstruct_real_time`` projects a curvilinear run back to (q(t), dq/dt)
-and is validated against the independent damped-Newton oracle in
-:mod:`bhamsys.oracles`.
+``run_rescaled`` and ``run_s_coordinates`` integrate the rescaled system in
+the t chart and in the s chart from physical time 0 to a horizon T.  Both
+end at the curvilinear parameter sigma_end = 1 - exp(-lam*T) of
+``curvilinear_horizon``, run ``DEFAULT_CONFIG`` unless given a
+configuration, and return the integrator's plain ``Trajectory``, whose
+Hamiltonian carries lam and the chart.  ``reconstruct_real_time`` projects
+such a run back to (q(t), dq/dt) and is validated against the independent
+damped-Newton oracle in :mod:`bhamsys.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -45,8 +49,6 @@ from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialSpec,
 from .integrate import EventKind, IntegratorConfig, Method, Trajectory, hermite, integrate
 
 __all__ = [
-    "Clock",
-    "ExtendedTrajectory",
     "RealTimeTrajectory",
     "time_to_s",
     "s_to_time",
@@ -64,13 +66,12 @@ __all__ = [
     "friction_ode_residual",
 ]
 
-#: Real-time horizons are padded by this much so the target time is interior.
-HORIZON_PAD = 1e-6
-
-
-class Clock(str, Enum):
-    REAL_T = "t"
-    CURVILINEAR_S = "s"
+#: The configuration of a run given none, and the base that an ``integrator``
+#: section of the ``timescale`` command overrides key by key: adaptive DP5
+#: at 1e-10, with a blowup bound above the momentum p = exp(lam t) v / lam,
+#: which grows exponentially in the t chart.
+DEFAULT_CONFIG = IntegratorConfig(method=Method.RK_ADAPTIVE, rel_tol=1e-10, abs_tol=1e-10,
+                                  blowup_bound=1e30)
 
 
 def time_to_s(t, lam: float):
@@ -100,35 +101,6 @@ def from_s_state(state: PhaseState, lam: float) -> PhaseState:
     if s <= 0:
         raise ValueError("s must be positive")
     return PhaseState(q=state.q, p=state.p, extra=(-math.log(s) / lam, lam * e_s))
-
-
-@dataclass(frozen=True)
-class ExtendedTrajectory:
-    """A run on the extended phase space, tagged with its clock.
-
-    ``clock`` records whether the integration parameter was physical time
-    (plain extended runs) or the curvilinear parameter of the rescaled and
-    s-coordinate systems.  Physical time must increase along the run.
-    """
-
-    trajectory: Trajectory
-    clock: Clock
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "clock", Clock(self.clock))
-        extra = self.trajectory.extra
-        if extra is None:
-            raise ValueError("trajectory does not carry an extended pair")
-        if len(self.trajectory) > 1:
-            kind = self.trajectory.structure.kind
-            col = extra[:, 0]
-            if kind is StructureKind.EXTENDED_B_S:
-                if np.any(np.diff(col) >= 0):
-                    raise ValueError("s must decrease strictly along the run (t must increase)")
-            else:
-                if np.any(np.diff(col) <= 0):
-                    raise ValueError("t must increase strictly along the run")
 
 
 def _hermite_resample(ts: np.ndarray, ys: np.ndarray, ders: np.ndarray,
@@ -238,96 +210,87 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
 
 
 def curvilinear_horizon(lam: float, t_target: float) -> tuple:
-    """``(sigma_end, s_end)`` where physical time reaches ``t_target`` +
-    ``HORIZON_PAD``: the curvilinear parameter, from dt/dsigma = exp(lam t)/lam
-    in closed form, and s = exp(-lam t) = 1 - sigma_end."""
+    """``(sigma_end, s_end)`` where physical time reaches ``t_target``: the
+    curvilinear parameter, from dt/dsigma = exp(lam t)/lam in closed form,
+    and s = exp(-lam t) = 1 - sigma_end."""
     if not t_target > 0:
         raise ValueError("t_target must be > 0")
-    s_end = math.exp(-lam * (t_target + HORIZON_PAD))
+    s_end = math.exp(-lam * t_target)
     return 1.0 - s_end, s_end
 
 
-def _default_adaptive(sigma_end: float) -> IntegratorConfig:
-    return IntegratorConfig(method=Method.RK_ADAPTIVE, step=min(1e-3, sigma_end / 10),
-                            rel_tol=1e-10, abs_tol=1e-10, t_max=sigma_end,
-                            blowup_bound=1e30)
-
-
-def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
-                 config: Optional[IntegratorConfig] = None, axis: int = 0,
-                 e0: Optional[float] = None) -> ExtendedTrajectory:
-    """Integrate the rescaled system until physical time reaches ``t_target``.
-
-    The curvilinear horizon is sigma_end of :func:`curvilinear_horizon`;
-    any ``config`` supplied has its ``t_max`` replaced by that value.  Beware
-    that exp(lam t) overflows past lam*t = 700; longer horizons should use
-    :func:`run_s_coordinates`.
-    """
-    sigma_end, _ = curvilinear_horizon(lam, t_target)
+def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Trajectory:
+    """The rescaled run to physical time ``t_target``, in the s chart when
+    ``s_chart``; the curvilinear horizon replaces the config's ``t_max``."""
+    sigma_end, s_end = curvilinear_horizon(lam, t_target)
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
     initial = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
     if config is None:
-        config = _default_adaptive(sigma_end)
-    else:
-        config = replace(config, t_max=sigma_end)
+        config = replace(DEFAULT_CONFIG, step=min(DEFAULT_CONFIG.step, sigma_end / 10))
+    config = replace(config, t_max=sigma_end)
+    if s_chart:
+        structure, h = to_s_coordinates(structure, h)
+        initial = to_s_state(initial, lam)
+        config = replace(config, z_epsilon=s_end / 2)
     traj = integrate(structure, h, initial, config)
     if traj.terminal_event.kind is not EventKind.T_MAX:
-        raise RuntimeError(
-            f"rescaled run ended early with {traj.terminal_event.kind.value}")
-    return ExtendedTrajectory(trajectory=traj, clock=Clock.CURVILINEAR_S, lam=lam)
+        raise RuntimeError(f"{'s-coordinate' if s_chart else 'rescaled'} run ended early "
+                           f"with {traj.terminal_event.kind.value}")
+    return traj
+
+
+def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
+                 config: Optional[IntegratorConfig] = None, axis: int = 0,
+                 e0: Optional[float] = None) -> Trajectory:
+    """Integrate the rescaled system until physical time reaches ``t_target``.
+
+    The run ends at sigma_end of :func:`curvilinear_horizon`, which replaces
+    the ``t_max`` of ``config`` (default :data:`DEFAULT_CONFIG`).  Beware
+    that exp(lam t) overflows past lam*t = 700; longer horizons should use
+    :func:`run_s_coordinates`.
+    """
+    return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=False)
 
 
 def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
                       config: Optional[IntegratorConfig] = None, axis: int = 0,
-                      e0: Optional[float] = None) -> ExtendedTrajectory:
+                      e0: Optional[float] = None) -> Trajectory:
     """Integrate the s-coordinate system until physical time reaches ``t_target``.
 
     s decays from 1 at exactly unit curvilinear speed, so the horizon is
-    sigma_end of :func:`curvilinear_horizon`.  The default configuration
-    keeps ``z_epsilon`` below the target s so the critical-set event cannot
-    fire before the horizon.
+    sigma_end of :func:`curvilinear_horizon` as in :func:`run_rescaled`.
+    ``z_epsilon`` is always half the target s, so the critical-set event
+    cannot fire before the horizon.
     """
-    sigma_end, s_end = curvilinear_horizon(lam, t_target)
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
-    structure_s, h_s = to_s_coordinates(structure, h)
-    initial_t = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
-    initial = to_s_state(initial_t, lam)
-    if config is None:
-        config = replace(_default_adaptive(sigma_end), z_epsilon=s_end / 2)
-    else:
-        config = replace(config, t_max=sigma_end)
-    traj = integrate(structure_s, h_s, initial, config)
-    if traj.terminal_event.kind is not EventKind.T_MAX:
-        raise RuntimeError(
-            f"s-coordinate run ended early with {traj.terminal_event.kind.value}")
-    return ExtendedTrajectory(trajectory=traj, clock=Clock.CURVILINEAR_S, lam=lam)
+    return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
 
 
-def reconstruct_real_time(ext: ExtendedTrajectory) -> RealTimeTrajectory:
-    """Project a curvilinear run back to the base motion in physical time.
+def reconstruct_real_time(traj: Trajectory) -> RealTimeTrajectory:
+    """Project a rescaled or s-coordinate run back to the base motion in
+    physical time.
 
+    The friction lam and the chart come from ``traj.hamiltonian``.
     Velocities follow from dq/dt = lam * exp(-lam t) * p = lam * s * p.  The
     result satisfies the damped Newton equation up to finite-difference
     residuals (see :func:`friction_ode_residual`).
     """
-    if ext.clock is not Clock.CURVILINEAR_S:
-        raise ValueError("reconstruction applies to rescaled or s-coordinate runs")
-    traj = ext.trajectory
     h = traj.hamiltonian
-    extra = traj.extra
-    if traj.structure.kind is StructureKind.EXTENDED_B_S:
-        s = extra[:, 0]
-        times = s_to_time(s, ext.lam)
+    chart = getattr(h, "extended", None)
+    if chart not in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES):
+        raise ValueError("reconstruction applies to rescaled or s-coordinate runs")
+    lam = h.friction
+    if chart is ExtendedKind.S_COORDINATES:
+        s = traj.extra[:, 0]
+        times = s_to_time(s, lam)
     else:
-        times = extra[:, 0].copy()
-        s = np.exp(-ext.lam * times)
+        times = traj.extra[:, 0].copy()
+        s = np.exp(-lam * times)
     if np.any(np.diff(times) <= 0):
-        raise ValueError("non-monotone t")
-    velocity = ext.lam * s[:, None] * traj.p
+        raise ValueError("t must increase strictly along the run")
+    velocity = lam * s[:, None] * traj.p
     return RealTimeTrajectory(times=times, q=traj.q.copy(), velocity=velocity,
-                              lam=ext.lam, potential=h.potential, axis=h.axis)
+                              lam=lam, potential=h.potential, axis=h.axis)
 
 
 def friction_ode_residual(rt: RealTimeTrajectory, dt: float = 0.01) -> float:

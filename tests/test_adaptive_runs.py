@@ -12,7 +12,6 @@ decisions where NaN, inf and raising fields meet the run's tests.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec, LogMomentumHami
 from bhamsys.integrate import (_BLOWUP_ERRORS, _DP_A, _DP_B5, _DP_ERR, _DP_P, MIN_STEP,
                                STEP_GROW, STEP_SAFETY, STEP_SHRINK, Event, EventKind,
                                IntegratorConfig, Method, Trajectory, _bisect,
-                               _defining_index, _directed, integrate)
+                               _defining_index, integrate)
 from bhamsys.timescale import build_rescaled_extended, to_s_coordinates, to_s_state
 
 _DP_A_COLS = tuple(np.array(row)[:, None] for row in _DP_A)
@@ -50,7 +49,7 @@ def reference_dense(y, K, dt, tau):
 
 
 def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
-    f = F if sign == 1.0 else partial(_directed, F, sign)
+    f = F if sign == 1.0 else (lambda x: sign * F(x))
     f_cur = f(y)
 
     times = [0.0]

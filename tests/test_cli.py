@@ -247,6 +247,56 @@ class TestTimescale:
         ext = (out / "extended_000.csv").read_text().splitlines()
         assert ext[1].endswith(",s")
 
+    FALLING = {"potential": {"family": "linear", "lambda": 1.0}, "friction": 1.0,
+               "initial": [1.0, 0.0]}
+
+    def run_timescale(self, tmp_path, name, **doc):
+        out = tmp_path / name
+        code = main(["timescale", "--config", write(tmp_path, name + ".json", doc),
+                     "--out", str(out)])
+        return code, out
+
+    @staticmethod
+    def csv_files(out):
+        return {name: (out / name).read_bytes()
+                for name in ("extended_000.csv", "realtime_000.csv")}
+
+    def test_a_section_on_clock_s_reaches_a_horizon_below_the_default_z_epsilon(self,
+                                                                                tmp_path):
+        # s = exp(-20) at the horizon is far below the integrator's default
+        # z_epsilon of 1e-6, which the s chart replaces by half of it
+        code, out = self.run_timescale(tmp_path, "s20", **self.FALLING, clock="s",
+                                       horizon=20.0,
+                                       integrator={"method": "rk_adaptive", "step": 1e-3})
+        assert code == 0
+        rt = read_csv(out / "realtime_000.csv")
+        assert abs(rt[-1, 0] - 20.0) < 1e-5
+
+    def test_a_section_overrides_the_timescale_defaults_key_by_key(self, tmp_path):
+        # rel_tol alone keeps the adaptive DP5 of the section-less run
+        doc = dict(self.FALLING, clock="t", horizon=10.0)
+        code, bare = self.run_timescale(tmp_path, "bare", **doc)
+        assert code == 0
+        code, out = self.run_timescale(tmp_path, "rel", **doc, integrator={"rel_tol": 1e-10})
+        assert code == 0
+        assert self.csv_files(out) == self.csv_files(bare)
+
+    @pytest.mark.parametrize("clock", ["t", "s"])
+    def test_z_epsilon_in_a_section_is_ignored_with_a_warning(self, tmp_path, clock):
+        doc = dict(self.FALLING, clock=clock, horizon=5.0)
+        section = {"method": "rk4_fixed", "step": 1e-3}
+        code, plain = self.run_timescale(tmp_path, "plain", **doc, integrator=section)
+        assert code == 0
+        code, out = self.run_timescale(tmp_path, "z", **doc,
+                                       integrator=dict(section, z_epsilon=0.5))
+        assert code == 0
+        assert self.csv_files(out) == self.csv_files(plain)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["records"] == json.loads((plain / "manifest.json").read_text())["records"]
+        (warning,) = manifest["warnings"]
+        assert warning.startswith("integrator.z_epsilon has no effect")
+        assert warning.endswith("and is ignored")
+
     def test_horizon_required(self, tmp_path):
         doc = {"potential": {"family": "zero"}, "friction": 1.0,
                "initial": [0.0, 1.0]}

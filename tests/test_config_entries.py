@@ -295,7 +295,7 @@ def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rk_adaptive"])
 def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
-    # friction 1, horizon 1: sigma_end = 1 - exp(-1 - 1e-6) = 0.632
+    # friction 1, horizon 1: sigma_end = 1 - exp(-1) = 0.632
     doc = dict(TIMESCALE, integrator={"method": method, "step": 0.9, "t_max": 2.0})
     with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than the "
                                           r"curvilinear horizon 0\.632"):

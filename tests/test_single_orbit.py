@@ -193,9 +193,9 @@ def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
         raise AssertionError("the kernel went through HamiltonianSpec.gradient")
     monkeypatch.setattr(HamiltonianSpec, "gradient", no_gradient)
     for runner in (run_rescaled, run_s_coordinates):
-        ext = runner(PotentialSpec("pure_quadratic", lam=0.7), 0.8, [0.3, -0.2], [0.5, 0.1], 2.0,
-                     axis=1)
-        assert ext.trajectory.terminal_event.kind is EventKind.T_MAX
+        traj = runner(PotentialSpec("pure_quadratic", lam=0.7), 0.8, [0.3, -0.2], [0.5, 0.1],
+                      2.0, axis=1)
+        assert traj.terminal_event.kind is EventKind.T_MAX
 
 
 def dp_reference(f, y, dt, k1):

@@ -10,9 +10,8 @@ from bhamsys.geometry import PhaseState, StructureKind, hamiltonian_vector_field
 from bhamsys.hamiltonians import ExtendedKind, PotentialSpec
 from bhamsys.integrate import IntegratorConfig, Trajectory, Event, EventKind, integrate
 from bhamsys.oracles import damped_newton_reference
-from bhamsys.timescale import (Clock, ExtendedTrajectory, build_plain_extended,
-                               build_rescaled_extended, friction_ode_residual,
-                               from_s_state, plain_initial_state,
+from bhamsys.timescale import (build_plain_extended, build_rescaled_extended,
+                               friction_ode_residual, from_s_state, plain_initial_state,
                                reconstruct_real_time, rescaled_initial_state,
                                run_rescaled, run_s_coordinates, time_to_s,
                                to_s_coordinates, to_s_state)
@@ -79,9 +78,9 @@ class TestRescaledExtended:
 
     def test_curvilinear_time_solution(self):
         """t(s) solves dt/ds = e^{lam t}/lam:  e^{-lam t} = 1 - lam... s."""
-        ext = run_rescaled(ZERO, 1.0, 0.0, 1.0, 5.0)
-        sigma = ext.trajectory.times
-        t = ext.trajectory.extra[:, 0]
+        traj = run_rescaled(ZERO, 1.0, 0.0, 1.0, 5.0)
+        sigma = traj.times
+        t = traj.extra[:, 0]
         npt.assert_allclose(np.exp(-t), 1.0 - sigma, atol=1e-8)
 
     def test_initial_state_puts_h_on_zero(self):
@@ -200,9 +199,8 @@ class TestReconstruction:
         structure, h = build_plain_extended(ZERO)
         traj = integrate(structure, h, plain_initial_state(ZERO, 0.0, 1.0),
                          IntegratorConfig(step=1e-2, t_max=1.0))
-        ext = ExtendedTrajectory(traj, Clock.REAL_T, 1.0)
         with pytest.raises(ValueError):
-            reconstruct_real_time(ext)
+            reconstruct_real_time(traj)
 
     def test_non_monotone_time_rejected(self):
         structure, h = build_rescaled_extended(ZERO, 1.0)
@@ -211,4 +209,4 @@ class TestReconstruction:
                           events=(Event(0.2, EventKind.T_MAX),),
                           structure=structure, hamiltonian=h)
         with pytest.raises(ValueError, match="increase strictly"):
-            ExtendedTrajectory(traj, Clock.CURVILINEAR_S, 1.0)
+            reconstruct_real_time(traj)
