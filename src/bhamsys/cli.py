@@ -30,7 +30,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ from .hamiltonians import HamiltonianSpec, PotentialFamily, PotentialSpec
 # where perfbench/tracer.py wraps it.
 from .integrate import (IntegratorConfig, Method, Trajectory, integrate,  # noqa: F401
                         integrate_batch, write_table)
-from .liftcheck import projectability_test, toric_moment_field
+from .liftcheck import DEFAULT_TOL, projectability_test, toric_moment_field
 from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
                       stokes_exact)
@@ -62,8 +62,8 @@ MAX_FIXED_STEPS = 10**7
 
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
 _POTENTIAL_KEYS = {"family", "lambda", "alpha", "axis"}
-_INTEGRATOR_KEYS = {"method", "step", "rel_tol", "abs_tol", "t_max",
-                    "z_epsilon", "fp_epsilon", "blowup_bound"}
+#: ``method``, then the numeric settings, in field order
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
 _AXIS_SPEC_KEYS = {"start", "stop", "count", "values"}
 
 _TOP_KEYS = {
@@ -107,7 +107,7 @@ class RunConfig:
     # liftcheck
     base_points: Optional[list] = None
     fiber_samples: Optional[list] = None
-    tol: float = 1e-9
+    tol: Optional[float] = None
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -235,9 +235,15 @@ def _build_potential(section, n: int) -> tuple:
 
 
 def _bound_fixed_steps(config: IntegratorConfig, horizon: float, key: str, what: str) -> None:
-    """Reject a fixed-step run of more than MAX_FIXED_STEPS steps over ``horizon``."""
+    """Reject a fixed step that does not fit ``horizon`` or that takes more
+    than MAX_FIXED_STEPS steps over it; an adaptive run chooses its own."""
+    if config.method is not Method.RK4_FIXED:
+        return
+    if not config.step < horizon:  # IntegratorConfig has made sure of this for t_max
+        raise ConfigError(f"integrator.step must be smaller than {what} {horizon!r}, "
+                          f"got {config.step!r}")
     # ceil(horizon / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
-    if config.method is Method.RK4_FIXED and horizon / config.step > MAX_FIXED_STEPS:
+    if horizon / config.step > MAX_FIXED_STEPS:
         raise ConfigError(f"integrator.{key}: {what} / step must not exceed {MAX_FIXED_STEPS} "
                           f"fixed steps, got {horizon!r} / {config.step!r}")
 
@@ -256,8 +262,7 @@ def _build_integrator(section, structure, warnings,
         except ValueError:
             raise ConfigError(
                 f"integrator.method must be one of {[m.value for m in Method]}")
-    for key in ("step", "rel_tol", "abs_tol", "t_max", "z_epsilon",
-                "fp_epsilon", "blowup_bound"):
+    for key in _INTEGRATOR_KEYS[1:]:
         value = _number(section, key, "integrator", None, positive=True)
         if value is not None:
             kwargs[key] = value
@@ -384,19 +389,16 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
-        # the run replaces t_max by the curvilinear horizon, which alone bounds the step
-        sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
         section = dict(_require_mapping(document["integrator"], "integrator"))
-        _number(section, "t_max", "integrator", None, positive=True)
-        step = _number(section, "step", "integrator", DEFAULT_CONFIG.step, positive=True)
-        if not step < sigma_end:
-            raise ConfigError(f"integrator.step must be smaller than the curvilinear horizon "
-                              f"{sigma_end!r}, got {step!r}")
-        section.pop("t_max", None)
-        if "z_epsilon" in section:  # clock s sets it from the horizon; clock t has no Z
-            cfg.warnings.append("integrator.z_epsilon has no effect on timescale runs "
-                                "and is ignored")
+        # the run replaces t_max by the curvilinear horizon; clock s sets
+        # z_epsilon from the horizon and clock t has no Z
+        for key in ("t_max", "z_epsilon"):
+            if _number(section, key, "integrator", None, positive=True) is not None:
+                del section[key]
+                cfg.warnings.append(f"integrator.{key} has no effect on timescale runs "
+                                    "and is ignored")
         cfg.integrator = _build_integrator(section, None, cfg.warnings, DEFAULT_CONFIG)
+        sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
         _bound_fixed_steps(cfg.integrator, sigma_end, "step", "the curvilinear horizon")
     return cfg
 
@@ -439,7 +441,7 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
             for i, point in enumerate(getattr(cfg, key)):
                 if point[k] == 0.0:
                     raise ConfigError(f"{key}[{i}] lies on the critical set {name}{k + 1} = 0")
-    cfg.tol = _number(document, "tol", "config", 1e-9, positive=True)
+    cfg.tol = _number(document, "tol", "config", DEFAULT_TOL, positive=True)
     return cfg
 
 

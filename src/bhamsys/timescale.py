@@ -158,9 +158,9 @@ def build_rescaled_extended(potential: PotentialSpec, lam: float, n: int = 1, ax
     return structure, h
 
 
-def to_s_coordinates(structure: PhaseStructure, h: HamiltonianSpec,
-                     lam: Optional[float] = None):
-    """Change variables s = exp(-lam t), E_s = E/lam on a rescaled system.
+def to_s_coordinates(structure: PhaseStructure, h: HamiltonianSpec):
+    """Change variables s = exp(-lam t), E_s = E/lam on a rescaled system,
+    with lam the Hamiltonian's friction coefficient.
 
     Returns the non-twisted singular structure on the (s, E_s) pair together
     with the transformed Hamiltonian, which is singular of second order at
@@ -170,14 +170,10 @@ def to_s_coordinates(structure: PhaseStructure, h: HamiltonianSpec,
         raise ValueError("expected an extended_canonical structure")
     if h.extended is not ExtendedKind.RESCALED_EXTENDED:
         raise ValueError("expected a rescaled_extended Hamiltonian")
-    if lam is None:
-        lam = h.friction
-    if lam != h.friction:
-        raise ValueError("lam disagrees with the Hamiltonian's friction coefficient")
     structure_s = PhaseStructure(kind=StructureKind.EXTENDED_B_S, dim=structure.dim,
                                  modular_weight=1.0, angular_mask=structure.angular_mask)
     h_s = HamiltonianSpec(potential=h.potential, n=h.n, axis=h.axis,
-                          extended=ExtendedKind.S_COORDINATES, friction=lam)
+                          extended=ExtendedKind.S_COORDINATES, friction=h.friction)
     return structure_s, h_s
 
 
@@ -226,9 +222,7 @@ def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Traject
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
     initial = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
-    if config is None:
-        config = replace(DEFAULT_CONFIG, step=min(DEFAULT_CONFIG.step, sigma_end / 10))
-    config = replace(config, t_max=sigma_end)
+    config = replace(config or DEFAULT_CONFIG, t_max=sigma_end)
     if s_chart:
         structure, h = to_s_coordinates(structure, h)
         initial = to_s_state(initial, lam)

@@ -8,20 +8,17 @@ of :func:`integrate_batch` against a one-row :func:`integrate`.
 import importlib
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from conftest import run_python
 
-import bhamsys
 from bhamsys.cli import main
 from bhamsys.geometry import (PhaseState, PhaseStructure, StructureKind, compile_field,
                               hamiltonian_vector_field, poisson_bivector)
 from bhamsys.hamiltonians import ExtendedKind, HamiltonianSpec, PotentialSpec
-from bhamsys.integrate import (EventKind, IntegratorConfig, Method, Trajectory, integrate,
-                               integrate_batch)
+from bhamsys.integrate import (Event, EventKind, IntegratorConfig, Method, Trajectory,
+                               integrate, integrate_batch)
 from bhamsys.liftcheck import projectability_test, toric_moment_field
 
 STRUCTURES = {
@@ -309,6 +306,44 @@ def test_nan_gradient_ends_its_row_in_blowup_without_touching_the_others():
         assert run.terminal_event.time == pytest.approx(run.times[-1] + 0.01)
 
 
+class RaisesAt(RowByRow):
+    """``h`` through its gradient, which raises ``error`` at one exact state."""
+
+    def __init__(self, h, state, error):
+        super().__init__(h)
+        self.state, self.error = state, error
+
+    def gradient(self, state):
+        if np.array_equal(state.to_array(), self.state):
+            raise self.error
+        return super().gradient(state)
+
+
+@pytest.mark.parametrize("error", [ValueError("refused"), OverflowError("too far")],
+                         ids=["ValueError", "OverflowError"])
+def test_an_error_at_a_new_sample_ends_only_its_row(error):
+    """The field evaluation at the end of step k, on its new sample, raises
+    for one row of a batch; no stage of the step does."""
+    structure = STRUCTURES["twisted"]
+    h = HamiltonianSpec(FAMILIES["periodic"])
+    config = IntegratorConfig(step=0.01, t_max=1.0, z_epsilon=1e-4)
+    states = [PhaseState(0.0, 2.0), PhaseState(1.0, -0.5), PhaseState(3.0, 1.0)]
+    directions = [1, -1, 1]
+    k = 40
+    clean = integrate(structure, RowByRow(h), states[1], config, directions[1])
+    assert len(clean) > k + 1
+    bad = RaisesAt(h, clean.ys[k], error)
+    runs = integrate_batch(structure, bad, [s.to_array() for s in states], config, directions)
+    if isinstance(error, OverflowError):  # a blowup at the previous sample
+        assert runs[1].terminal_event == Event(clean.times[k], EventKind.BLOWUP)
+        assert bits(runs[1].times) == bits(clean.times[:k])
+        assert bits(runs[1].ys) == bits(clean.ys[:k])
+    else:
+        assert runs[1] is error
+    for i in (0, 2):
+        assert_same_run(runs[i], integrate(structure, bad, states[i], config, directions[i]))
+
+
 def test_classify_leaves_numpy_ma_unimported(tmp_path):
     """The first-return scan takes a median without numpy.ma, whose import
     would cost a classify process 17-30 ms."""
@@ -319,11 +354,8 @@ def test_classify_leaves_numpy_ma_unimported(tmp_path):
             "from bhamsys.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(bhamsys.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, "classify", "--config",
-                          str(tmp_path / "run.json"), "--out", str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    out = run_python(["-c", code, "classify", "--config", str(tmp_path / "run.json"),
+                      "--out", str(tmp_path / "out")], timeout=120, check=True)
     assert out.stdout.strip() == "False"
     payload = json.loads((tmp_path / "out" / "classifications.json").read_text())
     assert payload[0]["classification"]["kind"] == "periodic"

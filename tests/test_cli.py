@@ -282,6 +282,31 @@ class TestTimescale:
         assert self.csv_files(out) == self.csv_files(bare)
 
     @pytest.mark.parametrize("clock", ["t", "s"])
+    def test_a_dp5_section_fits_a_horizon_below_its_first_step(self, tmp_path, clock):
+        # sigma_end is 5e-4, below the default step 1e-3, which DP5 clamps
+        # to sigma_end / 10 with a section as without one
+        doc = dict(self.FALLING, clock=clock, horizon=5e-4)
+        code, bare = self.run_timescale(tmp_path, "bare", **doc)
+        assert code == 0
+        code, out = self.run_timescale(tmp_path, "rel", **doc, integrator={"rel_tol": 1e-10})
+        assert code == 0
+        assert self.csv_files(out) == self.csv_files(bare)
+
+    @pytest.mark.parametrize("clock", ["t", "s"])
+    def test_t_max_in_a_section_is_ignored_with_a_warning(self, tmp_path, clock):
+        doc = dict(self.FALLING, clock=clock, horizon=5.0)
+        section = {"method": "rk4_fixed", "step": 1e-3}
+        code, plain = self.run_timescale(tmp_path, "plain", **doc, integrator=section)
+        assert code == 0
+        code, out = self.run_timescale(tmp_path, "tmax", **doc,
+                                       integrator=dict(section, t_max=0.5, z_epsilon=0.5))
+        assert code == 0
+        assert self.csv_files(out) == self.csv_files(plain)
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == [
+            f"integrator.{key} has no effect on timescale runs and is ignored"
+            for key in ("t_max", "z_epsilon")]
+
+    @pytest.mark.parametrize("clock", ["t", "s"])
     def test_z_epsilon_in_a_section_is_ignored_with_a_warning(self, tmp_path, clock):
         doc = dict(self.FALLING, clock=clock, horizon=5.0)
         section = {"method": "rk4_fixed", "step": 1e-3}

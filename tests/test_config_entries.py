@@ -10,8 +10,9 @@ states, a liftcheck sample on the critical set or of the wrong length, a
 non-integer ``singular_index``, a boolean where an integer belongs
 (``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
 non-object ``potential`` under ``--family``, a fixed-step run of more than
-``MAX_FIXED_STEPS`` steps and a ``timescale`` step that does not fit the
-curvilinear horizon.
+``MAX_FIXED_STEPS`` steps and a fixed ``timescale`` step that does not fit
+the curvilinear horizon.  An adaptive step is only a first guess and fits
+any horizon.
 """
 
 import copy
@@ -207,6 +208,17 @@ def test_fixed_step_runs_are_bounded(tmp_path, capsys):
     parse_config(dict(SIMULATE, integrator={"method": "rk_adaptive", "t_max": 1e12}), "simulate")
 
 
+@pytest.mark.parametrize("command", ["simulate", "portrait", "classify", "oracle-compare"])
+def test_an_adaptive_run_may_be_shorter_than_its_first_step(tmp_path, command):
+    # the default step 1e-3 is only DP5's first guess, clamped to t_max / 10
+    doc = dict(SIMULATE, integrator={"method": "rk_adaptive", "t_max": 5e-4})
+    assert run_main(tmp_path, command, json.dumps(doc)) == 0
+    records = strict_json(tmp_path / "out" / "manifest.json")["records"]
+    assert [record["status"] for record in records] == ["ok"]
+    with pytest.raises(ConfigError, match=r"^integrator: step must be smaller than t_max"):
+        parse_config(dict(SIMULATE, integrator={"t_max": 5e-4}), command)
+
+
 def strict_loads(text):
     """Parse standard JSON: NaN and Infinity are not allowed."""
     def reject(literal):
@@ -297,6 +309,19 @@ def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
 def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
     # friction 1, horizon 1: sigma_end = 1 - exp(-1) = 0.632
     doc = dict(TIMESCALE, integrator={"method": method, "step": 0.9, "t_max": 2.0})
+    if method == "rk_adaptive":
+        # a DP5 step is only the first guess, which the run clamps to sigma_end / 10
+        sigma_end = 1.0 - math.exp(-1.0)
+        clamped = dict(TIMESCALE, integrator={"method": method, "step": sigma_end / 10})
+        for clock in ("t", "s"):
+            files = []
+            for run in (doc, clamped):
+                assert run_main(tmp_path, "timescale", json.dumps(dict(run, clock=clock))) == 0
+                (record,) = strict_json(tmp_path / "out" / "manifest.json")["records"]
+                assert record["event"] == {"kind": "t_max_reached", "t": sigma_end}
+                files.append([(tmp_path / "out" / name).read_bytes() for name in record["files"]])
+            assert files[0] == files[1]
+        return
     with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than the "
                                           r"curvilinear horizon 0\.632"):
         parse_config(doc, "timescale")

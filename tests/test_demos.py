@@ -1,21 +1,14 @@
 """Every script in ``demos/`` runs to completion against the current API."""
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
-
-import bhamsys
+from conftest import run_python
 
 DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    src = os.path.dirname(os.path.dirname(bhamsys.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
+    out = run_python([str(demo)], cwd=tmp_path, timeout=300)
     assert out.returncode == 0, out.stderr

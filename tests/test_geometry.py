@@ -3,11 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bhamsys.geometry import (DEGENERACY_TOL, PhaseState, PhaseStructure,
-                              StructureKind, bivector_rank, defining_function,
-                              evaluate_form, hamiltonian_vector_field,
-                              poisson_bivector)
+                              StructureKind, bivector_rank, compile_field,
+                              defining_function, evaluate_form,
+                              hamiltonian_vector_field, poisson_bivector)
 from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
 
 TWISTED = PhaseStructure(StructureKind.TWISTED_B)
@@ -169,6 +170,30 @@ class TestHamiltonianVectorField:
                 xc = hamiltonian_vector_field(CANONICAL, h, state)
                 expected = state.p[0] * xc
                 npt.assert_allclose(xb, expected, rtol=1e-14, atol=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from([StructureKind.TWISTED_B, StructureKind.NONTWISTED_B]),
+           n=st.sampled_from([1, 2]), c=st.sampled_from([1.0, -0.5, 2.0]),
+           potential=st.sampled_from([PotentialSpec("zero"), PotentialSpec("linear", lam=1.3),
+                                      PotentialSpec("pure_quadratic", lam=0.7),
+                                      PotentialSpec("general_quadratic", lam=0.9, alpha=-0.4),
+                                      PotentialSpec("periodic", lam=1.1)]),
+           data=st.data())
+    def test_singular_field_is_the_canonical_field_scaled_on_the_singular_pair(
+            self, kind, n, c, potential, data):
+        """The pair (q_k, p_k) of the twisted (non-twisted) field is p_k/c
+        (q_k/c) times its canonical velocities; the other pairs are canonical."""
+        k = data.draw(st.integers(0, n - 1), label="singular_index")
+        axis = data.draw(st.integers(0, n - 1), label="axis")
+        y = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n,
+                                        max_size=2 * n), label="state"))
+        z = y[n + k] if kind is StructureKind.TWISTED_B else y[k]
+        assume(z != 0.0)  # off the critical set
+        structure = PhaseStructure(kind, dim=2 * n, modular_weight=c, singular_index=k)
+        h = HamiltonianSpec(potential, n=n, axis=axis)
+        expected = compile_field(PhaseStructure(StructureKind.CANONICAL, dim=2 * n), h)(y)
+        expected[[k, n + k]] *= z / c
+        npt.assert_array_equal(compile_field(structure, h)(y), expected)
 
     def test_tangent_to_critical_set(self):
         # normal component (dp/dt at the singular momentum) vanishes on Z

@@ -9,11 +9,10 @@ the Dormand-Prince step.
 """
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from conftest import run_python
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -258,8 +257,7 @@ def test_dp_step_keeps_the_sign_of_zero_sums(y, k1):
 
 def frozen_after(statement):
     code = f"import gc; {statement}; print(gc.get_freeze_count())"
-    return int(subprocess.run([sys.executable, "-c", code], check=True,
-                              capture_output=True, text=True).stdout)
+    return int(run_python(["-c", code], check=True).stdout)
 
 
 def test_cli_import_freezes_the_import_heap():

@@ -112,8 +112,6 @@ class TestSCoordinates:
         structure_s, h_s = to_s_coordinates(structure, h)
         assert structure_s.kind is StructureKind.EXTENDED_B_S
         assert h_s.extended is ExtendedKind.S_COORDINATES
-        with pytest.raises(ValueError):
-            to_s_coordinates(structure, h, lam=0.9)
 
     def test_unit_curvilinear_speed_and_base_equations(self):
         """ds = -1 per unit parameter; d2q/ds2 = -dV/dq/(lam s)^2."""
