@@ -489,10 +489,11 @@ def _write_realtime_csv(path, rt) -> None:
 # ---------------------------------------------------------------------------
 # command runners
 
-def _integrate_all(cfg: RunConfig) -> list:
+def _integrate_all(cfg: RunConfig, stop_at_return: bool = False) -> list:
     """One trajectory, or the exception that stopped it, per initial state."""
     return integrate_batch(cfg.structure, cfg.hamiltonian,
-                           [initial.to_array() for initial in cfg.initials], cfg.integrator)
+                           [initial.to_array() for initial in cfg.initials], cfg.integrator,
+                           stop_at_return=stop_at_return)
 
 
 def _records(initials, runs, body, failed=None) -> list:
@@ -566,7 +567,8 @@ def _run_classify(cfg: RunConfig, out_dir: str) -> list:
     def body(i, traj):
         return {"classification": _classification_payload(classify_orbit(traj))}
 
-    records = _records(map(_state_payload, cfg.initials), _integrate_all(cfg), body)
+    # only the classification is written, which the first return settles
+    records = _records(map(_state_payload, cfg.initials), _integrate_all(cfg, True), body)
     _write_json(os.path.join(out_dir, "classifications.json"), _without(records, "index"))
     return records
 

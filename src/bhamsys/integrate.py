@@ -6,7 +6,7 @@ on all of phase space (the bivector degenerates instead of blowing up), and
 correctness is checked against closed-form oracles rather than long-time
 structure preservation.
 
-Runs terminate on the first of four events:
+Runs terminate on the first of five events:
 
 * ``reached_Z_neighborhood`` -- the defining function of the critical set,
   with its initial sign, is at most ``z_epsilon`` (armed only off that
@@ -15,6 +15,10 @@ Runs terminate on the first of four events:
 * ``fixed_point``            -- the field magnitude falls below ``fp_epsilon``.
 * ``blowup``                 -- a state component exceeds ``blowup_bound`` or a
   field evaluation stops being finite.
+* ``returned_to_start``      -- armed only on fixed-step RK4 by
+  ``integrate_batch(..., stop_at_return=True)``: the first-return search
+  of :func:`~bhamsys.orbits.classify_orbit` finds a period in the samples
+  so far; the event time is that period.
 * ``t_max_reached``          -- the time horizon is exhausted.
 
 Batches
@@ -89,6 +93,10 @@ STEP_GROW = 5.0
 #: most; it doubles whenever a longer run needs more.
 STORE_ELEMENTS = 1 << 22
 
+#: Steps of a fixed-step batch between two scans of its new samples for
+#: first returns (``stop_at_return``).
+RETURN_BLOCK = 32
+
 
 class BlowupError(RuntimeError):
     """A field or state evaluation left the finite range."""
@@ -103,6 +111,7 @@ class EventKind(str, Enum):
     REACHED_Z = "reached_Z_neighborhood"
     FIXED_POINT = "fixed_point"
     BLOWUP = "blowup"
+    RETURNED = "returned_to_start"
     T_MAX = "t_max_reached"
 
 
@@ -142,7 +151,8 @@ class Trajectory:
 
     ``ys`` has one flat phase vector per row in the coordinate order of
     :mod:`bhamsys.geometry`.  ``events`` holds at least one entry and its
-    last element is the terminal event of the run.
+    last element is the terminal event of the run.  ``direction`` is ``-1``
+    for a run of the negated field (a backward run), else ``1``.
     """
 
     times: np.ndarray
@@ -150,6 +160,7 @@ class Trajectory:
     events: tuple
     structure: PhaseStructure
     hamiltonian: object
+    direction: int = 1
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -162,6 +173,8 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         if not self.events:
             raise ValueError("trajectory must carry a terminal event")
+        if self.direction not in (1, -1):
+            raise ValueError("direction must be +1 or -1")
         times.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -410,7 +423,7 @@ def integrate(structure: PhaseStructure, h, initial: PhaseState,
 
 
 def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[IntegratorConfig] = None,
-                    directions=None) -> list:
+                    directions=None, stop_at_return: bool = False) -> list:
     """Integrate every initial state of ``Y0`` until its own event fires.
 
     ``Y0`` holds flat initial states, one per row, each of length
@@ -422,6 +435,17 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
     others.  Each trajectory is the one :func:`integrate` returns for its row
     alone.  The trajectories of one fixed-step batch are views of one
     shared sample store.
+
+    ``stop_at_return=True`` arms the ``returned_to_start`` event on a
+    fixed-step batch: every ``RETURN_BLOCK`` steps, a row ends once the
+    first-return search of :func:`~bhamsys.orbits.classify_orbit` finds a
+    period in its samples so far.  The event time is that period, and the
+    trajectory keeps its samples up to the one where the return was found.
+    The search runs only where a row's progress along its initial velocity
+    turns from negative to nonnegative near its start.  Adaptive rows run to
+    their own end: the search rejects periods shorter than
+    ``orbits.MIN_PERIOD_STEPS`` median steps, and the median step of a
+    prefix of an adaptive run is not the whole run's.
     """
     if config is None:
         config = IntegratorConfig()
@@ -456,13 +480,13 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
     else:
         sign = np.array([[float(directions[i])] for i in valid])
         runs = _integrate_lockstep(structure, h, F, sign, np.array([rows[i] for i in valid]),
-                                   config)
+                                   config, stop_at_return)
         for i, run in zip(valid, runs):
             results[i] = run
     return results
 
 
-def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
+def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False) -> list:
     """Fixed-step RK4 of all rows of ``Y0`` on one shared time grid.
 
     The rows still running are the active set; each step advances them with
@@ -479,6 +503,12 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
     batch kernel raises is evaluated again through :func:`_directed`, which
     isolates the rows that raise, and a step that fails the combined test
     sorts its rows one by one; both give the same rows the same bits.
+
+    With ``stop_at_return``, every ``RETURN_BLOCK`` steps, and at
+    ``t_max``, the samples of the active rows since the last scan are
+    searched for first returns by ``orbits.first_return_scan``.  A row that
+    another event ends before the next scan keeps that event, as it does
+    without ``stop_at_return``.
     """
     M, d = Y0.shape
     results = [None] * M
@@ -499,6 +529,13 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
     K = _directed(F, sign, Y, errors)
     for j, exc in errors.items():
         results[j] = exc
+    row_sign = sign[:, 0]
+    scan = None
+    if stop_at_return:
+        # orbits imports this module, so its name is looked up here
+        from .orbits import first_return_scan
+
+        scan = first_return_scan(structure, h, Y0, K, row_sign)
     fixed = np.max(np.abs(K), axis=1) < fp_eps  # False on NaN rows
     for j in np.flatnonzero(fixed):
         ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
@@ -518,8 +555,22 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
 
     t = 0.0
     k = 0
+    scanned = 0  # the last sample scanned for returns
     while active.size:
-        if config.t_max - t <= t_tiny:
+        done = config.t_max - t <= t_tiny
+        if scan is not None and k > scanned and (done or k - scanned == RETURN_BLOCK):
+            returned = scan(store, times, active, scanned, k)
+            scanned = k
+            if returned:
+                for j, (i, period) in returned.items():
+                    ends[active[j]] = (i, times[i], Event(period, EventKind.RETURNED))
+                keep = np.ones(active.size, bool)
+                keep[list(returned)] = False
+                active, Y, K, sign, z_side, z_lim = (
+                    a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
+                if not active.size:
+                    break
+        if done:
             for r in active:
                 ends[r] = (k, times[k], Event(config.t_max, EventKind.T_MAX))
             break
@@ -592,7 +643,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config) -> list:
         row_times = grid[:last + 1].copy()
         row_times[last] = t_last
         results[r] = Trajectory(times=row_times, ys=store[r, :last + 1], events=(event,),
-                                structure=structure, hamiltonian=h)
+                                structure=structure, hamiltonian=h, direction=int(row_sign[r]))
     return results
 
 
@@ -619,8 +670,8 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
     samples = [y]
 
     def finish(event):
-        return Trajectory(times=np.array(times), ys=np.array(samples),
-                          events=(event,), structure=structure, hamiltonian=h)
+        return Trajectory(times=np.array(times), ys=np.array(samples), events=(event,),
+                          structure=structure, hamiltonian=h, direction=int(sign))
 
     if _amax([abs(v) for v in f_cur]) < config.fp_epsilon:
         return finish(Event(0.0, EventKind.FIXED_POINT))

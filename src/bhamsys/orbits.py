@@ -10,9 +10,19 @@ two fixed points.  This module detects those types:
 * ``escape_orbit``           -- the run terminated in the Z neighborhood.
 * ``periodic``               -- the state returns to its initial value (angles
   compared on the circle) with nonvanishing speed.  Detected by a first
-  return through the hyperplane normal to the initial velocity, refined by
-  the shared bisection ``integrate._bisect`` on a cubic Hermite interpolant
-  between accepted steps.
+  return through the hyperplane normal to the initial velocity of the field
+  the run followed (negated on a backward run), refined by the shared
+  bisection ``integrate._bisect`` on a cubic Hermite interpolant between
+  accepted steps.  The period is the time of that return.  A fixed-step
+  run made with ``integrate_batch(..., stop_at_return=True)`` (as CLI
+  ``classify`` makes them) ends at the first scan of its samples where this
+  search finds it (event ``returned_to_start``), so the first return
+  settles the run: an event that the run continued to ``t_max`` would meet
+  later (the Z neighborhood, a blowup, a field error) no longer changes
+  the result, and a row that has returned is ``periodic``.  The period is
+  the one the continued run gives, to the bit, unless it lies within
+  rounding of ``MIN_PERIOD_STEPS`` steps (the floor is computed from the
+  median step of the samples searched).
 * ``heteroclinic_segment``   -- a two-sided trajectory whose both ends reached
   the Z neighborhood.
 * ``unbounded``              -- the run blew up.
@@ -110,38 +120,57 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
-def _first_return(traj: Trajectory) -> Optional[float]:
-    """Time of first return to the initial state, or None."""
-    if len(traj) < 3:
-        return None
-    structure = traj.structure
-    x0 = traj.ys[0]
-    f = compile_field(structure, traj.hamiltonian)
-    v0 = f(x0)
+def _angular_columns(structure: PhaseStructure) -> np.ndarray:
+    return np.array([i for i, a in enumerate(structure.angular_mask) if a], dtype=int)
+
+
+def _return_frame(x0: np.ndarray, v0: np.ndarray) -> Optional[tuple]:
+    """``(v0n, gate)`` of a run from ``x0`` with initial velocity ``v0``: the
+    unit normal of the return hyperplane, and the distance to ``x0`` within
+    which a crossing of it is tested; None when the speed is below 1e-12."""
     speed = float(np.linalg.norm(v0))
     if speed < 1e-12:
         return None
-    v0n = v0 / speed
+    return v0 / speed, max(0.05 * (1.0 + float(np.max(np.abs(x0)))), 100.0 * RETURN_BALL)
 
-    angular_idx = np.array([i for i, a in enumerate(structure.angular_mask) if a], dtype=int)
-    deltas = _angular_delta(traj.ys.copy(), x0, angular_idx)
+
+def _crossings(progress: np.ndarray, dist: np.ndarray, gate) -> np.ndarray:
+    """Along the last axis, whether the progress turns from negative to
+    nonnegative between samples ``i - 1`` and ``i`` with one of the two
+    within ``gate`` of the initial state: the crossings a return is sought
+    at."""
+    return ((progress[..., :-1] < 0.0) & (progress[..., 1:] >= 0.0)
+            & (np.minimum(dist[..., :-1], dist[..., 1:]) <= gate))
+
+
+def _first_return(structure: PhaseStructure, h, times: np.ndarray, ys: np.ndarray,
+                  direction: int = 1) -> Optional[float]:
+    """Time of first return to the initial state ``ys[0]`` of the samples
+    ``times``, ``ys`` of a run along ``direction`` times the field of ``h``,
+    or None."""
+    if len(times) < 3:
+        return None
+    x0 = ys[0]
+    F = compile_field(structure, h)
+    f = F if direction == 1 else (lambda y: -F(y))
+    frame = _return_frame(x0, f(x0))
+    if frame is None:
+        return None
+    v0n, gate = frame
+    angular_idx = _angular_columns(structure)
+
+    deltas = _angular_delta(ys, x0, angular_idx)
     progress = deltas @ v0n
     dist = np.max(np.abs(deltas), axis=1)
-    gate = max(0.05 * (1.0 + float(np.max(np.abs(x0)))), 100.0 * RETURN_BALL)
 
-    med_dt = _median(np.diff(traj.times))
+    med_dt = _median(np.diff(times))
     t_floor = MIN_PERIOD_STEPS * med_dt
 
-    for i in range(1, len(traj)):
-        if traj.times[i] < t_floor:
-            continue
-        if not (progress[i - 1] < 0.0 <= progress[i]):
-            continue
-        if min(dist[i - 1], dist[i]) > gate:
-            continue
-        y0, y1 = traj.ys[i - 1], traj.ys[i]
+    crossings = np.flatnonzero(_crossings(progress, dist, gate) & (times[1:] >= t_floor)) + 1
+    for i in crossings.tolist():
+        y0, y1 = ys[i - 1], ys[i]
         f0, f1 = f(y0), f(y1)
-        dt = traj.times[i] - traj.times[i - 1]
+        dt = times[i] - times[i - 1]
 
         def prog(tau):
             y = hermite(y0, y1, f0, f1, dt, tau)
@@ -150,10 +179,46 @@ def _first_return(traj: Trajectory) -> Optional[float]:
         tau = 0.5 * sum(_bisect(prog, dt))
         y_ret = hermite(y0, y1, f0, f1, dt, tau)
         d_ret = float(np.max(np.abs(_angular_delta(y_ret, x0, angular_idx))))
-        t_ret = traj.times[i - 1] + tau
+        t_ret = times[i - 1] + tau
         if d_ret < RETURN_BALL and t_ret >= t_floor and np.max(np.abs(f(y_ret))) > 1e-12:
             return float(t_ret)
     return None
+
+
+def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarray,
+                      directions: np.ndarray):
+    """The first-return search of a fixed-step batch started at the rows of
+    ``Y0``, with directed initial velocities ``K0`` and ``directions``.
+
+    Returns ``scan(store, times, rows, lo, hi)``: ``{j: (i, period)}`` for
+    each row ``rows[j]`` of the sample ``store`` (on the time grid
+    ``times``) whose first return is found at a sample ``i`` in
+    ``lo + 1 .. hi``, where :func:`_first_return` on its samples up to ``i``
+    finds ``period``.  It is run only at the crossings of :func:`_crossings`
+    among those samples, so a crossing the progress computed here misses
+    (by rounding) is found at a later one, with the same period.  A row
+    without a return frame gets the gate -1, which no distance passes.
+    """
+    frames = [_return_frame(x0, v0) for x0, v0 in zip(Y0, K0)]
+    v0n = np.array([np.zeros_like(x0) if fr is None else fr[0] for x0, fr in zip(Y0, frames)])
+    gate = np.array([[-1.0 if fr is None else fr[1]] for fr in frames])
+    angular_idx = _angular_columns(structure)
+
+    def scan(store, times, rows, lo, hi) -> dict:
+        deltas = _angular_delta(store[rows, lo:hi + 1], Y0[rows, None], angular_idx)
+        progress = (deltas @ v0n[rows, :, None])[..., 0]
+        candidates = _crossings(progress, np.abs(deltas).max(axis=2), gate[rows])
+        found = {}
+        for j, c in zip(*np.nonzero(candidates)):
+            if j not in found:
+                r, i = rows[j], lo + 1 + int(c)
+                period = _first_return(structure, h, np.array(times[:i + 1]), store[r, :i + 1],
+                                       int(directions[r]))
+                if period is not None:
+                    found[j] = (i, period)
+        return found
+
+    return scan
 
 
 def classify_orbit(traj: Trajectory) -> OrbitClassification:
@@ -168,7 +233,8 @@ def classify_orbit(traj: Trajectory) -> OrbitClassification:
             return OrbitClassification(OrbitKind.HETEROCLINIC_SEGMENT,
                                        limit_state=traj.final_state)
         return OrbitClassification(OrbitKind.ESCAPE_ORBIT, limit_state=traj.final_state)
-    period = _first_return(traj)
+    period = _first_return(traj.structure, traj.hamiltonian, traj.times, traj.ys,
+                           traj.direction)
     if period is not None:
         return OrbitClassification(OrbitKind.PERIODIC, period=period)
     if terminal.kind is EventKind.BLOWUP:
