@@ -332,7 +332,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     named = (isinstance(h, HamiltonianSpec) and h.potential.family is not PotentialFamily.CUSTOM
              and h.n == n)
     if named and h.extended is ExtendedKind.NONE and not ext:
-        spec, axis = h.potential, h.axis
+        slope, axis = _family_slope(h.potential), h.axis
 
         def field(Y):
             # grad H = (dV/dq, p) with dV/dq zero off the potential's axis
@@ -340,7 +340,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
             out[..., :n] = Y[..., n:]
             if n > 1:
                 out[..., n:] = -0.0
-            out[..., n + axis] = -_family_slope(spec, Y[..., axis])
+            out[..., n + axis] = -slope(Y[..., axis])
             return scale(Y, out)
 
         return _with_row(field)

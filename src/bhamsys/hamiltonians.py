@@ -127,18 +127,24 @@ def _family_value(spec: PotentialSpec, x: float) -> float:
     return 0.0
 
 
-def _family_slope(spec: PotentialSpec, x):
-    """dV/dx of a named family, for a float or elementwise for an array."""
+def _family_slope(spec: PotentialSpec):
+    """dV/dx of a named family as a function of x, for a float or
+    elementwise for an array; the family and its constants are bound here,
+    once."""
     f = spec.family
     if f is PotentialFamily.LINEAR:
-        return 0.5 * spec.lam
+        c = 0.5 * spec.lam
+        return lambda x: c
     if f is PotentialFamily.PURE_QUADRATIC:
-        return 0.5 * spec.lam * x
+        c = 0.5 * spec.lam
+        return lambda x: c * x
     if f is PotentialFamily.GENERAL_QUADRATIC:
-        return 0.5 * spec.lam * (1.0 + spec.alpha * x)
+        c, alpha = 0.5 * spec.lam, spec.alpha
+        return lambda x: c * (1.0 + alpha * x)
     if f is PotentialFamily.PERIODIC:
-        return -0.5 * spec.lam * np.sin(x)
-    return 0.0
+        c = -0.5 * spec.lam
+        return lambda x: c * np.sin(x)
+    return lambda x: 0.0
 
 
 def potential_value(spec: PotentialSpec, q: np.ndarray, t: float = 0.0,
@@ -168,7 +174,7 @@ def potential_gradient(spec: PotentialSpec, q: np.ndarray, t: float = 0.0,
                 qm[i] -= FD_STEP
                 grad[i] = (spec.custom_eval(qp, t) - spec.custom_eval(qm, t)) / (2 * FD_STEP)
         return grad
-    grad[axis] = _family_slope(spec, float(q[axis]))
+    grad[axis] = _family_slope(spec)(float(q[axis]))
     return grad
 
 
@@ -275,9 +281,12 @@ def _extended_gradient(h: HamiltonianSpec):
     :meth:`HamiltonianSpec.gradient` and by the kernel of
     :func:`~bhamsys.geometry.compile_field`.  It works on the scalars of one
     row, with ``math.exp`` of ``lam*t`` and ``math.log`` of ``s``, since
-    numpy's ``exp`` can differ from them in the last bit.  ``t`` or ``s`` is
-    a numpy scalar, so that a division by an underflowed power of ``s``
-    gives inf or NaN, as an array division does, instead of raising.
+    numpy's ``exp`` can differ from them in the last bit.  ``t`` is a numpy
+    scalar.  The ``s`` partials run on Python floats, which give the bits of
+    numpy scalars at a fraction of their cost, and again on a numpy scalar
+    ``s`` only where a float power of ``s`` underflows to zero or
+    overflows: there a division gives inf or NaN, as an array division
+    does, where floats raise.
     """
     n, axis, spec, lam = h.n, h.axis, h.potential, h.friction
     plain = h.extended is ExtendedKind.PLAIN_EXTENDED
@@ -289,7 +298,7 @@ def _extended_gradient(h: HamiltonianSpec):
             return (v, potential_time_derivative(spec, q, t, axis),
                     potential_gradient(spec, q, t, axis).tolist())
     else:  # V depends on q[axis] alone, not on t
-        value, slope = partial(_family_value, spec), partial(_family_slope, spec)
+        value, slope = partial(_family_value, spec), _family_slope(spec)
 
         def potential(y, t):
             x = y[axis]
@@ -317,16 +326,24 @@ def _extended_gradient(h: HamiltonianSpec):
                     + [2 * e2lt / lam * v + scale * v_t - elt * y[2 * n + 1], -elt / lam])
         return grad
 
-    def grad(y):
-        # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
-        s = np.float64(y[2 * n])
-        if s <= 0.0:
-            raise ValueError("Hamiltonian singular at s=0")
-        v, v_t, g = potential(y, -math.log(s) / lam)
+    def s_partials(y, s, v, v_t, g):
         ls2 = (lam * s) ** 2
         s3 = s**3
         return ([x / ls2 for x in g] + y[n:2 * n]
                 + [-v_t / (lam3 * s3) - 2 * v / (lam2 * s3) + y[2 * n + 1] / s**2, -1.0 / s])
+
+    def grad(y):
+        # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
+        s = y[2 * n]
+        if s <= 0.0:
+            raise ValueError("Hamiltonian singular at s=0")
+        v, v_t, g = potential(y, -math.log(s) / lam)
+        try:
+            return s_partials(y, s, v, v_t, g)
+        except (ZeroDivisionError, OverflowError):
+            # a power of s under- or overflowed: numpy scalars give inf or
+            # NaN there, as an array division does, where floats raise
+            return s_partials(y, np.float64(s), v, v_t, g)
     return grad
 
 
@@ -389,5 +406,6 @@ def second_order_residual(h: HamiltonianSpec, q_samples: np.ndarray, dt: float) 
         raise ValueError("dt must be > 0")
     qdd = (q[2:] - 2 * q[1:-1] + q[:-2]) / dt**2
     qd = (q[2:] - q[:-2]) / (2 * dt)
-    slope = np.array([_family_slope(h.potential, x) for x in q[1:-1]])
+    slope_at = _family_slope(h.potential)
+    slope = np.array([slope_at(x) for x in q[1:-1]])
     return qdd + 2.0 * qd * slope

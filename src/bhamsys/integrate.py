@@ -28,21 +28,21 @@ through the one flat-array kernel of :func:`~bhamsys.geometry.compile_field`.
 Every row carries its own direction, and ``-1`` negates the field exactly, so
 the forward and backward runs of N initial conditions go in together as 2N
 rows.  Fixed-step RK4 advances all rows in lockstep on the shared time grid
-``t = k * step`` and stores one block of samples per step; each row keeps
-its own events and leaves the batch when one fires.  Each RK4 stage is one
-call of the batch kernel; only a batch evaluation that raises falls back to
+``t = k * step``, in blocks of ``RETURN_BLOCK`` steps; each row keeps its own
+events and leaves the batch when one fires.  Each RK4 stage is one call of
+the batch kernel; only a batch evaluation that raises falls back to
 evaluating its rows one by one, so that a row that raises cannot stop the
-others.  Most steps are quiet: no row raises, leaves the finite range or
-``blowup_bound``, reaches a fixed point or fires Z.  One combined test over
-the whole batch recognizes such a step, and the per-row event bookkeeping
-runs only on the other steps.  Adaptive DP5 rows choose their own steps and
-are advanced one at a time, on Python floats: the state and the stages are
-lists, each stage is a scalar weighted sum per component, added in stage
-order from 0, and the field is the kernel's one-row form ``F.row``, which
-a forward row calls without negating it.  At 2 to 6 floats a row, this
-costs less than numpy's per-call overhead on arrays that small.  A row's
-trajectory is the same, to the bit, in any batch; :func:`integrate` is the
-one-row case.
+others.  No step is tested on its own: at 14 to 32 rows a numpy call costs
+the same whatever the row count, so one pass over a block's samples finds
+each row's first event, and the rows that end inside the block are carried
+to its end, their extra samples discarded.  Adaptive DP5 rows choose their
+own steps and are advanced one at a time, on Python floats: the state and
+the stages are lists, each stage is a scalar weighted sum per component,
+added in stage order from 0, and the field is the kernel's one-row form
+``F.row``, which a forward row calls without negating it.  At 2 to 6 floats
+a row, this costs less than numpy's per-call overhead on arrays that small.
+A row's trajectory is the same, to the bit, in any batch; :func:`integrate`
+is the one-row case.
 
 CSV
 ---
@@ -93,8 +93,9 @@ STEP_GROW = 5.0
 #: most; it doubles whenever a longer run needs more.
 STORE_ELEMENTS = 1 << 22
 
-#: Steps of a fixed-step batch between two scans of its new samples for
-#: first returns (``stop_at_return``).
+#: Steps of a fixed-step batch between two passes over its new samples:
+#: one for the events of every row, and the scan for first returns
+#: (``stop_at_return``).
 RETURN_BLOCK = 32
 
 
@@ -265,7 +266,8 @@ _BLOWUP_ERRORS = (BlowupError, OverflowError, FloatingPointError)
 
 
 def _directed(F, sign, Y, errors):
-    """``sign * F(Y)``: the field, negated on rows integrated backward.
+    """``sign * F(Y)``: the field, negated on rows integrated backward;
+    ``sign=None`` when every row runs forward (``1.0 * x`` is ``x``).
 
     A batch whose evaluation raises is evaluated again row by row: a row
     that raises gets NaN velocities and its first exception is kept in the
@@ -273,13 +275,13 @@ def _directed(F, sign, Y, errors):
     do not raise.
     """
     try:
-        return sign * F(Y)
+        return F(Y) if sign is None else sign * F(Y)
     except Exception:
         pass
     out = np.full_like(Y, np.nan)
     for j in range(len(Y)):
         try:
-            out[j] = sign[j] * F(Y[j])
+            out[j] = F(Y[j]) if sign is None else sign[j] * F(Y[j])
         except Exception as exc:
             errors.setdefault(j, exc)
     return out
@@ -489,26 +491,30 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
 def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False) -> list:
     """Fixed-step RK4 of all rows of ``Y0`` on one shared time grid.
 
-    The rows still running are the active set; each step advances them with
-    one kernel call per RK4 stage and writes their new states into the
-    sample store as one block.  A row leaves the active set when one of its
-    events fires; its end is recorded as (last sample index, time of that
-    sample, terminal event), and the Z-event sample overwrites the slot of
-    the step that fired it.
+    The rows still running are the active set.  It advances in blocks of
+    ``RETURN_BLOCK`` steps (the last block ends at ``t_max``), with one
+    kernel call per RK4 stage and no test between steps; each step's
+    states, velocities and raised errors are kept.  A batch evaluation that
+    raises is evaluated again through :func:`_directed`, which isolates the
+    rows that raise.  After the block, one pass over its ``(steps, rows)``
+    arrays finds each row's first event: a non-finite state or an error
+    raised by the field, Z, ``blowup_bound`` or ``fp_epsilon``.  An error
+    raised on a state that is already non-finite is ignored: that row has
+    ended at the step before.  A row ends at its first event, recorded as
+    (last sample index, time of that sample, terminal event), and a Z
+    event's sample, located on the step's Hermite interpolant, overwrites
+    the slot of the step that fired it.  The block's samples go into the
+    sample store in one slice.  A row that ends inside a block is carried
+    to the block's end with the others and its extra samples are never
+    read; rows never mix, so the rows that go on keep their bits.  Each
+    block runs under ``np.errstate(all="ignore")``: an overflowing row ends
+    in ``blowup``, and neither it nor a carried row stops the batch or
+    warns, whatever numpy's error settings.
 
-    Most steps are quiet: the batch kernel raises nowhere, every new state
-    is finite and within ``blowup_bound``, every row's field stays at or
-    above ``fp_epsilon`` and no armed row fires Z.  Such a step is decided by
-    one combined test and skips the per-row bookkeeping.  A step where the
-    batch kernel raises is evaluated again through :func:`_directed`, which
-    isolates the rows that raise, and a step that fails the combined test
-    sorts its rows one by one; both give the same rows the same bits.
-
-    With ``stop_at_return``, every ``RETURN_BLOCK`` steps, and at
-    ``t_max``, the samples of the active rows since the last scan are
-    searched for first returns by ``orbits.first_return_scan``.  A row that
-    another event ends before the next scan keeps that event, as it does
-    without ``stop_at_return``.
+    With ``stop_at_return``, after every block the new samples of the rows
+    still active are searched for first returns by
+    ``orbits.first_return_scan``.  A row that another event ends inside the
+    block keeps that event, as it does without ``stop_at_return``.
     """
     M, d = Y0.shape
     results = [None] * M
@@ -526,10 +532,12 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     active = np.arange(M)
     Y = Y0
     errors = {}
+    row_sign = sign[:, 0]
+    if (row_sign > 0.0).all():
+        sign = None
     K = _directed(F, sign, Y, errors)
     for j, exc in errors.items():
         results[j] = exc
-    row_sign = sign[:, 0]
     scan = None
     if stop_at_return:
         # orbits imports this module, so its name is looked up here
@@ -555,12 +563,73 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
 
     t = 0.0
     k = 0
-    scanned = 0  # the last sample scanned for returns
     while active.size:
-        done = config.t_max - t <= t_tiny
-        if scan is not None and k > scanned and (done or k - scanned == RETURN_BLOCK):
-            returned = scan(store, times, active, scanned, k)
-            scanned = k
+        k0 = k
+        Ys, Ks, raised = [Y], [K], []
+        with np.errstate(all="ignore"):
+            while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
+                k += 1
+                t_new = k * config.step
+                if t_new >= t_snap:
+                    t_new = config.t_max
+                failed, late = {}, {}
+                Y = _rk4_step(partial(_directed, F, sign, errors=failed), Y, t_new - t, K)
+                K = _directed(F, sign, Y, late)
+                Ys.append(Y)
+                Ks.append(K)
+                raised.append((failed, late))
+                times.append(t_new)
+                t = t_new
+
+            # the event pass: (steps, rows) arrays of the block
+            y_block = np.array(Ys[1:])
+            y_max = np.abs(y_block).max(axis=2)  # NaN or inf where a state is not finite
+            ok = y_max < np.inf
+            for s, (failed, late) in enumerate(raised):
+                for j, exc in late.items():
+                    if ok[s, j]:
+                        ok[s, j] = False
+                        failed[j] = exc
+            event = ~ok | (y_max > bound) | (np.abs(Ks[1:]).max(axis=2) < fp_eps)
+            if z_col is not None:
+                fired = ok & (z_side * y_block[:, :, z_col] <= z_lim)
+                event |= fired
+            ended = event.any(axis=0)
+
+            while k >= store.shape[1]:
+                store = np.concatenate([store, np.empty_like(store)], axis=1)
+            block = y_block.swapaxes(0, 1)
+            if active.size == M:
+                store[:, k0 + 1:k + 1] = block
+            else:
+                store[active, k0 + 1:k + 1] = block
+            for j in np.flatnonzero(ended):
+                s = int(event[:, j].argmax())
+                i, r = k0 + 1 + s, active[j]
+                exc = raised[s][0].get(j)
+                if exc is not None and not isinstance(exc, _BLOWUP_ERRORS):
+                    results[r] = exc
+                elif not ok[s, j]:
+                    ends[r] = (i - 1, times[i - 1], Event(times[i], EventKind.BLOWUP))
+                elif z_col is not None and fired[s, j]:
+                    t0, dt = times[i - 1], times[i] - times[i - 1]
+                    y0, y1, f0, f1 = (a[j] for a in (Ys[s], Ys[s + 1], Ks[s], Ks[s + 1]))
+                    # side * d as Python floats, which bisect faster than numpy scalars
+                    z0, z1, g0, g1 = (float(z_side[j] * a[z_col]) for a in (y0, y1, f0, f1))
+                    _, tau = _bisect(lambda u: z_eps - hermite(z0, z1, g0, g1, dt, u), dt)
+                    store[r, i] = hermite(y0, y1, f0, f1, dt, tau)
+                    ends[r] = (i, t0 + tau, Event(t0 + tau, EventKind.REACHED_Z))
+                elif y_max[s, j] > bound:
+                    ends[r] = (i, times[i], Event(times[i], EventKind.BLOWUP))
+                else:
+                    ends[r] = (i, times[i], Event(times[i], EventKind.FIXED_POINT))
+        if ended.any():
+            keep = ~ended
+            active, Y, K, sign, z_side, z_lim = (
+                a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
+
+        if scan is not None and active.size:
+            returned = scan(store, times, active, k0, k)
             if returned:
                 for j, (i, period) in returned.items():
                     ends[active[j]] = (i, times[i], Event(period, EventKind.RETURNED))
@@ -568,75 +637,10 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                 keep[list(returned)] = False
                 active, Y, K, sign, z_side, z_lim = (
                     a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
-                if not active.size:
-                    break
-        if done:
+        if config.t_max - t <= t_tiny:
             for r in active:
                 ends[r] = (k, times[k], Event(config.t_max, EventKind.T_MAX))
             break
-        k += 1
-        t_new = k * config.step
-        if t_new >= t_snap:
-            t_new = config.t_max
-        dt = t_new - t
-        if k == store.shape[1]:
-            store = np.concatenate([store, np.empty_like(store)], axis=1)
-        times.append(t_new)
-
-        failed = {}
-        late = {}
-        Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y, dt, K)
-        if np.abs(Y_new).max() <= bound:  # every row finite and in bounds, so none failed
-            K_new = _directed(F, sign, Y_new, late)
-            if (not late and np.abs(K_new).max(axis=1).min() >= fp_eps
-                    and (z_col is None or (z_side * Y_new[:, z_col] > z_lim).all())):
-                if active.size == M:
-                    store[:, k] = Y_new
-                else:
-                    store[active, k] = Y_new
-                Y, K, t = Y_new, K_new, t_new
-                continue
-            ok = np.ones(active.size, bool)
-        else:
-            ok = np.isfinite(Y_new).all(axis=1)
-            live = np.flatnonzero(ok)
-            if live.size == ok.size:
-                K_new = _directed(F, sign, Y_new, late)
-            else:  # the field is not evaluated on states that already blew up
-                K_new = np.full_like(Y_new, np.nan)
-                K_new[live] = _directed(F, sign[live], Y_new[live], late)
-            late = {live[j]: exc for j, exc in late.items()}
-        if late:
-            failed.update(late)
-            ok[list(late)] = False
-        store[active, k] = Y_new
-
-        fired = np.zeros(active.size, bool)
-        if z_col is not None:
-            fired = ok & (z_side * Y_new[:, z_col] <= z_lim)
-        kept = ok & ~fired
-        blown = kept & (np.abs(Y_new).max(axis=1) > bound)
-        fixed = kept & ~blown & (np.abs(K_new).max(axis=1) < fp_eps)
-        keep = kept & ~blown & ~fixed
-        for j in np.flatnonzero(~keep):
-            r = active[j]
-            if j in failed and not isinstance(failed[j], _BLOWUP_ERRORS):
-                results[r] = failed[j]
-            elif not ok[j]:
-                ends[r] = (k - 1, times[k - 1], Event(t_new, EventKind.BLOWUP))
-            elif fired[j]:
-                # side * d as Python floats, which bisect faster than numpy scalars
-                y0, y1, f0, f1 = (float(z_side[j] * a[j, z_col]) for a in (Y, Y_new, K, K_new))
-                _, tau = _bisect(lambda u: z_eps - hermite(y0, y1, f0, f1, dt, u), dt)
-                store[r, k] = hermite(Y[j], Y_new[j], K[j], K_new[j], dt, tau)
-                ends[r] = (k, t + tau, Event(t + tau, EventKind.REACHED_Z))
-            elif blown[j]:
-                ends[r] = (k, t_new, Event(t_new, EventKind.BLOWUP))
-            else:
-                ends[r] = (k, t_new, Event(t_new, EventKind.FIXED_POINT))
-        active, Y, K, sign, z_side, z_lim = (
-            a if a is None else a[keep] for a in (active, Y_new, K_new, sign, z_side, z_lim))
-        t = t_new
 
     grid = np.array(times)
     for r, (last, t_last, event) in ends.items():

@@ -8,6 +8,7 @@ of :func:`integrate_batch` against a one-row :func:`integrate`.
 import importlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from bhamsys.cli import main
 from bhamsys.geometry import (PhaseState, PhaseStructure, StructureKind, compile_field,
                               hamiltonian_vector_field, poisson_bivector)
 from bhamsys.hamiltonians import ExtendedKind, HamiltonianSpec, PotentialSpec
-from bhamsys.integrate import (Event, EventKind, IntegratorConfig, Method, Trajectory,
-                               integrate, integrate_batch)
+from bhamsys.integrate import (RETURN_BLOCK, Event, EventKind, IntegratorConfig, Method,
+                               Trajectory, integrate, integrate_batch)
 from bhamsys.liftcheck import projectability_test, toric_moment_field
 
 STRUCTURES = {
@@ -378,3 +379,67 @@ def test_fixed_point_reached_mid_run():
     F = compile_field(structure, h)
     assert np.max(np.abs(F(fixed.ys[-1]))) < 1e-5 <= np.max(np.abs(F(fixed.ys[-2])))
     assert [r.terminal_event.kind for r in runs[1:]] == [EventKind.REACHED_Z, EventKind.BLOWUP]
+
+
+def refuses_below(bound):
+    """dV/dq of V = q/2, refused (``ValueError``) below ``q = -bound`` and
+    on a non-finite q."""
+    def slope(q, t):
+        if not -bound <= q[0] < math.inf:
+            raise ValueError("refused")
+        return [0.5]
+    return slope
+
+
+def test_rows_that_end_inside_a_block_equal_one_row_runs():
+    """Events are found once per block of steps; a row that ends inside a
+    block, at any event, has the bits of its run alone, and so do the rows
+    carried on beside it."""
+    structure = PhaseStructure(StructureKind.TWISTED_B)
+    h = HamiltonianSpec(PotentialSpec("custom", custom_eval=lambda q, t: 0.5 * q[0],
+                                      custom_grad=refuses_below(5.0)))
+    # p decays as exp(-t/2) forward and q grows by p^2; backward, q falls
+    config = IntegratorConfig(step=0.05, t_max=10.0, z_epsilon=0.05, fp_epsilon=1e-4,
+                              blowup_bound=1e3)
+    rows = [((0.0, 1.0), 1, EventKind.REACHED_Z),
+            ((0.0, 5e-4), 1, EventKind.FIXED_POINT),  # Z unarmed; |F| = p/2 < 1e-4
+            ((0.0, 40.0), 1, EventKind.BLOWUP),  # q passes the bound
+            ((0.0, 3e4), 1, EventKind.BLOWUP),  # q passes the bound in the first step
+            ((0.0, 1e154), 1, EventKind.BLOWUP),  # q overflows; the field raises at inf
+            ((0.0, 0.5), -1, ValueError),  # q falls below -5
+            ((0.0, 10.0), 1, EventKind.T_MAX),
+            ((0.0, 1e-2), -1, EventKind.T_MAX)]
+    states = [PhaseState(*ic) for ic, _, _ in rows]
+    directions = [direction for _, direction, _ in rows]
+    batch = integrate_batch(structure, h, [s.to_array() for s in states], config, directions)
+    last = []
+    for state, direction, (_, _, expected), got in zip(states, directions, rows, batch):
+        if expected is ValueError:
+            assert isinstance(got, ValueError)
+            with pytest.raises(ValueError, match="refused"):
+                integrate(structure, h, state, config, direction)
+            continue
+        assert got.terminal_event.kind is expected
+        assert_same_run(got, integrate(structure, h, state, config, direction))
+        last.append(len(got) - 1)
+    assert last == [120, 37, 20, 1, 0, 200, 200]
+    assert all(i % RETURN_BLOCK for i in last if i)
+    assert batch[4].terminal_event.time == config.step  # no sample past the start
+
+
+def test_an_overflowing_row_does_not_stop_the_batch_when_numpy_raises():
+    """With numpy set to raise on every floating-point error and warnings
+    as errors, the rows that overflow end in blowup and the others run on."""
+    structure = PhaseStructure(StructureKind.TWISTED_B)
+    h = HamiltonianSpec(FAMILIES["linear"])
+    config = IntegratorConfig(step=0.01, t_max=2.0)
+    rows = [[0.0, 3e4], [0.0, 1e5], [0.5, 1.0], [0.0, 1e154], [1.0, 2e3]]
+    old = np.seterr(all="raise")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = integrate_batch(structure, h, rows, config)
+    finally:
+        np.seterr(**old)
+    assert [r.terminal_event.kind for r in runs] == [
+        EventKind.T_MAX, EventKind.BLOWUP, EventKind.T_MAX, EventKind.BLOWUP, EventKind.T_MAX]

@@ -1,6 +1,7 @@
 """Potential families, extended variants, and gradient consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +10,8 @@ import pytest
 from bhamsys.geometry import PhaseState
 from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec,
                                   LogMomentumHamiltonian, PotentialSpec,
-                                  potential_gradient, potential_value,
-                                  second_order_residual)
+                                  _extended_gradient, potential_gradient,
+                                  potential_value, second_order_residual)
 
 
 def fd_gradient(h, state, step=1e-6):
@@ -240,3 +241,30 @@ def test_potential_helpers_agree_with_spec_objects():
     h = HamiltonianSpec(pot)
     assert potential_value(pot, q) == h.value(PhaseState(1.1, 0.0))
     npt.assert_array_equal(potential_gradient(pot, q), h.gradient(PhaseState(1.1, 0.0))[:1])
+
+
+@pytest.mark.parametrize("family", ["zero", "linear", "pure_quadratic", "periodic", "custom"])
+def test_s_chart_partials_on_floats_equal_those_on_numpy_scalars(family):
+    """The s-chart partials run on Python floats, and on a numpy scalar s
+    only where a power of s under- or overflows (floats raise there).  Over
+    s from subnormal to 1e300, the powers of s underflowed, subnormal or
+    overflowed included, both paths give the same bits."""
+    if family == "custom":
+        potential = PotentialSpec("custom", custom_eval=lambda q, t: q[0] ** 2 * (1.0 + 0.1 * t),
+                                  custom_grad=lambda q, t: [2.0 * q[0] * (1.0 + 0.1 * t)])
+    else:
+        potential = PotentialSpec(family, lam=1.7)
+    grad = _extended_gradient(HamiltonianSpec(potential, extended=ExtendedKind.S_COORDINATES,
+                                              friction=0.6))
+    rng = np.random.default_rng(17)
+    exponents = np.concatenate([rng.uniform(-323.0, 300.0, 400), rng.uniform(-110.0, -100.0, 100),
+                                rng.uniform(-165.0, -150.0, 100), rng.uniform(100.0, 160.0, 100)])
+    size = exponents.size
+    rows = np.column_stack([rng.normal(size=(size, 2)) * 3.0, 10.0 ** exponents,
+                            rng.normal(size=size) * 10.0 ** rng.integers(-5, 5, size)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for row in rows.tolist():
+            on_floats = grad(row)
+            on_numpy = grad(row[:2] + [np.float64(row[2]), row[3]])
+            assert [float(x).hex() for x in on_floats] == [float(x).hex() for x in on_numpy]

@@ -215,7 +215,9 @@ def test_cli_classify_runs_until_the_last_row_is_decided(tmp_path, monkeypatch):
     """Lockstep RK4 stops once every rotation has returned and every
     libration has reached Z, not at t_max = 15 (3,000 steps).  Here the
     rotations return by step 401 and the last libration reaches Z at step
-    1,297."""
+    1,297.  Events are found once per block of ``RETURN_BLOCK`` = 32 steps,
+    so the batch runs to the end of that step's block: 41 blocks, 1,312
+    steps."""
     steps = []
     rk4_step = integrate_module._rk4_step
 
@@ -232,4 +234,4 @@ def test_cli_classify_runs_until_the_last_row_is_decided(tmp_path, monkeypatch):
     steps.clear()
     run_classify(tmp_path, "stopped", doc)
     assert full_steps == 3000
-    assert len(steps) == 1297
+    assert len(steps) == 1312

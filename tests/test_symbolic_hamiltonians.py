@@ -99,5 +99,5 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
         assert gradient.shape == (len(coords),)
         for c, actual, exact in zip(coords, gradient, partials):
             assert_close(float(actual), exact.evalf(DIGITS, subs=subs), f"dH/d{c}")
-        assert_close(float(_family_slope(spec.potential, float(qs[axis]))),
+        assert_close(float(_family_slope(spec.potential)(float(qs[axis]))),
                      slope.evalf(DIGITS, subs=subs), "slope")
