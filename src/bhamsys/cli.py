@@ -47,8 +47,8 @@ from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
                       stokes_exact)
 from .orbits import OrbitKind, classify_orbit, phase_portrait
-from .timescale import (DEFAULT_CONFIG, curvilinear_horizon, reconstruct_real_time,
-                        run_rescaled, run_s_coordinates)
+from .timescale import (DEFAULT_CONFIG, reconstruct_real_time, run_rescaled,
+                        run_s_coordinates)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -57,7 +57,7 @@ logger = logging.getLogger("bhamsys")
 COMMANDS = ("simulate", "portrait", "classify", "oracle-compare", "timescale", "liftcheck")
 
 #: Most steps a fixed-step run may take, ``ceil(t_max / step)``; for
-#: ``timescale``, ``ceil(sigma_end / step)`` over its curvilinear horizon.
+#: ``timescale``, whose ``t_max`` is its horizon, ``ceil(horizon / step)``.
 MAX_FIXED_STEPS = 10**7
 
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
@@ -390,16 +390,15 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
         section = dict(_require_mapping(document["integrator"], "integrator"))
-        # the run replaces t_max by the curvilinear horizon; clock s sets
-        # z_epsilon from the horizon and clock t has no Z
+        # the run replaces t_max by the horizon; clock s sets z_epsilon
+        # from the horizon and clock t has no Z
         for key in ("t_max", "z_epsilon"):
             if _number(section, key, "integrator", None, positive=True) is not None:
                 del section[key]
                 cfg.warnings.append(f"integrator.{key} has no effect on timescale runs "
                                     "and is ignored")
         cfg.integrator = _build_integrator(section, None, cfg.warnings, DEFAULT_CONFIG)
-        sigma_end, _ = curvilinear_horizon(cfg.friction, cfg.horizon)
-        _bound_fixed_steps(cfg.integrator, sigma_end, "step", "the curvilinear horizon")
+        _bound_fixed_steps(cfg.integrator, cfg.horizon, "step", "the horizon")
     return cfg
 
 

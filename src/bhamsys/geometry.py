@@ -282,9 +282,10 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     an extended Hamiltonian carries) is checked here, once, not on every
     evaluation.  For a :class:`~bhamsys.hamiltonians.HamiltonianSpec` with a
     named potential family, the gradient is computed on the flat states
-    directly: as array expressions for the plain variant, and with the one
-    scalar formula of the extended variants, row by row, for the others;
-    these raise what ``h.gradient`` raises, an ``OverflowError`` past
+    directly: as array expressions for the plain variant, with the one
+    scalar formula of the extended variants, row by row, for the others,
+    and for the Poincare variants as the closed-form field of K itself; these
+    raise what ``h.gradient`` raises, an ``OverflowError`` past
     ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Any other ``h``
     (custom potentials, duck-typed objects exposing ``gradient(state)``) is
     evaluated row by row through ``h.gradient`` and raises whatever that
@@ -298,7 +299,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     """
     # hamiltonians imports this module, so its names are looked up here
     from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily,
-                               _extended_gradient, _family_slope)
+                               _extended_gradient, _family_slope, _poincare_field)
 
     role = getattr(h, "extra_role", None)
     if structure.kind is StructureKind.EXTENDED_CANONICAL and role not in (None, "t_energy"):
@@ -345,6 +346,9 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
         return _with_row(field)
 
+    if named and h.extended in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S) and ext:
+        return _with_array(_poincare_field(h, c))  # the field of K in closed form, on floats
+
     if named and h.extended is not ExtendedKind.NONE and ext:
         canonical = structure.kind is StructureKind.EXTENDED_CANONICAL
         gradient = _extended_gradient(h)
@@ -360,13 +364,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
                 v += [g[2 * n + 1] * sigma, -g[2 * n] * sigma]
             return list(map(float, v))  # numpy scalars of the formula as floats
 
-        def field(Y):
-            if Y.ndim == 1:
-                return np.array(row_field(Y.tolist()))
-            return np.array([row_field(y) for y in Y.tolist()]).reshape(Y.shape)
-
-        field.row = row_field
-        return field
+        return _with_array(row_field)
 
     # swap(grad H) with the constant block scales: +-1, and -1 on (t, E)
     d = structure.total_dim
@@ -385,6 +383,18 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
         return scale(rows, grad[:, swap] * sign).reshape(np.shape(Y))
 
     return _with_row(field)
+
+
+def _with_array(row_field):
+    """The kernel ``F`` whose one-row form ``F.row`` is ``row_field``: one
+    flat state or a batch, evaluated row by row."""
+    def field(Y):
+        if Y.ndim == 1:
+            return np.array(row_field(Y.tolist()))
+        return np.array([row_field(y) for y in Y.tolist()]).reshape(Y.shape)
+
+    field.row = row_field
+    return field
 
 
 def _with_row(field):

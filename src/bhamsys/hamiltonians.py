@@ -23,9 +23,21 @@ time-rescaling friction construction in :mod:`bhamsys.timescale`:
 * ``s_coordinates``:     H = |p|^2/2 + V(q, t(s))/(lam*s)^2 - E_s/s  with
   t(s) = -ln(s)/lam, defined for s > 0
 
-For ``rescaled_extended`` the time variable enters through exponentials, so
-evaluation raises an overflow error once lam*t exceeds 700; long real-time
-horizons should use the s-coordinates route instead.
+Two more are Poincare's time transformation K = g*H of the last two
+(Hairer, Lubich & Wanner, *Geometric Numerical Integration*, VIII.2), with
+g = dsigma/dt, so that the flow of K runs on physical time t:
+
+* ``poincare_t``: K = lam*exp(-lam*t)*|p|^2/2 + exp(lam*t)/lam * V(q, t) - E,
+  the rescaled H times g = lam*exp(-lam*t)
+* ``poincare_s``: K = lam*s*|p|^2/2 + V(q, t(s))/(lam*s) - lam*E_s, the
+  s-coordinate H times g = lam*s
+
+On the level set H = 0 the field of K is g times that of H, so dt/dtau = 1
+along it; off that level the partials of K carry the extra H * grad(g).
+
+Where the time variable enters through exponentials (``rescaled_extended``
+and ``poincare_t``), evaluation raises an overflow error once lam*t exceeds
+700.
 """
 
 from __future__ import annotations
@@ -73,6 +85,14 @@ class ExtendedKind(str, Enum):
     PLAIN_EXTENDED = "plain_extended"
     RESCALED_EXTENDED = "rescaled_extended"
     S_COORDINATES = "s_coordinates"
+    POINCARE_T = "poincare_t"
+    POINCARE_S = "poincare_s"
+
+
+#: The variants that carry a friction coefficient, and those on the (s, E_s) pair.
+_FRICTION_KINDS = frozenset({ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES,
+                             ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S})
+_S_KINDS = frozenset({ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S})
 
 
 _DISSIPATIVE = {
@@ -211,7 +231,7 @@ class HamiltonianSpec:
             raise ValueError("n must be >= 1")
         if not 0 <= self.axis < self.n:
             raise ValueError(f"axis {self.axis} out of range for n={self.n}")
-        if self.extended in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES):
+        if self.extended in _FRICTION_KINDS:
             if self.friction is None or not self.friction > 0.0:
                 raise ValueError(f"{self.extended.value} requires friction > 0")
 
@@ -220,7 +240,7 @@ class HamiltonianSpec:
         """Which conjugate pair the extended variant carries, if any."""
         if self.extended is ExtendedKind.NONE:
             return None
-        if self.extended is ExtendedKind.S_COORDINATES:
+        if self.extended in _S_KINDS:
             return "s_energy"
         return "t_energy"
 
@@ -239,21 +259,22 @@ class HamiltonianSpec:
         if self.extended is ExtendedKind.PLAIN_EXTENDED:
             t, e = state.extra
             return kinetic + potential_value(self.potential, state.q, t, self.axis) - e
-        if self.extended is ExtendedKind.RESCALED_EXTENDED:
-            t, e = state.extra
-            lam = self.friction
-            if lam * t > EXP_GUARD:
-                raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
-            v = potential_value(self.potential, state.q, t, self.axis)
-            return kinetic + math.exp(2 * lam * t) / lam**2 * v - math.exp(lam * t) / lam * e
-        # s-coordinates
-        s, e_s = state.extra
-        if s <= 0.0:
-            raise ValueError("Hamiltonian singular at s=0")
         lam = self.friction
-        t = -math.log(s) / lam
+        if self.extended in _S_KINDS:
+            s, e_s = state.extra
+            if s <= 0.0:
+                raise ValueError("Hamiltonian singular at s=0")
+            v = potential_value(self.potential, state.q, -math.log(s) / lam, self.axis)
+            if self.extended is ExtendedKind.POINCARE_S:
+                return lam * s * kinetic + v / (lam * s) - lam * e_s
+            return kinetic + v / (lam * s) ** 2 - e_s / s
+        t, e = state.extra
+        if lam * t > EXP_GUARD:
+            raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
         v = potential_value(self.potential, state.q, t, self.axis)
-        return kinetic + v / (lam * s) ** 2 - e_s / s
+        if self.extended is ExtendedKind.POINCARE_T:
+            return lam * math.exp(-lam * t) * kinetic + math.exp(lam * t) / lam * v - e
+        return kinetic + math.exp(2 * lam * t) / lam**2 * v - math.exp(lam * t) / lam * e
 
     def gradient(self, state: PhaseState) -> np.ndarray:
         """Exact partials over all phase coordinates, ordered
@@ -268,6 +289,37 @@ class HamiltonianSpec:
         return np.array(_extended_gradient(self)(state.to_array().tolist()))
 
 
+def _bound_potential(h: HamiltonianSpec):
+    """``potential(y, t) -> (V, dV/dt, dV/dq)`` of ``h`` on one flat row
+    ``y``, with the family's value and slope bound once; ``dV/dq`` is a
+    list of n floats.  V is None for the plain variant, which does not use
+    it."""
+    n, axis, spec = h.n, h.axis, h.potential
+    plain = h.extended is ExtendedKind.PLAIN_EXTENDED
+    if spec.family is PotentialFamily.CUSTOM:
+        def potential(y, t):
+            q = np.array(y[:n])
+            v = None if plain else potential_value(spec, q, t, axis)
+            return (v, potential_time_derivative(spec, q, t, axis),
+                    potential_gradient(spec, q, t, axis).tolist())
+        return potential
+    # V depends on q[axis] alone, not on t
+    value, slope = partial(_family_value, spec), _family_slope(spec)
+    if spec.family is PotentialFamily.PERIODIC:
+        sine = slope
+
+        def slope(x):
+            # np.sin gives a numpy scalar; float() keeps its bits
+            return float(sine(x))
+
+    def potential(y, t):
+        x = y[axis]
+        grad = [0.0] * n
+        grad[axis] = slope(x)
+        return None if plain else value(x), 0.0, grad
+    return potential
+
+
 def _extended_gradient(h: HamiltonianSpec):
     """The exact partials of an extended ``h`` as a function of one flat row.
 
@@ -277,36 +329,29 @@ def _extended_gradient(h: HamiltonianSpec):
     the potential's value and slope, ``lam**2`` and ``lam**3`` are bound
     here, once per Hamiltonian.
 
-    This is the one formula of the three extended variants, used by
+    This is the one formula of the extended variants, used by
     :meth:`HamiltonianSpec.gradient` and by the kernel of
-    :func:`~bhamsys.geometry.compile_field`.  It works on the scalars of one
-    row, with ``math.exp`` of ``lam*t`` and ``math.log`` of ``s``, since
-    numpy's ``exp`` can differ from them in the last bit.  ``t`` is a numpy
-    scalar.  The ``s`` partials run on Python floats, which give the bits of
-    numpy scalars at a fraction of their cost, and again on a numpy scalar
-    ``s`` only where a float power of ``s`` underflows to zero or
-    overflows: there a division gives inf or NaN, as an array division
-    does, where floats raise.
+    :func:`~bhamsys.geometry.compile_field`; the Poincare variants go through
+    :func:`_poincare_partials`, which their field uses too.  It works on the
+    scalars of one row, with ``math.exp`` of ``lam*t`` and ``math.log`` of
+    ``s``, since numpy's ``exp`` can differ from them in the last bit.  ``t``
+    of the rescaled variant is a numpy scalar.  The ``s`` partials run on
+    Python floats, which give the bits of numpy scalars at a fraction of
+    their cost, and again on a numpy scalar ``s`` only where a float power
+    of ``s`` underflows to zero or overflows: there a division gives inf or
+    NaN, as an array division does, where floats raise.
     """
-    n, axis, spec, lam = h.n, h.axis, h.potential, h.friction
-    plain = h.extended is ExtendedKind.PLAIN_EXTENDED
-    if spec.family is PotentialFamily.CUSTOM:
-        def potential(y, t):
-            # (V, dV/dt, dV/dq); V is not needed by the plain variant
-            q = np.array(y[:n])
-            v = None if plain else potential_value(spec, q, t, axis)
-            return (v, potential_time_derivative(spec, q, t, axis),
-                    potential_gradient(spec, q, t, axis).tolist())
-    else:  # V depends on q[axis] alone, not on t
-        value, slope = partial(_family_value, spec), _family_slope(spec)
+    n, lam = h.n, h.friction
+    if h.extended in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
+        partials = _poincare_partials(h)
 
-        def potential(y, t):
-            x = y[axis]
-            grad = [0.0] * n
-            grad[axis] = slope(x)
-            return None if plain else value(x), 0.0, grad
+        def grad(y):
+            k_q, k_p, k_x, k_e = partials(y)
+            return k_q + k_p + [k_x, k_e]
+        return grad
 
-    if plain:
+    potential = _bound_potential(h)
+    if h.extended is ExtendedKind.PLAIN_EXTENDED:
         def grad(y):
             _, v_t, g = potential(y, np.float64(y[2 * n]))
             return g + y[n:2 * n] + [v_t, -1.0]
@@ -345,6 +390,83 @@ def _extended_gradient(h: HamiltonianSpec):
             # NaN there, as an array division does, where floats raise
             return s_partials(y, np.float64(s), v, v_t, g)
     return grad
+
+
+def _poincare_partials(h: HamiltonianSpec):
+    """The partials of a Poincare variant K of ``h`` in closed form, as
+    ``partials(y) -> (dK/dq, dK/dp, dK/dt-or-s, dK/dE-or-E_s)`` on one flat
+    row of Python floats, the first two as lists.
+
+    Clock t, K = lam e^{-lam t} |p|^2/2 + e^{lam t} V / lam - E::
+
+        dK/dq = e^{lam t} dV/dq / lam        dK/dp = lam e^{-lam t} p
+        dK/dt = e^{lam t} (V + V_t / lam) - lam^2 e^{-lam t} |p|^2/2
+        dK/dE = -1
+
+    Clock s, K = lam s |p|^2/2 + V / (lam s) - lam E_s, with
+    dt/ds = -1/(lam s)::
+
+        dK/dq = dV/dq / (lam s)              dK/dp = lam s p
+        dK/ds = lam |p|^2/2 - (V + V_t / lam) / (lam s^2)
+        dK/dE_s = -lam
+
+    They raise what the variants of ``h`` raise: an ``OverflowError`` past
+    ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Where ``lam s^2``
+    underflows to zero, the s partials are redone on a numpy scalar ``s``,
+    which gives inf or NaN where floats raise.
+    """
+    n, lam = h.n, h.friction
+    potential = _bound_potential(h)
+    if h.extended is ExtendedKind.POINCARE_T:
+        def partials(y):
+            t = y[2 * n]
+            if lam * t > EXP_GUARD:
+                raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
+            v, v_t, g = potential(y, t)
+            elt = math.exp(lam * t)
+            scale, decay = elt / lam, lam / elt
+            p = y[n:2 * n]
+            return ([scale * x for x in g], [decay * x for x in p],
+                    elt * (v + v_t / lam) - lam * decay * 0.5 * sum([x * x for x in p]), -1.0)
+        return partials
+
+    def s_partials(y, s, v, v_t, g):
+        ls = lam * s
+        p = y[n:2 * n]
+        return ([x / ls for x in g], [ls * x for x in p],
+                lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
+
+    def partials(y):
+        s = y[2 * n]
+        if s <= 0.0:
+            raise ValueError("Hamiltonian singular at s=0")
+        v, v_t, g = potential(y, -math.log(s) / lam)
+        try:
+            return s_partials(y, s, v, v_t, g)
+        except ZeroDivisionError:
+            return s_partials(y, np.float64(s), v, v_t, g)
+    return partials
+
+
+def _poincare_field(h: HamiltonianSpec, weight: float):
+    """The Hamiltonian field of a Poincare variant ``h`` on its extended
+    structure, with modular weight ``weight`` on the (s, E_s) pair, as a
+    function of one flat row: ``(dK/dp, -dK/dq)`` and then, on clock t,
+    ``(-dK/dE, dK/dt) = (1, dK/dt)``, on clock s ``(s/c) (dK/dE_s, -dK/ds)``.
+    The partials are those of :func:`_poincare_partials`."""
+    n = h.n
+    partials = _poincare_partials(h)
+    if h.extended is ExtendedKind.POINCARE_T:
+        def field(y):
+            k_q, k_p, k_t, _ = partials(y)
+            return k_p + [-x for x in k_q] + [1.0, k_t]
+        return field
+
+    def field(y):
+        k_q, k_p, k_s, k_e = partials(y)
+        sigma = y[2 * n] / weight
+        return k_p + [-x for x in k_q] + [k_e * sigma, -k_s * sigma]
+    return field
 
 
 @dataclass(frozen=True)

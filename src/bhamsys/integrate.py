@@ -30,9 +30,10 @@ the forward and backward runs of N initial conditions go in together as 2N
 rows.  Fixed-step RK4 advances all rows in lockstep on the shared time grid
 ``t = k * step``, in blocks of ``RETURN_BLOCK`` steps; each row keeps its own
 events and leaves the batch when one fires.  Each RK4 stage is one call of
-the batch kernel; only a batch evaluation that raises falls back to
-evaluating its rows one by one, so that a row that raises cannot stop the
-others.  No step is tested on its own: at 14 to 32 rows a numpy call costs
+the batch kernel; only a step in which the batch kernel raises is redone
+with its rows evaluated one by one, so that a row that raises cannot stop
+the others, and the rows that raised are then held in place for the rest
+of the block, so that its later steps are batched again.  No step is tested on its own: at 14 to 32 rows a numpy call costs
 the same whatever the row count, so one pass over a block's samples finds
 each row's first event, and the rows that end inside the block are carried
 to its end, their extra samples discarded.  Adaptive DP5 rows choose their
@@ -287,6 +288,21 @@ def _directed(F, sign, Y, errors):
     return out
 
 
+def _signed(F, sign, Y):
+    """``sign * F(Y)``, which raises what ``F`` raises."""
+    return sign * F(Y)
+
+
+def _held(F, sign, rows, Y):
+    """The field of the batch ``Y`` on its ``rows`` alone, signed as
+    :func:`_directed` signs it; every other row gets zero velocity, which
+    keeps an RK4 step of that row where it is."""
+    out = np.zeros_like(Y)
+    if rows.size:
+        out[rows] = F(Y[rows]) if sign is None else sign[rows] * F(Y[rows])
+    return out
+
+
 def _rk4_step(f, y, dt, k1):
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
@@ -494,9 +510,12 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     The rows still running are the active set.  It advances in blocks of
     ``RETURN_BLOCK`` steps (the last block ends at ``t_max``), with one
     kernel call per RK4 stage and no test between steps; each step's
-    states, velocities and raised errors are kept.  A batch evaluation that
-    raises is evaluated again through :func:`_directed`, which isolates the
-    rows that raise.  After the block, one pass over its ``(steps, rows)``
+    states and velocities are kept.  A step in which the kernel raises is
+    redone through :func:`_directed`, which isolates the rows that raise
+    and keeps their errors; for the rest of the block those rows are held
+    at the state they started that step from, with zero velocity
+    (:func:`_held`), so no later step of the block evaluates them.  After
+    the block, one pass over its ``(steps, rows)``
     arrays finds each row's first event: a non-finite state or an error
     raised by the field, Z, ``blowup_bound`` or ``fp_epsilon``.  An error
     raised on a state that is already non-finite is ignored: that row has
@@ -505,8 +524,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     event's sample, located on the step's Hermite interpolant, overwrites
     the slot of the step that fired it.  The block's samples go into the
     sample store in one slice.  A row that ends inside a block is carried
-    to the block's end with the others and its extra samples are never
-    read; rows never mix, so the rows that go on keep their bits.  Each
+    (or held) to the block's end with the others and its extra samples are
+    never read; rows never mix, so the rows that go on keep their bits.  Each
     block runs under ``np.errstate(all="ignore")``: an overflowing row ends
     in ``blowup``, and neither it nor a carried row stops the batch or
     warns, whatever numpy's error settings.
@@ -565,19 +584,34 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     k = 0
     while active.size:
         k0 = k
-        Ys, Ks, raised = [Y], [K], []
+        Ys, Ks, raised = [Y], [K], {}
+        f = F if sign is None else partial(_signed, F, sign)
+        live = np.ones(active.size, bool)
         with np.errstate(all="ignore"):
             while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
                 k += 1
                 t_new = k * config.step
                 if t_new >= t_snap:
                     t_new = config.t_max
-                failed, late = {}, {}
-                Y = _rk4_step(partial(_directed, F, sign, errors=failed), Y, t_new - t, K)
-                K = _directed(F, sign, Y, late)
-                Ys.append(Y)
-                Ks.append(K)
-                raised.append((failed, late))
+                try:
+                    Y_new = _rk4_step(f, Y, t_new - t, K)
+                    K_new = f(Y_new)
+                    Y, K = Y_new, K_new
+                except Exception:
+                    # Redo the step row by row, keeping each row's first error,
+                    # then hold the rows that raised at the state they started
+                    # it from, with zero velocity, for the rest of the block.
+                    # Their samples past this step are never read.
+                    failed, late = {}, {}
+                    Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y,
+                                      t_new - t, K)
+                    K_new = _directed(F, sign, Y_new, late)
+                    raised[len(Ks) - 1] = (failed, late)
+                    live[[*failed, *late]] = False
+                    f = partial(_held, F, sign, np.flatnonzero(live))
+                    Y, K = np.where(live[:, None], Y_new, Y), np.where(live[:, None], K_new, 0.0)
+                Ys.append(Y_new)
+                Ks.append(K_new)
                 times.append(t_new)
                 t = t_new
 
@@ -585,7 +619,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
             y_block = np.array(Ys[1:])
             y_max = np.abs(y_block).max(axis=2)  # NaN or inf where a state is not finite
             ok = y_max < np.inf
-            for s, (failed, late) in enumerate(raised):
+            for s, (failed, late) in raised.items():
                 for j, exc in late.items():
                     if ok[s, j]:
                         ok[s, j] = False
@@ -606,7 +640,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
             for j in np.flatnonzero(ended):
                 s = int(event[:, j].argmax())
                 i, r = k0 + 1 + s, active[j]
-                exc = raised[s][0].get(j)
+                exc = raised[s][0].get(j) if s in raised else None
                 if exc is not None and not isinstance(exc, _BLOWUP_ERRORS):
                     results[r] = exc
                 elif not ok[s, j]:

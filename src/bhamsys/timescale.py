@@ -1,38 +1,57 @@
 """Friction from a time rescaling on an extended phase space.
 
 The configuration space is extended by the physical time t, with conjugate
-energy E, and the flow runs in a curvilinear parameter.  Three stages:
+energy E, and the flow of the paper runs in a curvilinear parameter sigma.
+Three stages:
 
 1. ``build_plain_extended``: H = |p|^2/2 + V(q, t) - E with the pairing
    ``sum_i dp_i ^ dq_i - dE ^ dt``.  The curvilinear parameter coincides
    with t (dt/ds = 1) and H = 0 is preserved, so this is ordinary
    time-dependent dynamics.
 2. ``build_rescaled_extended``: H = |p|^2/2 + exp(2*lam*t)/lam^2 * V
-   - exp(lam*t)/lam * E on the same pairing.  Now dt/ds = exp(lam*t)/lam,
-   so physical time accelerates relative to the curvilinear parameter and,
-   after projecting out (t, E), the base motion obeys the damped Newton
-   equation  d2q/dt2 = -lam dq/dt - dV/dq.
+   - exp(lam*t)/lam * E on the same pairing.  Now dt/dsigma = exp(lam*t)/lam,
+   so physical time accelerates relative to the curvilinear parameter,
+   sigma = 1 - exp(-lam*t), and, after projecting out (t, E), the base
+   motion obeys the damped Newton equation  d2q/dt2 = -lam dq/dt - dV/dq.
 3. ``to_s_coordinates``: the substitution s = exp(-lam*t), E_s = E/lam turns
    the pairing into the non-twisted singular form on the (s, E_s) pair and
    the Hamiltonian into |p|^2/2 + V/(lam*s)^2 - E_s/s, whose singularity at
    s = 0 is of second order (s^2 * H stays finite there for bounded V, one
-   degree worse than the form itself).
+   degree worse than the form itself).  Along the flow of H, s decays at
+   unit curvilinear speed (ds/dsigma = -1).
 
-Conventions: s = exp(-lam*t) is kept in (0, 1] for t >= 0, so along the
-physical flow s decays at unit curvilinear speed (ds/dsigma = -1); the
-orientation of the curvilinear parameter is absorbed into the integration
-direction.  Momenta relate to physical velocity by dq/dt = lam*exp(-lam*t)*p
-= lam*s*p, so an initial velocity v0 at t = 0 enters as p0 = v0/lam.  E is
-initialized so that H = 0 unless overridden.
+Runs are integrated in physical time.  ``poincare_transform`` replaces H by
+Poincare's K = g*H with g = dsigma/dt (g = lam*exp(-lam*t) on clock t,
+g = lam*s on clock s; Hairer, Lubich & Wanner, *Geometric Numerical
+Integration*, VIII.2), on the same structure.  The runs start on H = 0, and
+there the field of K is g times that of H, so dt/dtau = 1 along the run:
+the integrator's clock tau is physical time, a run ends at t_max = T
+exactly, and the curvilinear parameter follows from t as
+sigma = 1 - exp(-lam*t).
 
-``run_rescaled`` and ``run_s_coordinates`` integrate the rescaled system in
-the t chart and in the s chart from physical time 0 to a horizon T.  Both
-end at the curvilinear parameter sigma_end = 1 - exp(-lam*T) of
-``curvilinear_horizon``, run ``DEFAULT_CONFIG`` unless given a
-configuration, and return the integrator's plain ``Trajectory``, whose
-Hamiltonian carries lam and the chart.  ``reconstruct_real_time`` projects
-such a run back to (q(t), dq/dt) and is validated against the independent
-damped-Newton oracle in :mod:`bhamsys.oracles`.
+Conventions: s = exp(-lam*t) is kept in (0, 1] for t >= 0.  Momenta relate
+to physical velocity by dq/dt = lam*exp(-lam*t)*p = lam*s*p, so an initial
+velocity v0 at t = 0 enters as p0 = v0/lam.  E is initialized so that
+H = 0 unless overridden.
+
+``run_rescaled`` and ``run_s_coordinates`` integrate K in the t chart and
+in the s chart from physical time 0 to a horizon T.  Both run
+``DEFAULT_CONFIG`` unless given a configuration, with ``t_max`` replaced by
+T, and return the integrator's plain ``Trajectory``, whose Hamiltonian
+carries lam and the chart and whose times are physical times.
+``reconstruct_real_time`` projects such a run back to (q(t), dq/dt) and is
+validated against the independent damped-Newton oracle in
+:mod:`bhamsys.oracles`.
+
+One limit remains: the momentum p = exp(lam*t) v / lam still grows with t.
+Unless v decays as fast as exp(-lam*t), |p| passes the ``blowup_bound``
+1e30 of ``DEFAULT_CONFIG`` and the run ends in ``blowup``, which the
+runners raise as ``RuntimeError``.  With the default bound this starts at
+friction * horizon of about 69 + ln(friction/|v_inf|) for a ``linear``
+potential with terminal velocity v_inf = -lam_V/(2 friction), at about
+138 for an underdamped ``pure_quadratic`` one (|v| decays like
+exp(-friction*t/2)), and never for ``zero`` (p stays v0/friction), which
+instead overflows exp(lam*t) at lam*t = 700 on clock t.
 """
 
 from __future__ import annotations
@@ -59,7 +78,7 @@ __all__ = [
     "to_s_coordinates",
     "plain_initial_state",
     "rescaled_initial_state",
-    "curvilinear_horizon",
+    "poincare_transform",
     "run_rescaled",
     "run_s_coordinates",
     "reconstruct_real_time",
@@ -103,18 +122,37 @@ def from_s_state(state: PhaseState, lam: float) -> PhaseState:
     return PhaseState(q=state.q, p=state.p, extra=(-math.log(s) / lam, lam * e_s))
 
 
+def _quintic_hermite(y0, y1, f0, f1, a0, a1, dt, tau):
+    """Quintic Hermite interpolant, ``tau`` into a step of length ``dt``
+    from ``y0`` to ``y1`` with first derivatives ``f0``, ``f1`` and second
+    derivatives ``a0``, ``a1``; elementwise, as :func:`~bhamsys.integrate.hermite`."""
+    u = tau / dt
+    u3 = u * u * u
+    h0 = 1 - u3 * (10 - 15 * u + 6 * u * u)
+    h1 = u - u3 * (6 - 8 * u + 3 * u * u)
+    h2 = 0.5 * u * u * (1 - u) ** 3
+    h3 = 0.5 * u3 * (1 - u) ** 2
+    h4 = -u3 * (4 - 7 * u + 3 * u * u)
+    return (h0 * y0 + (1 - h0) * y1 + dt * (h1 * f0 + h4 * f1)
+            + dt * dt * (h2 * a0 + h3 * a1))
+
+
 def _hermite_resample(ts: np.ndarray, ys: np.ndarray, ders: np.ndarray,
-                      t_new: np.ndarray) -> np.ndarray:
-    """Piecewise cubic Hermite evaluation of (ys, ders) sampled at ts."""
+                      t_new: np.ndarray, second: Optional[np.ndarray] = None) -> np.ndarray:
+    """Piecewise Hermite evaluation of (ys, ders) sampled at ts: cubic, or
+    quintic with the second derivatives ``second``."""
     t_new = np.clip(np.asarray(t_new, dtype=float), ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, t_new, side="right") - 1, 0, ts.size - 2)
-    return hermite(ys[idx], ys[idx + 1], ders[idx], ders[idx + 1],
-                   (ts[idx + 1] - ts[idx])[:, None], (t_new - ts[idx])[:, None])
+    dt, tau = (ts[idx + 1] - ts[idx])[:, None], (t_new - ts[idx])[:, None]
+    if second is None:
+        return hermite(ys[idx], ys[idx + 1], ders[idx], ders[idx + 1], dt, tau)
+    return _quintic_hermite(ys[idx], ys[idx + 1], ders[idx], ders[idx + 1],
+                            second[idx], second[idx + 1], dt, tau)
 
 
 @dataclass(frozen=True, eq=False)
 class RealTimeTrajectory:
-    """Base motion (q(t), dq/dt) recovered from a curvilinear run."""
+    """Base motion (q(t), dq/dt) recovered from a run."""
 
     times: np.ndarray
     q: np.ndarray
@@ -132,10 +170,11 @@ class RealTimeTrajectory:
         return acc
 
     def sample(self, t_new):
-        """Cubic Hermite resampling of positions and velocities."""
+        """Hermite resampling: positions quintic on (q, v, a), velocities
+        cubic on (v, a)."""
         t_new = np.atleast_1d(np.asarray(t_new, dtype=float))
         acc = self.acceleration()
-        q = _hermite_resample(self.times, self.q, self.velocity, t_new)
+        q = _hermite_resample(self.times, self.q, self.velocity, t_new, acc)
         v = _hermite_resample(self.times, self.velocity, acc, t_new)
         return q, v
 
@@ -177,6 +216,18 @@ def to_s_coordinates(structure: PhaseStructure, h: HamiltonianSpec):
     return structure_s, h_s
 
 
+def poincare_transform(h: HamiltonianSpec) -> HamiltonianSpec:
+    """Poincare's K = g*H of a rescaled or s-coordinate ``h``, on the same
+    structure: g = lam*exp(-lam*t) for the rescaled H, g = lam*s for the
+    s-coordinate one.  On the level set H = 0 the flow of K is that of H
+    with physical time t as its clock."""
+    kinds = {ExtendedKind.RESCALED_EXTENDED: ExtendedKind.POINCARE_T,
+             ExtendedKind.S_COORDINATES: ExtendedKind.POINCARE_S}
+    if h.extended not in kinds:
+        raise ValueError("expected a rescaled_extended or s_coordinates Hamiltonian")
+    return replace(h, extended=kinds[h.extended])
+
+
 def plain_initial_state(potential: PotentialSpec, q0, v0, t0: float = 0.0,
                         e0: Optional[float] = None, axis: int = 0) -> PhaseState:
     """Initial extended state with p = dq/dt and E fixed by H = 0 by default."""
@@ -205,29 +256,21 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
     return PhaseState(q=q0, p=p0, extra=(t0, e0))
 
 
-def curvilinear_horizon(lam: float, t_target: float) -> tuple:
-    """``(sigma_end, s_end)`` where physical time reaches ``t_target``: the
-    curvilinear parameter, from dt/dsigma = exp(lam t)/lam in closed form,
-    and s = exp(-lam t) = 1 - sigma_end."""
+def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Trajectory:
+    """The run of K to physical time ``t_target``, in the s chart when
+    ``s_chart``; ``t_target`` replaces the config's ``t_max``."""
     if not t_target > 0:
         raise ValueError("t_target must be > 0")
-    s_end = math.exp(-lam * t_target)
-    return 1.0 - s_end, s_end
-
-
-def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Trajectory:
-    """The rescaled run to physical time ``t_target``, in the s chart when
-    ``s_chart``; the curvilinear horizon replaces the config's ``t_max``."""
-    sigma_end, s_end = curvilinear_horizon(lam, t_target)
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
     initial = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
-    config = replace(config or DEFAULT_CONFIG, t_max=sigma_end)
+    config = replace(config or DEFAULT_CONFIG, t_max=t_target)
     if s_chart:
         structure, h = to_s_coordinates(structure, h)
         initial = to_s_state(initial, lam)
-        config = replace(config, z_epsilon=s_end / 2)
-    traj = integrate(structure, h, initial, config)
+        # s stays above its value exp(-lam T) at the horizon
+        config = replace(config, z_epsilon=math.exp(-lam * t_target) / 2)
+    traj = integrate(structure, poincare_transform(h), initial, config)
     if traj.terminal_event.kind is not EventKind.T_MAX:
         raise RuntimeError(f"{'s-coordinate' if s_chart else 'rescaled'} run ended early "
                            f"with {traj.terminal_event.kind.value}")
@@ -237,12 +280,14 @@ def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Traject
 def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
                  config: Optional[IntegratorConfig] = None, axis: int = 0,
                  e0: Optional[float] = None) -> Trajectory:
-    """Integrate the rescaled system until physical time reaches ``t_target``.
+    """Integrate the rescaled system in the t chart, in physical time, from
+    t = 0 to ``t_target``.
 
-    The run ends at sigma_end of :func:`curvilinear_horizon`, which replaces
-    the ``t_max`` of ``config`` (default :data:`DEFAULT_CONFIG`).  Beware
-    that exp(lam t) overflows past lam*t = 700; longer horizons should use
-    :func:`run_s_coordinates`.
+    The flow is that of :func:`poincare_transform` of the rescaled H, and
+    ``t_target`` replaces the ``t_max`` of ``config`` (default
+    :data:`DEFAULT_CONFIG`).  Beware that exp(lam t) overflows past
+    lam*t = 700, and that |p| passes the default ``blowup_bound`` earlier
+    unless the velocity decays (see the module docstring).
     """
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=False)
 
@@ -250,12 +295,11 @@ def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
 def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
                       config: Optional[IntegratorConfig] = None, axis: int = 0,
                       e0: Optional[float] = None) -> Trajectory:
-    """Integrate the s-coordinate system until physical time reaches ``t_target``.
+    """Integrate the s-coordinate system, in physical time, from t = 0 to
+    ``t_target``, as :func:`run_rescaled` does in the t chart.
 
-    s decays from 1 at exactly unit curvilinear speed, so the horizon is
-    sigma_end of :func:`curvilinear_horizon` as in :func:`run_rescaled`.
-    ``z_epsilon`` is always half the target s, so the critical-set event
-    cannot fire before the horizon.
+    ``z_epsilon`` is always half of s = exp(-lam * t_target), so the
+    critical-set event cannot fire before the horizon.
     """
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
 
@@ -264,24 +308,28 @@ def reconstruct_real_time(traj: Trajectory) -> RealTimeTrajectory:
     """Project a rescaled or s-coordinate run back to the base motion in
     physical time.
 
-    The friction lam and the chart come from ``traj.hamiltonian``.
-    Velocities follow from dq/dt = lam * exp(-lam t) * p = lam * s * p.  The
-    result satisfies the damped Newton equation up to finite-difference
-    residuals (see :func:`friction_ode_residual`).
+    The friction lam and the chart come from ``traj.hamiltonian``.  A run of
+    a Poincare variant (what the runners return) keeps its own times, which
+    are physical times; a run of H itself reads t from its extended
+    coordinate, t or -ln(s)/lam.  Velocities follow from
+    dq/dt = lam * exp(-lam t) * p = lam * s * p, with t or s the state's
+    own coordinate.  The result satisfies the damped Newton equation up to
+    finite-difference residuals (see :func:`friction_ode_residual`).
     """
     h = traj.hamiltonian
     chart = getattr(h, "extended", None)
-    if chart not in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES):
+    s_chart = chart in (ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S)
+    if not s_chart and chart not in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.POINCARE_T):
         raise ValueError("reconstruction applies to rescaled or s-coordinate runs")
     lam = h.friction
-    if chart is ExtendedKind.S_COORDINATES:
-        s = traj.extra[:, 0]
-        times = s_to_time(s, lam)
+    coord = traj.extra[:, 0]
+    s = coord if s_chart else np.exp(-lam * coord)
+    if chart in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
+        times = traj.times.copy()
     else:
-        times = traj.extra[:, 0].copy()
-        s = np.exp(-lam * times)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("t must increase strictly along the run")
+        times = s_to_time(s, lam) if s_chart else coord.copy()
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("t must increase strictly along the run")
     velocity = lam * s[:, None] * traj.p
     return RealTimeTrajectory(times=times, q=traj.q.copy(), velocity=velocity,
                               lam=lam, potential=h.potential, axis=h.axis)

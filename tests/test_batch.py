@@ -391,10 +391,30 @@ def refuses_below(bound):
     return slope
 
 
-def test_rows_that_end_inside_a_block_equal_one_row_runs():
+def count_rows_alone(monkeypatch):
+    """A list whose one entry counts the kernel calls on a single row, the
+    evaluations that isolate a row that raises."""
+    count = [0]
+
+    def counting(structure, h):
+        F = compile_field(structure, h)
+
+        def field(Y):
+            count[0] += np.ndim(Y) == 1
+            return F(Y)
+        field.row = F.row
+        return field
+    monkeypatch.setattr(importlib.import_module("bhamsys.integrate"), "compile_field", counting)
+    return count
+
+
+def test_rows_that_end_inside_a_block_equal_one_row_runs(monkeypatch):
     """Events are found once per block of steps; a row that ends inside a
     block, at any event, has the bits of its run alone, and so do the rows
-    carried on beside it."""
+    carried on beside it.  A row that raises is held for the rest of its
+    block, so only the steps in which a row first raises are evaluated row
+    by row."""
+    alone = count_rows_alone(monkeypatch)
     structure = PhaseStructure(StructureKind.TWISTED_B)
     h = HamiltonianSpec(PotentialSpec("custom", custom_eval=lambda q, t: 0.5 * q[0],
                                       custom_grad=refuses_below(5.0)))
@@ -412,6 +432,9 @@ def test_rows_that_end_inside_a_block_equal_one_row_runs():
     states = [PhaseState(*ic) for ic, _, _ in rows]
     directions = [direction for _, direction, _ in rows]
     batch = integrate_batch(structure, h, [s.to_array() for s in states], config, directions)
+    # carried through their blocks, the two rows that raise made every later
+    # stage of those blocks fail on the batch and run row by row: 1,070 calls
+    assert alone[0] == 18
     last = []
     for state, direction, (_, _, expected), got in zip(states, directions, rows, batch):
         if expected is ValueError:

@@ -283,8 +283,8 @@ class TestTimescale:
 
     @pytest.mark.parametrize("clock", ["t", "s"])
     def test_a_dp5_section_fits_a_horizon_below_its_first_step(self, tmp_path, clock):
-        # sigma_end is 5e-4, below the default step 1e-3, which DP5 clamps
-        # to sigma_end / 10 with a section as without one
+        # the horizon 5e-4 is below the default step 1e-3, which DP5 clamps
+        # to horizon / 10 with a section as without one
         doc = dict(self.FALLING, clock=clock, horizon=5e-4)
         code, bare = self.run_timescale(tmp_path, "bare", **doc)
         assert code == 0

@@ -11,8 +11,8 @@ non-integer ``singular_index``, a boolean where an integer belongs
 (``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
 non-object ``potential`` under ``--family``, a fixed-step run of more than
 ``MAX_FIXED_STEPS`` steps and a fixed ``timescale`` step that does not fit
-the curvilinear horizon.  An adaptive step is only a first guess and fits
-any horizon.
+the horizon, which is the run's ``t_max``.  An adaptive step is only a first
+guess and fits any horizon.
 """
 
 import copy
@@ -268,15 +268,15 @@ def test_an_overflowing_witness_is_standard_json(tmp_path, capsys):
 
 
 def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys):
-    # t_max allows two steps, but the run replaces it by its curvilinear
-    # horizon sigma_end = 1 - exp(-1) and would take 6e8 steps
+    # t_max allows two steps, but the run replaces it by its horizon 1 and
+    # would take 1e9 steps
     doc = dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-9, "t_max": 2e-9})
     with pytest.raises(ConfigError, match=r"^integrator\.step: .*10000000 fixed steps"):
         parse_config(doc, "timescale")
     for clock in ("t", "s"):
         assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
         assert "config error: integrator.step" in capsys.readouterr().err
-    # 6.3e6 steps fit the bound, 1.26e7 do not; an adaptive run chooses its own
+    # 1e7 steps fit the bound, 2e7 do not; an adaptive run chooses its own
     parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-7,
                                              "t_max": 1e-6}), "timescale")
     with pytest.raises(ConfigError, match=r"^integrator\.step"):
@@ -287,14 +287,14 @@ def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys
 
 
 def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
-    # t_max / step is 2e8 steps, but the run takes 6.3e6 over its horizon
+    # t_max / step is 2e8 steps, but the run takes 1e7 over its horizon
     integrator = {"method": "rk4_fixed", "step": 1e-7}
     cfg = parse_config(dict(TIMESCALE, integrator=integrator), "timescale")
     assert cfg.integrator.t_max / cfg.integrator.step > MAX_FIXED_STEPS
     with pytest.raises(ConfigError, match=r"^integrator\.t_max: "):
         parse_config(dict(SIMULATE, integrator=integrator), "simulate")
-    # a step past t_max that fits the horizon sigma_end = 0.632 runs; the
-    # discarded t_max is still checked as a number
+    # a step past t_max that fits the horizon 1 runs; the discarded t_max
+    # is still checked as a number
     integrator = {"method": "rk4_fixed", "step": 0.5, "t_max": 0.1}
     for clock in ("t", "s"):
         doc = dict(TIMESCALE, clock=clock, integrator=integrator)
@@ -307,28 +307,27 @@ def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rk_adaptive"])
 def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
-    # friction 1, horizon 1: sigma_end = 1 - exp(-1) = 0.632
-    doc = dict(TIMESCALE, integrator={"method": method, "step": 0.9, "t_max": 2.0})
+    # friction 1, horizon 1: the run's t_max is 1, whatever the section says
+    doc = dict(TIMESCALE, integrator={"method": method, "step": 1.5, "t_max": 2.0})
     if method == "rk_adaptive":
-        # a DP5 step is only the first guess, which the run clamps to sigma_end / 10
-        sigma_end = 1.0 - math.exp(-1.0)
-        clamped = dict(TIMESCALE, integrator={"method": method, "step": sigma_end / 10})
+        # a DP5 step is only the first guess, which the run clamps to horizon / 10
+        clamped = dict(TIMESCALE, integrator={"method": method, "step": 0.1})
         for clock in ("t", "s"):
             files = []
             for run in (doc, clamped):
                 assert run_main(tmp_path, "timescale", json.dumps(dict(run, clock=clock))) == 0
                 (record,) = strict_json(tmp_path / "out" / "manifest.json")["records"]
-                assert record["event"] == {"kind": "t_max_reached", "t": sigma_end}
+                assert record["event"] == {"kind": "t_max_reached", "t": 1.0}
                 files.append([(tmp_path / "out" / name).read_bytes() for name in record["files"]])
             assert files[0] == files[1]
         return
     with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than the "
-                                          r"curvilinear horizon 0\.632"):
+                                          r"horizon 1\.0, got 1\.5"):
         parse_config(doc, "timescale")
     for clock in ("t", "s"):
         assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
         assert "config error: integrator.step" in capsys.readouterr().err
-    parse_config(dict(TIMESCALE, integrator={"method": method, "step": 0.6}), "timescale")
+    parse_config(dict(TIMESCALE, integrator={"method": method, "step": 0.9}), "timescale")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

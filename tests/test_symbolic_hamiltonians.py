@@ -2,10 +2,14 @@
 
 H is written in sympy from the formulas of the :mod:`bhamsys.hamiltonians`
 docstring, for the plain, rescaled and s-coordinate variants (and the
-non-extended one), every named potential family and n = 1, 2.  At seeded
-states, ``HamiltonianSpec.value`` must equal H, ``HamiltonianSpec.gradient``
-its partials and ``_family_slope`` dV/dx, each within 1e-12 relative to
-the larger of the exact value and 1 (the largest error seen is near 1e-15).
+non-extended one), every named potential family and n = 1, 2.  The two
+Poincare variants are written as g * H, with g = lam exp(-lam t) times the
+rescaled H and g = lam s times the s-coordinate one.  At seeded states,
+``HamiltonianSpec.value`` must equal H, ``HamiltonianSpec.gradient`` its
+partials and ``_family_slope`` dV/dx, each within 1e-12 relative to the
+larger of the exact value and 1 (the largest error seen is near 1e-15).  For
+the Poincare variants the kernel of ``compile_field``, which computes the
+field of K in closed form without the gradient, must equal P . grad K too.
 """
 
 import itertools
@@ -13,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bhamsys.geometry import PhaseState
+from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily,
                                   PotentialSpec, _family_slope)
 
@@ -46,7 +50,23 @@ def symbolic_hamiltonian(variant, v, p, tau, energy, friction):
     if variant is ExtendedKind.RESCALED_EXTENDED:
         return (kinetic + sp.exp(2 * friction * tau) / friction**2 * v
                 - sp.exp(friction * tau) / friction * energy)
+    if variant is ExtendedKind.POINCARE_T:
+        return (friction * sp.exp(-friction * tau)
+                * symbolic_hamiltonian(ExtendedKind.RESCALED_EXTENDED, v, p, tau, energy,
+                                       friction))
+    if variant is ExtendedKind.POINCARE_S:
+        return friction * tau * symbolic_hamiltonian(ExtendedKind.S_COORDINATES, v, p, tau,
+                                                     energy, friction)
     return kinetic + v / (friction * tau) ** 2 - energy / tau
+
+
+def symbolic_field(variant, partials, coords, n):
+    """P . grad K on the variant's extended structure (modular weight 1):
+    (dK/dp, -dK/dq), then (-dK/dE, dK/dt) on (t, E) or s (dK/dE_s, -dK/ds)
+    on (s, E_s)."""
+    tail = ([-partials[2 * n + 1], partials[2 * n]] if variant is ExtendedKind.POINCARE_T
+            else [coords[2 * n] * partials[2 * n + 1], -coords[2 * n] * partials[2 * n]])
+    return partials[n:2 * n] + [-x for x in partials[:n]] + tail
 
 
 def rational(x):
@@ -72,8 +92,14 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
     extended = variant is not ExtendedKind.NONE
     spec = HamiltonianSpec(potential=PotentialSpec(family, lam=lam, alpha=alpha), n=n, axis=axis,
                            extended=variant,
-                           friction=friction if variant in (ExtendedKind.RESCALED_EXTENDED,
-                                                            ExtendedKind.S_COORDINATES) else None)
+                           friction=friction if variant not in (ExtendedKind.NONE,
+                                                                ExtendedKind.PLAIN_EXTENDED)
+                           else None)
+    poincare = variant in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S)
+    if poincare:
+        kind = (StructureKind.EXTENDED_CANONICAL if variant is ExtendedKind.POINCARE_T
+                else StructureKind.EXTENDED_B_S)
+        field = compile_field(PhaseStructure(kind, dim=2 * n), spec).row
 
     q = sp.symbols(f"q1:{n + 1}")
     p = sp.symbols(f"p1:{n + 1}")
@@ -88,7 +114,8 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
         qs, ps = rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n)
         extra = None
         if extended:
-            lo, hi = (0.05, 1.0) if variant is ExtendedKind.S_COORDINATES else (0.0, 3.0)
+            lo, hi = ((0.05, 1.0) if variant in (ExtendedKind.S_COORDINATES,
+                                                 ExtendedKind.POINCARE_S) else (0.0, 3.0))
             extra = (float(rng.uniform(lo, hi)), float(rng.uniform(-2.0, 2.0)))
         state = PhaseState(qs, ps, extra=extra)
         values = state.to_array().tolist()
@@ -101,3 +128,10 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
             assert_close(float(actual), exact.evalf(DIGITS, subs=subs), f"dH/d{c}")
         assert_close(float(_family_slope(spec.potential)(float(qs[axis]))),
                      slope.evalf(DIGITS, subs=subs), "slope")
+        if poincare:
+            velocity = field(values)
+            exact_field = symbolic_field(variant, partials, coords, n)
+            assert len(velocity) == len(coords)
+            for c, actual, exact in zip(coords, velocity, exact_field):
+                assert type(actual) is float
+                assert_close(actual, exact.evalf(DIGITS, subs=subs), f"d{c}/dtau")

@@ -1,6 +1,7 @@
 """Extended phase space, time rescaling, and real-time reconstruction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +9,12 @@ import pytest
 
 from bhamsys.geometry import PhaseState, StructureKind, hamiltonian_vector_field
 from bhamsys.hamiltonians import ExtendedKind, PotentialSpec
-from bhamsys.integrate import IntegratorConfig, Trajectory, Event, EventKind, integrate
+from bhamsys.integrate import (MIN_STEP, IntegratorConfig, Trajectory, Event, EventKind,
+                               integrate)
 from bhamsys.oracles import damped_newton_reference
-from bhamsys.timescale import (build_plain_extended, build_rescaled_extended,
-                               friction_ode_residual, from_s_state, plain_initial_state,
+from bhamsys.timescale import (DEFAULT_CONFIG, _quintic_hermite, build_plain_extended,
+                               build_rescaled_extended, friction_ode_residual, from_s_state,
+                               plain_initial_state, poincare_transform,
                                reconstruct_real_time, rescaled_initial_state,
                                run_rescaled, run_s_coordinates, time_to_s,
                                to_s_coordinates, to_s_state)
@@ -77,11 +80,17 @@ class TestRescaledExtended:
             npt.assert_allclose(v, expected, rtol=1e-13, atol=1e-13)
 
     def test_curvilinear_time_solution(self):
-        """t(s) solves dt/ds = e^{lam t}/lam:  e^{-lam t} = 1 - lam... s."""
+        """The flow of H runs on sigma = 1 - e^{-lam t}, which solves
+        dt/dsigma = e^{lam t}/lam; the run of K = g H runs on t itself."""
+        structure, h = build_rescaled_extended(ZERO, 1.0)
+        initial = rescaled_initial_state(ZERO, 1.0, 0.0, 1.0)
+        on_sigma = integrate(structure, h, initial,
+                             replace(DEFAULT_CONFIG, t_max=1.0 - math.exp(-5.0)))
+        npt.assert_allclose(np.exp(-on_sigma.extra[:, 0]), 1.0 - on_sigma.times, atol=1e-8)
         traj = run_rescaled(ZERO, 1.0, 0.0, 1.0, 5.0)
-        sigma = traj.times
-        t = traj.extra[:, 0]
-        npt.assert_allclose(np.exp(-t), 1.0 - sigma, atol=1e-8)
+        assert traj.hamiltonian.extended is ExtendedKind.POINCARE_T
+        npt.assert_allclose(traj.extra[:, 0], traj.times, rtol=0, atol=1e-13)
+        assert traj.times[-1] == 5.0
 
     def test_initial_state_puts_h_on_zero(self):
         _, h = build_rescaled_extended(OSC, lam=0.3)
@@ -208,3 +217,90 @@ class TestReconstruction:
                           structure=structure, hamiltonian=h)
         with pytest.raises(ValueError, match="increase strictly"):
             reconstruct_real_time(traj)
+
+
+def damped_closed_form(potential, friction, q0, v0, t):
+    """q'' = -friction q' - dV/dq for V = lam q/2 (linear) and an
+    underdamped V = lam q^2/4 (pure_quadratic)."""
+    if potential.family.value == "linear":
+        v_inf = -0.5 * potential.lam / friction
+        decay = np.exp(-friction * t)
+        return (q0 + v_inf * t + (v0 - v_inf) * (1.0 - decay) / friction,
+                v_inf + (v0 - v_inf) * decay)
+    w2 = 0.5 * potential.lam
+    wd = math.sqrt(w2 - 0.25 * friction**2)
+    c, s = np.cos(wd * t), np.sin(wd * t) / wd
+    env = np.exp(-0.5 * friction * t)
+    return (env * (q0 * c + (v0 + 0.5 * friction * q0) * s),
+            env * (v0 * c - (0.5 * friction * v0 + w2 * q0) * s))
+
+
+# friction x horizon of 40 and 30: sigma_end = 1 - exp(-friction * horizon)
+# is 1.0 and 1 - 9.4e-14 in floats, so neither horizon survives on sigma
+LONG_HORIZONS = {
+    "pure_quadratic": (PotentialSpec("pure_quadratic", lam=2.0), 1.0, 40.0),
+    "linear": (PotentialSpec("linear", lam=4.0), 0.5, 60.0),
+}
+# clock, family, most DP5 steps (1,037, 550, 1,243 and 1,058 are taken)
+LONG_CASES = [("s", "pure_quadratic", 1100), ("t", "linear", 600),
+              ("t", "pure_quadratic", 1300), ("s", "linear", 1100)]
+
+
+class TestPhysicalClock:
+    @pytest.mark.parametrize("clock,family,max_steps", LONG_CASES,
+                             ids=[f"{c}-{f}" for c, f, _ in LONG_CASES])
+    def test_long_horizons_end_at_the_horizon_on_the_damped_solution(self, clock, family,
+                                                                      max_steps):
+        potential, friction, horizon = LONG_HORIZONS[family]
+        runner = run_rescaled if clock == "t" else run_s_coordinates
+        traj = runner(potential, friction, 1.0, 0.0, horizon)
+        assert traj.terminal_event == Event(horizon, EventKind.T_MAX)
+        assert traj.times[-1] == horizon
+        assert len(traj) - 1 <= max_steps
+        # every step but the last, which ends on the horizon, passed its error
+        # test; none is at the floor below which steps are taken unchecked
+        assert np.diff(traj.times)[:-1].min() > 2 * MIN_STEP
+        rt = reconstruct_real_time(traj)
+        assert rt.times[-1] == horizon
+        q, v = damped_closed_form(potential, friction, 1.0, 0.0, rt.times)
+        scale = 1.0 + np.max(np.abs(q)) + np.max(np.abs(v))
+        assert np.max(np.abs(rt.q[:, 0] - q)) / scale < 1e-7
+        assert np.max(np.abs(rt.velocity[:, 0] - v)) / scale < 1e-7
+
+    @pytest.mark.parametrize("s_chart", [False, True])
+    def test_field_of_k_is_g_times_the_field_of_h_on_the_zero_level(self, s_chart):
+        rng = np.random.default_rng(3)
+        lam = 0.7
+        for _ in range(20):
+            q0, v0, t0 = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 5)
+            structure, h = build_rescaled_extended(OSC, lam)
+            state = rescaled_initial_state(OSC, lam, q0, v0, t0=t0)
+            g = lam * math.exp(-lam * t0)
+            if s_chart:
+                structure, h = to_s_coordinates(structure, h)
+                state = to_s_state(state, lam)
+                g = lam * state.extra[0]
+            k = poincare_transform(h)
+            assert abs(k.value(state)) < 1e-12 * max(1.0, abs(state.extra[1]))
+            v_k = hamiltonian_vector_field(structure, k, state)
+            v_h = hamiltonian_vector_field(structure, h, state)
+            npt.assert_allclose(v_k[:3], g * v_h[:3], rtol=1e-12, atol=1e-12)
+            # dt/dtau = 1, or ds/dtau = -lam s on clock s
+            assert v_k[2] == pytest.approx(-lam * state.extra[0] if s_chart else 1.0,
+                                           rel=1e-15)
+
+    def test_only_rescaled_and_s_hamiltonians_have_a_transform(self):
+        _, h = build_plain_extended(ZERO)
+        with pytest.raises(ValueError, match="expected a rescaled"):
+            poincare_transform(h)
+
+    def test_the_quintic_hermite_is_exact_on_quintics(self):
+        rng = np.random.default_rng(5)
+        coef = rng.normal(size=6)
+        poly = np.polynomial.Polynomial(coef)
+        d1, d2 = poly.deriv(), poly.deriv(2)
+        t0, dt = 0.3, 0.7
+        tau = np.linspace(0.0, dt, 9)
+        got = _quintic_hermite(poly(t0), poly(t0 + dt), d1(t0), d1(t0 + dt),
+                               d2(t0), d2(t0 + dt), dt, tau)
+        npt.assert_allclose(got, poly(t0 + tau), rtol=0, atol=1e-13)
