@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -134,17 +133,23 @@ class PotentialSpec:
             raise ValueError("custom_eval is only meaningful for the custom family")
 
 
-def _family_value(spec: PotentialSpec, x: float) -> float:
+def _family_value(spec: PotentialSpec):
+    """V of a named family as a function of a float x; the family and its
+    constants are bound here, once, in the products' own order."""
     f = spec.family
     if f is PotentialFamily.LINEAR:
-        return 0.5 * spec.lam * x
+        c = 0.5 * spec.lam
+        return lambda x: c * x
     if f is PotentialFamily.PURE_QUADRATIC:
-        return 0.25 * spec.lam * x * x
+        c = 0.25 * spec.lam
+        return lambda x: c * x * x
     if f is PotentialFamily.GENERAL_QUADRATIC:
-        return 0.5 * spec.lam * x * (1.0 + 0.5 * spec.alpha * x)
+        c, a = 0.5 * spec.lam, 0.5 * spec.alpha
+        return lambda x: c * x * (1.0 + a * x)
     if f is PotentialFamily.PERIODIC:
-        return 0.5 * spec.lam * math.cos(x)
-    return 0.0
+        c = 0.5 * spec.lam
+        return lambda x: c * math.cos(x)
+    return lambda x: 0.0
 
 
 def _family_slope(spec: PotentialSpec):
@@ -174,7 +179,7 @@ def potential_value(spec: PotentialSpec, q: np.ndarray, t: float = 0.0,
         q = np.atleast_1d(np.asarray(q, dtype=float))
     if spec.family is PotentialFamily.CUSTOM:
         return float(spec.custom_eval(q, t))
-    return _family_value(spec, float(q[axis]))
+    return _family_value(spec)(float(q[axis]))
 
 
 def potential_gradient(spec: PotentialSpec, q: np.ndarray, t: float = 0.0,
@@ -304,7 +309,7 @@ def _bound_potential(h: HamiltonianSpec):
                     potential_gradient(spec, q, t, axis).tolist())
         return potential
     # V depends on q[axis] alone, not on t
-    value, slope = partial(_family_value, spec), _family_slope(spec)
+    value, slope = _family_value(spec), _family_slope(spec)
     if spec.family is PotentialFamily.PERIODIC:
         sine = slope
 
@@ -332,7 +337,7 @@ def _extended_gradient(h: HamiltonianSpec):
     This is the one formula of the extended variants, used by
     :meth:`HamiltonianSpec.gradient` and by the kernel of
     :func:`~bhamsys.geometry.compile_field`; the Poincare variants go through
-    :func:`_poincare_partials`, which their field uses too.  It works on the
+    :func:`_poincare_terms`, which their field uses too.  It works on the
     scalars of one row, with ``math.exp`` of ``lam*t`` and ``math.log`` of
     ``s``, since numpy's ``exp`` can differ from them in the last bit.  ``t``
     of the rescaled variant is a numpy scalar.  The ``s`` partials run on
@@ -343,11 +348,11 @@ def _extended_gradient(h: HamiltonianSpec):
     """
     n, lam = h.n, h.friction
     if h.extended in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
-        partials = _poincare_partials(h)
+        terms = _poincare_terms(h)
 
         def grad(y):
-            k_q, k_p, k_x, k_e = partials(y)
-            return k_q + k_p + [k_x, k_e]
+            force, k_p, k_x, k_e = terms(y)
+            return [-x for x in force] + k_p + [k_x, k_e]
         return grad
 
     potential = _bound_potential(h)
@@ -392,10 +397,11 @@ def _extended_gradient(h: HamiltonianSpec):
     return grad
 
 
-def _poincare_partials(h: HamiltonianSpec):
+def _poincare_terms(h: HamiltonianSpec):
     """The partials of a Poincare variant K of ``h`` in closed form, as
-    ``partials(y) -> (dK/dq, dK/dp, dK/dt-or-s, dK/dE-or-E_s)`` on one flat
-    row of Python floats, the first two as lists.
+    ``terms(y) -> (-dK/dq, dK/dp, dK/dt-or-s, dK/dE-or-E_s)`` on one flat
+    row of Python floats, the first two as lists; -dK/dq, the force, is the
+    sign the field takes.
 
     Clock t, K = lam e^{-lam t} |p|^2/2 + e^{lam t} V / lam - E::
 
@@ -418,34 +424,34 @@ def _poincare_partials(h: HamiltonianSpec):
     n, lam = h.n, h.friction
     potential = _bound_potential(h)
     if h.extended is ExtendedKind.POINCARE_T:
-        def partials(y):
+        def terms(y):
             t = y[2 * n]
             if lam * t > EXP_GUARD:
                 raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
             v, v_t, g = potential(y, t)
             elt = math.exp(lam * t)
-            scale, decay = elt / lam, lam / elt
+            push, decay = -elt / lam, lam / elt
             p = y[n:2 * n]
-            return ([scale * x for x in g], [decay * x for x in p],
+            return ([push * x for x in g], [decay * x for x in p],
                     elt * (v + v_t / lam) - lam * decay * 0.5 * sum([x * x for x in p]), -1.0)
-        return partials
+        return terms
 
-    def s_partials(y, s, v, v_t, g):
+    def s_terms(y, s, v, v_t, g):
         ls = lam * s
         p = y[n:2 * n]
-        return ([x / ls for x in g], [ls * x for x in p],
+        return ([-x / ls for x in g], [ls * x for x in p],
                 lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
 
-    def partials(y):
+    def terms(y):
         s = y[2 * n]
         if s <= 0.0:
             raise ValueError("Hamiltonian singular at s=0")
         v, v_t, g = potential(y, -math.log(s) / lam)
         try:
-            return s_partials(y, s, v, v_t, g)
+            return s_terms(y, s, v, v_t, g)
         except ZeroDivisionError:
-            return s_partials(y, np.float64(s), v, v_t, g)
-    return partials
+            return s_terms(y, np.float64(s), v, v_t, g)
+    return terms
 
 
 def _poincare_field(h: HamiltonianSpec, weight: float):
@@ -453,19 +459,19 @@ def _poincare_field(h: HamiltonianSpec, weight: float):
     structure, with modular weight ``weight`` on the (s, E_s) pair, as a
     function of one flat row: ``(dK/dp, -dK/dq)`` and then, on clock t,
     ``(-dK/dE, dK/dt) = (1, dK/dt)``, on clock s ``(s/c) (dK/dE_s, -dK/ds)``.
-    The partials are those of :func:`_poincare_partials`."""
+    The partials are those of :func:`_poincare_terms`."""
     n = h.n
-    partials = _poincare_partials(h)
+    terms = _poincare_terms(h)
     if h.extended is ExtendedKind.POINCARE_T:
         def field(y):
-            k_q, k_p, k_t, _ = partials(y)
-            return k_p + [-x for x in k_q] + [1.0, k_t]
+            force, k_p, k_t, _ = terms(y)
+            return k_p + force + [1.0, k_t]
         return field
 
     def field(y):
-        k_q, k_p, k_s, k_e = partials(y)
+        force, k_p, k_s, k_e = terms(y)
         sigma = y[2 * n] / weight
-        return k_p + [-x for x in k_q] + [k_e * sigma, -k_s * sigma]
+        return k_p + force + [k_e * sigma, -k_s * sigma]
     return field
 
 

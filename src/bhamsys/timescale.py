@@ -43,15 +43,18 @@ carries lam and the chart and whose times are physical times.
 validated against the independent damped-Newton oracle in
 :mod:`bhamsys.oracles`.
 
-One limit remains: the momentum p = exp(lam*t) v / lam still grows with t.
-Unless v decays as fast as exp(-lam*t), |p| passes the ``blowup_bound``
-1e30 of ``DEFAULT_CONFIG`` and the run ends in ``blowup``, which the
-runners raise as ``RuntimeError``.  With the default bound this starts at
-friction * horizon of about 69 + ln(friction/|v_inf|) for a ``linear``
-potential with terminal velocity v_inf = -lam_V/(2 friction), at about
-138 for an underdamped ``pure_quadratic`` one (|v| decays like
-exp(-friction*t/2)), and never for ``zero`` (p stays v0/friction), which
-instead overflows exp(lam*t) at lam*t = 700 on clock t.
+One limit remains, measured with the default ``blowup_bound`` 1e30 of
+``DEFAULT_CONFIG``: the momentum p = exp(lam*t) v / lam and the energy
+E = exp(lam*t) (|v|^2/2 + V) / lam grow with t unless the motion decays as
+fast as exp(-lam*t), and a run ends in ``blowup``, which the runners raise
+as ``RuntimeError``, once one of them passes the bound.  That starts at
+friction * horizon of about 64 to 71 where v^2/2 + V tends to a nonzero
+value or grows (``linear``, and ``general_quadratic`` or ``periodic``, whose
+minimum of V is not 0), at about 138 for an underdamped ``pure_quadratic``
+(|p| grows as exp(lam*t/2)) and earlier for an overdamped one (83 at
+friction 2, potential lambda 1).  It never starts for ``zero``, where p
+stays v0/lam; there clock t ends in ``blowup`` where exp(lam*t) overflows,
+at lam*t = 700, and clock s raises where s underflows, near lam*t = 745.
 """
 
 from __future__ import annotations
@@ -285,9 +288,12 @@ def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
 
     The flow is that of :func:`poincare_transform` of the rescaled H, and
     ``t_target`` replaces the ``t_max`` of ``config`` (default
-    :data:`DEFAULT_CONFIG`).  Beware that exp(lam t) overflows past
-    lam*t = 700, and that |p| passes the default ``blowup_bound`` earlier
-    unless the velocity decays (see the module docstring).
+    :data:`DEFAULT_CONFIG`).  With the default ``blowup_bound``, a run ends
+    in ``blowup`` and raises once |p| or |E| passes 1e30: from
+    friction * horizon of about 64 to 71 for ``linear``,
+    ``general_quadratic`` and ``periodic`` potentials and about 138 for an
+    underdamped ``pure_quadratic``; a ``zero`` potential runs until
+    exp(lam t) overflows at lam*t = 700 (see the module docstring).
     """
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=False)
 
@@ -299,7 +305,9 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     ``t_target``, as :func:`run_rescaled` does in the t chart.
 
     ``z_epsilon`` is always half of s = exp(-lam * t_target), so the
-    critical-set event cannot fire before the horizon.
+    critical-set event cannot fire before the horizon.  The momentum and the
+    energy grow as in the t chart, so the same friction * horizon limits
+    hold; a ``zero`` potential runs until s underflows, near lam*t = 745.
     """
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
 
