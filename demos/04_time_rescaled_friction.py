@@ -6,11 +6,13 @@ flow, projected back to real time, obey the damped Newton equation
 
     d2q/dt2 = -lam dq/dt - dV/dq.
 
-The run below integrates the rescaled system in its curvilinear parameter,
-reconstructs (q(t), dq/dt), and checks the result against an entirely
-independent direct integration of the damped equation.  The same dynamics
-is then reproduced in the s = exp(-lam*t) chart, where the pairing becomes
-the non-twisted singular form and s ticks down at unit speed.
+The run below integrates the rescaled system through Poincare's time
+transformation K = g*H, whose flow keeps physical time as its clock (the
+paper's curvilinear parameter is sigma = 1 - exp(-lam*t)), reconstructs
+(q(t), dq/dt), and checks the result against an entirely independent direct
+integration of the damped equation.  The same dynamics is then reproduced
+in the s = exp(-lam*t) chart, where the pairing becomes the non-twisted
+singular form.
 """
 
 import numpy as np
@@ -25,8 +27,8 @@ Q0, V0, HORIZON = 1.0, 0.0, 10.0
 
 traj = run_rescaled(potential, LAM, Q0, V0, HORIZON)
 rt = reconstruct_real_time(traj)
-print(f"rescaled run: {len(traj) - 1} adaptive steps in the "
-      f"curvilinear parameter, physical horizon t = {HORIZON}")
+print(f"rescaled run: {len(traj) - 1} adaptive steps in physical time, "
+      f"ending at t = {traj.times[-1]}")
 
 ts = np.linspace(0.0, HORIZON, 501)
 reference = damped_newton_reference(potential, LAM, Q0, V0, ts, step=1e-3)

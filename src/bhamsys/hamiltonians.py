@@ -418,8 +418,8 @@ def _poincare_terms(h: HamiltonianSpec):
 
     They raise what the variants of ``h`` raise: an ``OverflowError`` past
     ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Where ``lam s^2``
-    underflows to zero, the s partials are redone on a numpy scalar ``s``,
-    which gives inf or NaN where floats raise.
+    underflows to zero, the s partials run on a numpy scalar ``s``, which
+    gives inf or NaN where floats raise.
     """
     n, lam = h.n, h.friction
     potential = _bound_potential(h)
@@ -436,21 +436,20 @@ def _poincare_terms(h: HamiltonianSpec):
                     elt * (v + v_t / lam) - lam * decay * 0.5 * sum([x * x for x in p]), -1.0)
         return terms
 
-    def s_terms(y, s, v, v_t, g):
-        ls = lam * s
-        p = y[n:2 * n]
-        return ([-x / ls for x in g], [ls * x for x in p],
-                lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
-
     def terms(y):
         s = y[2 * n]
         if s <= 0.0:
             raise ValueError("Hamiltonian singular at s=0")
         v, v_t, g = potential(y, -math.log(s) / lam)
-        try:
-            return s_terms(y, s, v, v_t, g)
-        except ZeroDivisionError:
-            return s_terms(y, np.float64(s), v, v_t, g)
+        ls = lam * s
+        if ls * s == 0.0:
+            # lam s^2 underflowed: numpy scalars give inf or NaN below, as
+            # an array division does, where floats raise
+            s = np.float64(s)
+            ls = lam * s
+        p = y[n:2 * n]
+        return ([-x / ls for x in g], [ls * x for x in p],
+                lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
     return terms
 
 

@@ -33,10 +33,11 @@ events and leaves the batch when one fires.  Each RK4 stage is one call of
 the batch kernel; only a step in which the batch kernel raises is redone
 with its rows evaluated one by one, so that a row that raises cannot stop
 the others, and the rows that raised are then held in place for the rest
-of the block, so that its later steps are batched again.  No step is tested on its own: at 14 to 32 rows a numpy call costs
-the same whatever the row count, so one pass over a block's samples finds
-each row's first event, and the rows that end inside the block are carried
-to its end, their extra samples discarded.  Adaptive DP5 rows choose their
+of the block, so that its later steps are batched again.  No step is
+tested on its own: at 14 to 32 rows a numpy call costs the same whatever
+the row count, so one pass over a block's samples finds each row's first
+event, and the rows that end inside the block are carried to its end,
+their extra samples discarded.  Adaptive DP5 rows choose their
 own steps and are advanced one at a time, on Python floats: the state and
 the stages are lists, each stage is a scalar weighted sum per component,
 added in stage order from 0, and the field is the kernel's one-row form
@@ -515,9 +516,9 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     and keeps their errors; for the rest of the block those rows are held
     at the state they started that step from, with zero velocity
     (:func:`_held`), so no later step of the block evaluates them.  After
-    the block, one pass over its ``(steps, rows)``
-    arrays finds each row's first event: a non-finite state or an error
-    raised by the field, Z, ``blowup_bound`` or ``fp_epsilon``.  An error
+    the block, one pass over its ``(steps, rows)`` arrays finds each row's
+    first event: a non-finite state or an error raised by the field, Z,
+    ``blowup_bound`` or ``fp_epsilon``.  An error
     raised on a state that is already non-finite is ignored: that row has
     ended at the step before.  A row ends at its first event, recorded as
     (last sample index, time of that sample, terminal event), and a Z
@@ -525,8 +526,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     the slot of the step that fired it.  The block's samples go into the
     sample store in one slice.  A row that ends inside a block is carried
     (or held) to the block's end with the others and its extra samples are
-    never read; rows never mix, so the rows that go on keep their bits.  Each
-    block runs under ``np.errstate(all="ignore")``: an overflowing row ends
+    never read; rows never mix, so the rows that go on keep their bits.
+    Each block runs under ``np.errstate(all="ignore")``: an overflowing row ends
     in ``blowup``, and neither it nor a carried row stops the batch or
     warns, whatever numpy's error settings.
 
