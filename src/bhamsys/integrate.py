@@ -289,11 +289,6 @@ def _directed(F, sign, Y, errors):
     return out
 
 
-def _signed(F, sign, Y):
-    """``sign * F(Y)``, which raises what ``F`` raises."""
-    return sign * F(Y)
-
-
 def _held(F, sign, rows, Y):
     """The field of the batch ``Y`` on its ``rows`` alone, signed as
     :func:`_directed` signs it; every other row gets zero velocity, which
@@ -586,7 +581,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     while active.size:
         k0 = k
         Ys, Ks, raised = [Y], [K], {}
-        f = F if sign is None else partial(_signed, F, sign)
+        f = F if sign is None else (lambda Y, sign=sign: sign * F(Y))
         live = np.ones(active.size, bool)
         with np.errstate(all="ignore"):
             while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
