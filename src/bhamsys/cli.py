@@ -48,7 +48,7 @@ from .oracles import (classical_parabola, quadratic_tanh,
                       stokes_exact)
 from .orbits import OrbitKind, classify_orbit, phase_portrait
 from .timescale import (DEFAULT_CONFIG, reconstruct_real_time, run_rescaled,
-                        run_s_coordinates)
+                        run_s_coordinates, s_chart_z_epsilon)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -381,6 +381,11 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.horizon = _number(document, "horizon", "config", None, positive=True)
     if cfg.horizon is None:
         raise ConfigError("horizon must be a positive number")
+    if clock == "s":
+        try:
+            s_chart_z_epsilon(cfg.friction, cfg.horizon)
+        except ValueError as exc:
+            raise ConfigError(f"horizon: {exc}") from None
     initial = document.get("initial")
     if not isinstance(initial, list) or len(initial) != 2 * n:
         raise ConfigError(f"initial must be a flat list of length {2 * n} "
@@ -460,9 +465,9 @@ def _standard_json(value):
 
 
 def _write_json(path, payload) -> None:
+    text = json.dumps(_standard_json(payload), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_standard_json(payload), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")  # one write, where json.dump writes chunk by chunk
 
 
 def _state_payload(state: PhaseState):

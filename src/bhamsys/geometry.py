@@ -282,7 +282,9 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     an extended Hamiltonian carries) is checked here, once, not on every
     evaluation.  For a :class:`~bhamsys.hamiltonians.HamiltonianSpec` with a
     named potential family, the gradient is computed on the flat states
-    directly: as array expressions for the plain variant, with the one
+    directly: as array expressions for the plain variant (the swap is one
+    ``take``, and the force -dV/dx carries its sign in the family constant,
+    so it needs no negation), with the one
     scalar formula of the extended variants, row by row, for the others,
     and for the Poincare variants as the closed-form field of K itself; these
     raise what ``h.gradient`` raises, an ``OverflowError`` past
@@ -291,6 +293,9 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     evaluated row by row through ``h.gradient`` and raises whatever that
     raises.  Rows never mix, so a row's velocity is the same, to the bit, in
     any batch.
+
+    ``F`` is the field itself, never negated: a backward run steps it with
+    a negative step (see :mod:`bhamsys.integrate`).
 
     ``F.row`` is the one-row form: it takes one state as a list of floats
     and returns its velocity as a list of floats, with the bits of ``F``.
@@ -319,13 +324,16 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
     # for n = 1 the singular pair is the whole (q, p) state
     whole = not ext and n == 1
+    pair_col = None if col is None else np.array([col, col])
 
     def scale(Y, out):
-        # the state-dependent block: (sigma dH/dy, -sigma dH/dx), sigma = Y[col]/c
+        # the state-dependent block: (sigma dH/dy, -sigma dH/dx), sigma = Y[col]/c,
+        # taken once per entry of the pair, which numpy multiplies faster than a
+        # column it has to broadcast
         if col is not None:
-            sigma = Y[..., col:col + 1]
+            sigma = Y.take(pair_col, axis=-1)
             if c != 1.0:  # x / 1.0 is x, to the bit
-                sigma = sigma / c
+                sigma /= c
             pair = out if whole else out[..., block]
             pair *= sigma
         return out
@@ -333,15 +341,16 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     named = (isinstance(h, HamiltonianSpec) and h.potential.family is not PotentialFamily.CUSTOM
              and h.n == n)
     if named and h.extended is ExtendedKind.NONE and not ext:
-        slope, axis = _family_slope(h.potential), h.axis
+        force, axis = _family_slope(h.potential, -1.0, np.asarray), h.axis  # -dV/dx
+        swap = np.array([*range(n, 2 * n), *range(n)])
 
         def field(Y):
-            # grad H = (dV/dq, p) with dV/dq zero off the potential's axis
-            out = np.empty_like(Y, dtype=float)
-            out[..., :n] = Y[..., n:]
+            # grad H = (dV/dq, p), swapped to (p, -dV/dq), with dV/dq zero off
+            # the potential's axis; the swap is one copy of Y, (p, q)
+            out = Y.take(swap, axis=-1)
             if n > 1:
                 out[..., n:] = -0.0
-            out[..., n + axis] = -slope(Y[..., axis])
+            out[..., n + axis] = force(Y[..., axis])
             return scale(Y, out)
 
         return _with_row(field)

@@ -152,24 +152,29 @@ def _family_value(spec: PotentialSpec):
     return lambda x: 0.0
 
 
-def _family_slope(spec: PotentialSpec):
-    """dV/dx of a named family as a function of x, for a float or
-    elementwise for an array; the family and its constants are bound here,
-    once."""
+def _family_slope(spec: PotentialSpec, sign: float = 1.0, const=float):
+    """``sign`` times dV/dx of a named family as a function of x, for a float
+    or elementwise for an array; the family and its constants are bound
+    here, once, each through ``const``.  The sign is folded into the family
+    constant: -(c*x) is x*(-c), to the bit, so ``sign=-1.0`` gives the force
+    -dV/dx with no negation of its own.  ``const=np.asarray`` makes the
+    constants 0-d arrays, which numpy multiplies into an array faster than a
+    Python float."""
     f = spec.family
     if f is PotentialFamily.LINEAR:
-        c = 0.5 * spec.lam
+        c = const(sign * (0.5 * spec.lam))
         return lambda x: c
     if f is PotentialFamily.PURE_QUADRATIC:
-        c = 0.5 * spec.lam
-        return lambda x: c * x
+        c = const(sign * (0.5 * spec.lam))
+        return lambda x: x * c
     if f is PotentialFamily.GENERAL_QUADRATIC:
-        c, alpha = 0.5 * spec.lam, spec.alpha
-        return lambda x: c * (1.0 + alpha * x)
+        c, alpha, one = const(sign * (0.5 * spec.lam)), const(spec.alpha), const(1.0)
+        return lambda x: (x * alpha + one) * c
     if f is PotentialFamily.PERIODIC:
-        c = -0.5 * spec.lam
-        return lambda x: c * np.sin(x)
-    return lambda x: 0.0
+        c = const(sign * (-0.5 * spec.lam))
+        return lambda x: np.sin(x) * c
+    c = const(sign * 0.0)
+    return lambda x: c
 
 
 def potential_value(spec: PotentialSpec, q: np.ndarray, t: float = 0.0,

@@ -25,18 +25,22 @@ Batches
 -------
 :func:`integrate_batch` integrates many initial conditions in one call, all
 through the one flat-array kernel of :func:`~bhamsys.geometry.compile_field`.
-Every row carries its own direction, and ``-1`` negates the field exactly, so
-the forward and backward runs of N initial conditions go in together as 2N
-rows.  Fixed-step RK4 advances all rows in lockstep on the shared time grid
-``t = k * step``, in blocks of ``RETURN_BLOCK`` steps; each row keeps its own
-events and leaves the batch when one fires.  Each RK4 stage is one call of
-the batch kernel; only a step in which the batch kernel raises is redone
-with its rows evaluated one by one, so that a row that raises cannot stop
-the others, and the rows that raised are then held in place for the rest
-of the block, so that its later steps are batched again.  No step is
-tested on its own: at 14 to 32 rows a numpy call costs the same whatever
-the row count, so one pass over a block's samples finds each row's first
-event, and the rows that end inside the block are carried to its end,
+Every row carries its own direction, and a ``-1`` row is the run of the
+negated field, so the forward and backward runs of N initial conditions go
+in together as 2N rows.  The kernel itself is never negated: a backward RK4
+row steps it with ``-step``, which gives the negated field's stage states to
+the bit, and takes its sign in the weighted sum of the stages and where its
+velocities are read as derivatives (:func:`_rk4_steps`); a backward DP5 row
+negates each velocity.  Fixed-step RK4 advances all rows in lockstep on the
+shared time grid ``t = k * step``, in blocks of ``RETURN_BLOCK`` steps; each
+row keeps its own events and leaves the batch when one fires.  Each RK4
+stage is one call of the batch kernel; only a step in which the batch kernel
+raises is redone with its rows evaluated one by one, so that a row that
+raises cannot stop the others, and the rows that raised are then held in
+place for the rest of the block, so that its later steps are batched again.
+No step is tested on its own: at 14 to 32 rows a numpy call costs the same
+whatever the row count, so one pass over a block's samples finds each row's
+first event, and the rows that end inside the block are carried to its end,
 their extra samples discarded.  Adaptive DP5 rows choose their
 own steps and are advanced one at a time, on Python floats: the state and
 the stages are lists, each stage is a scalar weighted sum per component,
@@ -267,43 +271,63 @@ def write_table(path, columns, values, footer=None, suffix="") -> None:
 _BLOWUP_ERRORS = (BlowupError, OverflowError, FloatingPointError)
 
 
-def _directed(F, sign, Y, errors):
-    """``sign * F(Y)``: the field, negated on rows integrated backward;
-    ``sign=None`` when every row runs forward (``1.0 * x`` is ``x``).
-
-    A batch whose evaluation raises is evaluated again row by row: a row
-    that raises gets NaN velocities and its first exception is kept in the
-    dict ``errors`` under its row number, so it cannot stop the rows that
-    do not raise.
+def _isolated(F, Y, errors):
+    """``F(Y)``; a batch whose evaluation raises is evaluated again row by
+    row: a row that raises gets NaN velocities and its first exception is
+    kept in the dict ``errors`` under its row number, so it cannot stop the
+    rows that do not raise.
     """
     try:
-        return F(Y) if sign is None else sign * F(Y)
+        return F(Y)
     except Exception:
         pass
     out = np.full_like(Y, np.nan)
     for j in range(len(Y)):
         try:
-            out[j] = F(Y[j]) if sign is None else sign[j] * F(Y[j])
+            out[j] = F(Y[j])
         except Exception as exc:
             errors.setdefault(j, exc)
     return out
 
 
-def _held(F, sign, rows, Y):
-    """The field of the batch ``Y`` on its ``rows`` alone, signed as
-    :func:`_directed` signs it; every other row gets zero velocity, which
-    keeps an RK4 step of that row where it is."""
+def _held(F, rows, Y):
+    """The field of the batch ``Y`` on its ``rows`` alone; every other row
+    gets zero velocity, which keeps an RK4 step of that row where it is."""
     out = np.zeros_like(Y)
     if rows.size:
-        out[rows] = F(Y[rows]) if sign is None else sign[rows] * F(Y[rows])
+        out[rows] = F(Y[rows])
     return out
 
 
-def _rk4_step(f, y, dt, k1):
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_steps(dt, sign=None):
+    """The factors :func:`_rk4_step` takes for a step of ``dt`` along
+    ``sign``: ``None`` when every row runs forward, else an array of
+    ``+-1.0`` of the states' shape, one row per state.
+
+    A backward row steps the field itself with ``-dt``: ``k * (-h)`` is
+    ``(-k) * h`` to the bit, so its stage states are those of the negated
+    field, and its stage velocities are theirs negated.  The weighted sum of
+    the four stages takes the row's sign on each term, which is the sum of
+    the negated stages to the bit; negating the sum instead would turn a sum
+    that cancels to +0.0 into -0.0.  The factors are arrays, 0-d or of the
+    states' shape, which numpy multiplies faster than a Python float or a
+    column it has to broadcast.
+    """
+    if sign is None:
+        return tuple(map(np.asarray, (0.5 * dt, dt, dt / 6.0))) + (None, None)
+    return tuple(map(np.asarray, (sign * (0.5 * dt), sign * dt, dt / 6.0, sign, sign + sign)))
+
+
+def _rk4_step(f, y, k1, steps):
+    """One classic RK4 step of ``f`` from ``y``, where ``k1 = f(y)``, with
+    the factors of :func:`_rk4_steps`; ``k + k`` is ``2.0 * k``."""
+    half, full, sixth, s1, s2 = steps
+    k2 = f(y + k1 * half)
+    k3 = f(y + k2 * half)
+    k4 = f(y + k3 * full)
+    if s1 is None:
+        return y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth
+    return y + (k1 * s1 + k2 * s2 + k3 * s2 + k4 * s1) * sixth
 
 
 # Dormand-Prince 5(4) tableau.
@@ -374,7 +398,7 @@ def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseSta
     _check_state(structure, state)
     F = compile_field(structure, h)
     y = state.to_array()
-    y_new = _rk4_step(F, y, dt, F(y))
+    y_new = _rk4_step(F, y, F(y), _rk4_steps(dt))
     if not np.all(np.isfinite(y_new)):
         raise BlowupError("state became non-finite during the step")
     return PhaseState.from_array(y_new, structure.n, structure.is_extended)
@@ -507,7 +531,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     ``RETURN_BLOCK`` steps (the last block ends at ``t_max``), with one
     kernel call per RK4 stage and no test between steps; each step's
     states and velocities are kept.  A step in which the kernel raises is
-    redone through :func:`_directed`, which isolates the rows that raise
+    redone through :func:`_isolated`, which isolates the rows that raise
     and keeps their errors; for the rest of the block those rows are held
     at the state they started that step from, with zero velocity
     (:func:`_held`), so no later step of the block evaluates them.  After
@@ -525,6 +549,13 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     Each block runs under ``np.errstate(all="ignore")``: an overflowing row ends
     in ``blowup``, and neither it nor a carried row stops the batch or
     warns, whatever numpy's error settings.
+
+    ``sign`` is the column of row directions.  The kernel is never
+    negated: a backward row steps ``F`` with ``-step`` (:func:`_rk4_steps`),
+    so the velocities kept are those of ``F`` itself, and they take the
+    row's sign only where they are read as derivatives: in the Hermite
+    interpolant of a Z event and as the initial velocities of the
+    first-return search.
 
     With ``stop_at_return``, after every block the new samples of the rows
     still active are searched for first returns by
@@ -548,9 +579,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     Y = Y0
     errors = {}
     row_sign = sign[:, 0]
-    if (row_sign > 0.0).all():
-        sign = None
-    K = _directed(F, sign, Y, errors)
+    K = _isolated(F, Y, errors)
     for j, exc in errors.items():
         results[j] = exc
     scan = None
@@ -558,7 +587,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
         # orbits imports this module, so its name is looked up here
         from .orbits import first_return_scan
 
-        scan = first_return_scan(structure, h, Y0, K, row_sign)
+        scan = first_return_scan(structure, h, Y0, K * sign, row_sign)
     fixed = np.max(np.abs(K), axis=1) < fp_eps  # False on NaN rows
     for j in np.flatnonzero(fixed):
         ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
@@ -578,10 +607,16 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
 
     t = 0.0
     k = 0
+    sized = None
     while active.size:
+        if active.size != sized:
+            # the factors of each step length (the grid has a dozen), for
+            # the directions of the rows still active
+            sized, factors = active.size, {}
+            direction = None if (sign > 0.0).all() else np.repeat(sign, Y0.shape[1], axis=1)
         k0 = k
         Ys, Ks, raised = [Y], [K], {}
-        f = F if sign is None else (lambda Y, sign=sign: sign * F(Y))
+        f = F
         live = np.ones(active.size, bool)
         with np.errstate(all="ignore"):
             while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
@@ -589,8 +624,12 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                 t_new = k * config.step
                 if t_new >= t_snap:
                     t_new = config.t_max
+                dt = t_new - t
+                steps = factors.get(dt)
+                if steps is None:
+                    steps = factors[dt] = _rk4_steps(dt, direction)
                 try:
-                    Y_new = _rk4_step(f, Y, t_new - t, K)
+                    Y_new = _rk4_step(f, Y, K, steps)
                     K_new = f(Y_new)
                     Y, K = Y_new, K_new
                 except Exception:
@@ -599,12 +638,11 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                     # it from, with zero velocity, for the rest of the block.
                     # Their samples past this step are never read.
                     failed, late = {}, {}
-                    Y_new = _rk4_step(partial(_directed, F, sign, errors=failed), Y,
-                                      t_new - t, K)
-                    K_new = _directed(F, sign, Y_new, late)
+                    Y_new = _rk4_step(partial(_isolated, F, errors=failed), Y, K, steps)
+                    K_new = _isolated(F, Y_new, late)
                     raised[len(Ks) - 1] = (failed, late)
                     live[[*failed, *late]] = False
-                    f = partial(_held, F, sign, np.flatnonzero(live))
+                    f = partial(_held, F, np.flatnonzero(live))
                     Y, K = np.where(live[:, None], Y_new, Y), np.where(live[:, None], K_new, 0.0)
                 Ys.append(Y_new)
                 Ks.append(K_new)
@@ -643,7 +681,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                     ends[r] = (i - 1, times[i - 1], Event(times[i], EventKind.BLOWUP))
                 elif z_col is not None and fired[s, j]:
                     t0, dt = times[i - 1], times[i] - times[i - 1]
-                    y0, y1, f0, f1 = (a[j] for a in (Ys[s], Ys[s + 1], Ks[s], Ks[s + 1]))
+                    y0, y1 = Ys[s][j], Ys[s + 1][j]
+                    f0, f1 = Ks[s][j] * row_sign[r], Ks[s + 1][j] * row_sign[r]
                     # side * d as Python floats, which bisect faster than numpy scalars
                     z0, z1, g0, g1 = (float(z_side[j] * a[z_col]) for a in (y0, y1, f0, f1))
                     _, tau = _bisect(lambda u: z_eps - hermite(z0, z1, g0, g1, dt, u), dt)

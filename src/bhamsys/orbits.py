@@ -19,10 +19,11 @@ two fixed points.  This module detects those types:
   search finds it (event ``returned_to_start``), so the first return
   settles the run: an event that the run continued to ``t_max`` would meet
   later (the Z neighborhood, a blowup, a field error) no longer changes
-  the result, and a row that has returned is ``periodic``.  The period is
-  the one the continued run gives, to the bit, unless it lies within
-  rounding of ``MIN_PERIOD_STEPS`` steps (the floor is computed from the
-  median step of the samples searched).
+  the result, and a row that has returned is ``periodic``, with the
+  period of its event, which that search found on the same samples.  The
+  period is the one the continued run gives, to the bit, unless it lies
+  within rounding of ``MIN_PERIOD_STEPS`` steps (the floor is computed from
+  the median step of the samples searched).
 * ``heteroclinic_segment``   -- a two-sided trajectory whose both ends reached
   the Z neighborhood.
 * ``unbounded``              -- the run blew up.
@@ -233,6 +234,9 @@ def classify_orbit(traj: Trajectory) -> OrbitClassification:
             return OrbitClassification(OrbitKind.HETEROCLINIC_SEGMENT,
                                        limit_state=traj.final_state)
         return OrbitClassification(OrbitKind.ESCAPE_ORBIT, limit_state=traj.final_state)
+    if terminal.kind is EventKind.RETURNED:
+        # the batch's scan found this period with _first_return on these samples
+        return OrbitClassification(OrbitKind.PERIODIC, period=terminal.time)
     period = _first_return(traj.structure, traj.hamiltonian, traj.times, traj.ys,
                            traj.direction)
     if period is not None:

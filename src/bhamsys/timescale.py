@@ -54,7 +54,9 @@ minimum of V is not 0), at about 138 for an underdamped ``pure_quadratic``
 (|p| grows as exp(lam*t/2)) and earlier for an overdamped one (83 at
 friction 2, potential lambda 1).  It never starts for ``zero``, where p
 stays v0/lam; there clock t ends in ``blowup`` where exp(lam*t) overflows,
-at lam*t = 700, and clock s raises where s underflows, near lam*t = 745.
+at lam*t = 700, and clock s refuses a horizon past lam*T of about 744,
+where its ``z_epsilon`` exp(-lam*T)/2 underflows to 0
+(:func:`s_chart_z_epsilon`).
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ __all__ = [
     "poincare_transform",
     "run_rescaled",
     "run_s_coordinates",
+    "s_chart_z_epsilon",
     "reconstruct_real_time",
     "friction_ode_residual",
 ]
@@ -259,6 +262,18 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
     return PhaseState(q=q0, p=p0, extra=(t0, e0))
 
 
+def s_chart_z_epsilon(lam: float, t_target: float) -> float:
+    """The ``z_epsilon`` of a clock-s run to physical time ``t_target``:
+    half of s = exp(-lam T) at the horizon, so the critical-set event cannot
+    fire before it.  Raises ``ValueError`` where that underflows to 0, from
+    lam * T of about 744.03."""
+    z_epsilon = math.exp(-lam * t_target) / 2
+    if not z_epsilon > 0.0:
+        raise ValueError("clock s needs friction * horizon of at most about 744, where "
+                         f"exp(-friction * horizon) / 2 underflows to 0; got {lam * t_target!r}")
+    return z_epsilon
+
+
 def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Trajectory:
     """The run of K to physical time ``t_target``, in the s chart when
     ``s_chart``; ``t_target`` replaces the config's ``t_max``."""
@@ -271,8 +286,7 @@ def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Traject
     if s_chart:
         structure, h = to_s_coordinates(structure, h)
         initial = to_s_state(initial, lam)
-        # s stays above its value exp(-lam T) at the horizon
-        config = replace(config, z_epsilon=math.exp(-lam * t_target) / 2)
+        config = replace(config, z_epsilon=s_chart_z_epsilon(lam, t_target))
     traj = integrate(structure, poincare_transform(h), initial, config)
     if traj.terminal_event.kind is not EventKind.T_MAX:
         raise RuntimeError(f"{'s-coordinate' if s_chart else 'rescaled'} run ended early "
@@ -305,9 +319,10 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     ``t_target``, as :func:`run_rescaled` does in the t chart.
 
     ``z_epsilon`` is always half of s = exp(-lam * t_target), so the
-    critical-set event cannot fire before the horizon.  The momentum and the
-    energy grow as in the t chart, so the same friction * horizon limits
-    hold; a ``zero`` potential runs until s underflows, near lam*t = 745.
+    critical-set event cannot fire before the horizon
+    (:func:`s_chart_z_epsilon`, which raises ``ValueError`` past lam * T of
+    about 744).  The momentum and the energy grow as in the t chart, so the
+    same friction * horizon limits hold.
     """
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
 

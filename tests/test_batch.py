@@ -200,6 +200,49 @@ class TestIntegrateBatch:
                             [[0.0, 1.0]], None, [0])
 
 
+class Negated(RowByRow):
+    """-H through its gradient alone: the kernel's per-row loop over -grad H."""
+
+    def gradient(self, state):
+        return -self.h.gradient(state)
+
+
+# q and p of the direction test; -0.0 on every coordinate that can hold it,
+# and a second, free degree of freedom at +-0.0, whose velocities are zeros
+# of both signs (on a backward row its RK4 sum cancels to +0.0)
+DIRECTION_ICS = [(0.0, 1.0), (-0.0, 1.0), (1.5, -0.0), (0.3, -0.7), (-1.0, 2.0),
+                 (2.5, 0.0), (0.0, 5e-4), (-0.0, -5e-4), (-0.0, -0.0), (1e-3, -1.5)]
+DIRECTION_FREE = [(0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("structure", STRUCTURES, ids=STRUCTURES.keys())
+def test_backward_rows_are_forward_runs_of_minus_h(structure, n):
+    """Each backward row of a mixed-direction batch is, to the bit, the forward
+    run of -H through the per-row gradient path, for each family and at
+    every end: Z (its sample on the Hermite of signed velocities), a fixed
+    point and t_max."""
+    base = STRUCTURES[structure]
+    structure = PhaseStructure(base.kind, dim=2 * n, modular_weight=base.modular_weight)
+    states = []
+    for i, (q, p) in enumerate(DIRECTION_ICS):
+        free_q, free_p = DIRECTION_FREE[i % 4]
+        states.append(PhaseState([q, free_q][:n], [p, free_p][:n]).to_array())
+    config = IntegratorConfig(step=0.02, t_max=8.0, z_epsilon=1e-2, blowup_bound=8.0)
+    ends = set()
+    for family in FAMILIES.values():
+        h = HamiltonianSpec(family, n=n)
+        batch = integrate_batch(structure, h, states + states, config,
+                                [1] * len(states) + [-1] * len(states))
+        backward = batch[len(states):]
+        for got, want in zip(backward, integrate_batch(structure, Negated(h), states, config)):
+            assert got.direction == -1
+            assert_same_run(got, want)
+            ends.add(got.terminal_event.kind)
+    assert {EventKind.FIXED_POINT, EventKind.T_MAX} <= ends
+    assert (EventKind.REACHED_Z in ends) == structure.is_singular
+
+
 def test_cli_portrait_batch_matches_single_runs(tmp_path):
     ics = [[0.0, 1.0], [1.0, -0.8], [-1.5, 0.6], [2.0, 0.0]]
     base = {

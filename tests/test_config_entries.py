@@ -10,9 +10,10 @@ states, a liftcheck sample on the critical set or of the wrong length, a
 non-integer ``singular_index``, a boolean where an integer belongs
 (``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
 non-object ``potential`` under ``--family``, a fixed-step run of more than
-``MAX_FIXED_STEPS`` steps and a fixed ``timescale`` step that does not fit
-the horizon, which is the run's ``t_max``.  An adaptive step is only a first
-guess and fits any horizon.
+``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit
+the horizon, which is the run's ``t_max``, and a clock-s horizon whose
+``z_epsilon`` underflows to 0.  An adaptive step is only a first guess and
+fits any horizon.
 """
 
 import copy
@@ -24,6 +25,8 @@ import numpy as np
 import pytest
 
 from bhamsys.cli import MAX_FIXED_STEPS, ConfigError, main, parse_config
+from bhamsys.hamiltonians import PotentialSpec
+from bhamsys.timescale import run_s_coordinates
 
 SIMULATE = {
     "structure": {"kind": "twisted_b", "dim": 2},
@@ -328,6 +331,24 @@ def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
         assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
         assert "config error: integrator.step" in capsys.readouterr().err
     parse_config(dict(TIMESCALE, integrator={"method": method, "step": 0.9}), "timescale")
+
+
+def test_a_clock_s_horizon_must_keep_its_z_epsilon_positive(tmp_path, capsys):
+    # clock s sets z_epsilon = exp(-friction * horizon) / 2, which underflows
+    # to 0 past friction * horizon of about 744.03: a record error before
+    doc = dict(TIMESCALE, clock="s", horizon=800.0, initial=[1.0, 0.5])
+    limit = r"^horizon: clock s needs friction \* horizon of at most about 744, "
+    with pytest.raises(ConfigError, match=limit + r".*got 800\.0$"):
+        parse_config(doc, "timescale")
+    assert run_main(tmp_path, "timescale", json.dumps(doc)) == 2
+    assert "config error: horizon: clock s" in capsys.readouterr().err
+    # the limit is on the product; clock t has no z_epsilon
+    with pytest.raises(ConfigError, match=limit + r".*got 745\.0$"):
+        parse_config(dict(doc, friction=0.5, horizon=1490.0), "timescale")
+    parse_config(dict(doc, horizon=744.0), "timescale")
+    parse_config(dict(doc, clock="t"), "timescale")
+    with pytest.raises(ValueError, match="at most about 744"):
+        run_s_coordinates(PotentialSpec("zero"), 1.0, [1.0], [0.5], 800.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

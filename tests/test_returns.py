@@ -21,6 +21,7 @@ from bhamsys.integrate import EventKind, IntegratorConfig, Trajectory, integrate
 from bhamsys.orbits import OrbitKind, classify_orbit
 
 integrate_module = importlib.import_module("bhamsys.integrate")
+orbits_module = importlib.import_module("bhamsys.orbits")
 
 PENDULUM = PhaseStructure(StructureKind.TWISTED_B, angular_mask=(True,))
 CANONICAL = PhaseStructure(StructureKind.CANONICAL)
@@ -152,6 +153,19 @@ def test_rows_that_do_not_return_keep_their_bits_in_a_mixed_batch(method):
         {OrbitKind.PERIODIC, OrbitKind.ESCAPE_ORBIT, OrbitKind.FIXED_POINT, OrbitKind.UNDETERMINED}
     for full, stop in zip(fulls, stops):
         assert_stops_as_the_full_run_classifies(full, stop)
+
+
+def test_a_returned_row_classifies_with_the_period_of_its_event():
+    """``classify_orbit`` takes the period of a ``returned_to_start`` event
+    as it stands: the float the first-return search gives on the run's own
+    samples, to the bit."""
+    returned = [run for run in mixed_batch("rk4_fixed", True)
+                if run.terminal_event.kind is EventKind.RETURNED]
+    assert len(returned) == 4
+    for run in returned:
+        period = orbits_module._first_return(run.structure, run.hamiltonian, run.times, run.ys,
+                                             run.direction)
+        assert classify_orbit(run).period.hex() == period.hex() == run.terminal_event.time.hex()
 
 
 @pytest.mark.parametrize("block", [1, 7])
