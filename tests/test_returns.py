@@ -18,10 +18,9 @@ from bhamsys import cli
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind
 from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import EventKind, IntegratorConfig, Trajectory, integrate_batch
-from bhamsys.orbits import OrbitKind, classify_orbit
+from bhamsys.orbits import OrbitKind, _first_return, classify_orbit
 
 integrate_module = importlib.import_module("bhamsys.integrate")
-orbits_module = importlib.import_module("bhamsys.orbits")
 
 PENDULUM = PhaseStructure(StructureKind.TWISTED_B, angular_mask=(True,))
 CANONICAL = PhaseStructure(StructureKind.CANONICAL)
@@ -163,8 +162,7 @@ def test_a_returned_row_classifies_with_the_period_of_its_event():
                 if run.terminal_event.kind is EventKind.RETURNED]
     assert len(returned) == 4
     for run in returned:
-        period = orbits_module._first_return(run.structure, run.hamiltonian, run.times, run.ys,
-                                             run.direction)
+        period = _first_return(run.structure, run.hamiltonian, run.times, run.ys, run.direction)
         assert classify_orbit(run).period.hex() == period.hex() == run.terminal_event.time.hex()
 
 
