@@ -29,6 +29,7 @@ itself blows up on Z and is only evaluated away from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -292,7 +293,10 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     (custom potentials, duck-typed objects exposing ``gradient(state)``) is
     evaluated row by row through ``h.gradient`` and raises whatever that
     raises.  Rows never mix, so a row's velocity is the same, to the bit, in
-    any batch.
+    any batch.  ``F(Y, errors)`` with a dict ``errors`` isolates a row that
+    raises: it gets NaN velocities and its first exception is kept in
+    ``errors`` under its row number (:func:`_each`).  The plain kernel
+    ignores ``errors``: under ``np.errstate(all="ignore")`` it cannot raise.
 
     ``F`` is the field itself, never negated: a backward run steps it with
     a negative step (see :mod:`bhamsys.integrate`).
@@ -344,7 +348,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
         force, axis = _family_slope(h.potential, -1.0, np.asarray), h.axis  # -dV/dx
         swap = np.array([*range(n, 2 * n), *range(n)])
 
-        def field(Y):
+        def field(Y, errors=None):
             # grad H = (dV/dq, p), swapped to (p, -dV/dq), with dV/dq zero off
             # the potential's axis; the swap is one copy of Y, (p, q)
             out = Y.take(swap, axis=-1)
@@ -381,26 +385,42 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     tail = -1.0 if structure.kind is StructureKind.EXTENDED_CANONICAL else 1.0
     sign = np.array([1.0] * n + [-1.0] * n + ([tail, -tail] if ext else []))
 
-    def field(Y):
+    def gradient(row):
+        g = np.asarray(h.gradient(PhaseState.from_array(row, n, ext)), dtype=float)
+        if g.size != d:
+            raise ValueError(f"gradient has length {g.size}, expected {d}")
+        return g
+
+    def field(Y, errors=None):
         rows = np.reshape(Y, (-1, d))
-        grad = np.empty_like(rows, dtype=float)
-        for i, row in enumerate(rows):
-            g = np.asarray(h.gradient(PhaseState.from_array(row, n, ext)), dtype=float)
-            if g.size != d:
-                raise ValueError(f"gradient has length {g.size}, expected {d}")
-            grad[i] = g
+        grad = np.array(_each(gradient, rows, errors), dtype=float).reshape(rows.shape)
         return scale(rows, grad[:, swap] * sign).reshape(np.shape(Y))
 
     return _with_row(field)
 
 
+def _each(row_field, rows, errors):
+    """``row_field`` of each of ``rows``; with a dict ``errors``, a row that
+    raises gets NaN velocities and its first exception is kept in
+    ``errors`` under its row number, else the exception propagates."""
+    out = []
+    for i, y in enumerate(rows):
+        try:
+            out.append(row_field(y))
+        except Exception as exc:
+            if errors is None:
+                raise
+            errors.setdefault(i, exc)
+            out.append([math.nan] * len(y))
+    return out
+
+
 def _with_array(row_field):
     """The kernel ``F`` whose one-row form ``F.row`` is ``row_field``: one
     flat state or a batch, evaluated row by row."""
-    def field(Y):
-        if Y.ndim == 1:
-            return np.array(row_field(Y.tolist()))
-        return np.array([row_field(y) for y in Y.tolist()]).reshape(Y.shape)
+    def field(Y, errors=None):
+        rows = Y.tolist() if Y.ndim > 1 else [Y.tolist()]
+        return np.array(_each(row_field, rows, errors)).reshape(Y.shape)
 
     field.row = row_field
     return field

@@ -34,14 +34,12 @@ velocities are read as derivatives (:func:`_rk4_steps`); a backward DP5 row
 negates each velocity.  Fixed-step RK4 advances all rows in lockstep on the
 shared time grid ``t = k * step``, in blocks of ``RETURN_BLOCK`` steps; each
 row keeps its own events and leaves the batch when one fires.  Each RK4
-stage is one call of the batch kernel; only a step in which the batch kernel
-raises is redone with its rows evaluated one by one, so that a row that
-raises cannot stop the others, and the rows that raised are then held in
-place for the rest of the block, so that its later steps are batched again.
-No step is tested on its own: at 14 to 32 rows a numpy call costs the same
-whatever the row count, so one pass over a block's samples finds each row's
-first event, and the rows that end inside the block are carried to its end,
-their extra samples discarded.  Adaptive DP5 rows choose their
+stage is one call of the batch kernel, which isolates a row that raises
+(``F(Y, errors)``), so that it cannot stop the others.  No step is tested
+on its own: at 14 to 32 rows a numpy call costs the same whatever the row
+count, so one pass over a block's samples finds each row's first event,
+and the rows that end inside the block are carried to its end, their extra
+samples discarded.  Adaptive DP5 rows choose their
 own steps and are advanced one at a time, on Python floats: the state and
 the stages are lists, each stage is a scalar weighted sum per component,
 added in stage order from 0, and the field is the kernel's one-row form
@@ -63,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -271,34 +268,6 @@ def write_table(path, columns, values, footer=None, suffix="") -> None:
 _BLOWUP_ERRORS = (BlowupError, OverflowError, FloatingPointError)
 
 
-def _isolated(F, Y, errors):
-    """``F(Y)``; a batch whose evaluation raises is evaluated again row by
-    row: a row that raises gets NaN velocities and its first exception is
-    kept in the dict ``errors`` under its row number, so it cannot stop the
-    rows that do not raise.
-    """
-    try:
-        return F(Y)
-    except Exception:
-        pass
-    out = np.full_like(Y, np.nan)
-    for j in range(len(Y)):
-        try:
-            out[j] = F(Y[j])
-        except Exception as exc:
-            errors.setdefault(j, exc)
-    return out
-
-
-def _held(F, rows, Y):
-    """The field of the batch ``Y`` on its ``rows`` alone; every other row
-    gets zero velocity, which keeps an RK4 step of that row where it is."""
-    out = np.zeros_like(Y)
-    if rows.size:
-        out[rows] = F(Y[rows])
-    return out
-
-
 def _rk4_steps(dt, sign=None):
     """The factors :func:`_rk4_step` takes for a step of ``dt`` along
     ``sign``: ``None`` when every row runs forward, else an array of
@@ -318,13 +287,14 @@ def _rk4_steps(dt, sign=None):
     return tuple(map(np.asarray, (sign * (0.5 * dt), sign * dt, dt / 6.0, sign, sign + sign)))
 
 
-def _rk4_step(f, y, k1, steps):
+def _rk4_step(f, y, k1, steps, errors=None):
     """One classic RK4 step of ``f`` from ``y``, where ``k1 = f(y)``, with
-    the factors of :func:`_rk4_steps`; ``k + k`` is ``2.0 * k``."""
+    the factors of :func:`_rk4_steps`, each stage ``f(Y, errors)``; ``k + k``
+    is ``2.0 * k``."""
     half, full, sixth, s1, s2 = steps
-    k2 = f(y + k1 * half)
-    k3 = f(y + k2 * half)
-    k4 = f(y + k3 * full)
+    k2 = f(y + k1 * half, errors)
+    k3 = f(y + k2 * half, errors)
+    k4 = f(y + k3 * full, errors)
     if s1 is None:
         return y + (k1 + (k2 + k2) + (k3 + k3) + k4) * sixth
     return y + (k1 * s1 + k2 * s2 + k3 * s2 + k4 * s1) * sixth
@@ -530,25 +500,23 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     The rows still running are the active set.  It advances in blocks of
     ``RETURN_BLOCK`` steps (the last block ends at ``t_max``), with one
     kernel call per RK4 stage and no test between steps; each step's
-    states and velocities are kept.  A step in which the kernel raises is
-    redone through :func:`_isolated`, which isolates the rows that raise
-    and keeps their errors; for the rest of the block those rows are held
-    at the state they started that step from, with zero velocity
-    (:func:`_held`), so no later step of the block evaluates them.  After
-    the block, one pass over its ``(steps, rows)`` arrays finds each row's
-    first event: a non-finite state or an error raised by the field, Z,
-    ``blowup_bound`` or ``fp_epsilon``.  An error
-    raised on a state that is already non-finite is ignored: that row has
-    ended at the step before.  A row ends at its first event, recorded as
-    (last sample index, time of that sample, terminal event), and a Z
-    event's sample, located on the step's Hermite interpolant, overwrites
-    the slot of the step that fired it.  The block's samples go into the
-    sample store in one slice.  A row that ends inside a block is carried
-    (or held) to the block's end with the others and its extra samples are
-    never read; rows never mix, so the rows that go on keep their bits.
-    Each block runs under ``np.errstate(all="ignore")``: an overflowing row ends
-    in ``blowup``, and neither it nor a carried row stops the batch or
-    warns, whatever numpy's error settings.
+    states and velocities are kept, and the first error of each row that
+    raises in a step (``F(Y, errors)``, which gives it NaN velocities), one
+    dict for the stages and one for the new sample.  After the block, one
+    pass over its ``(steps, rows)`` arrays finds each row's first event: a
+    non-finite state or an error raised by the field, Z, ``blowup_bound``
+    or ``fp_epsilon``.  An error raised on a new sample that is already
+    non-finite is ignored: that row has ended there.  A row ends at its
+    first event, recorded as (last sample index, time of that sample,
+    terminal event), and a Z event's sample, located on the step's Hermite
+    interpolant, overwrites the slot of the step that fired it.  The
+    block's samples go into the sample store in one slice.  A row that
+    ends inside a block, one that raised too, is carried to the block's
+    end with the others and its extra samples are never read; rows never
+    mix, so the rows that go on keep their bits.  The initial velocities
+    and each block run under ``np.errstate(all="ignore")``: an overflowing
+    row ends in ``blowup``, and neither it nor a carried row stops the
+    batch or warns, whatever numpy's error settings.
 
     ``sign`` is the column of row directions.  The kernel is never
     negated: a backward row steps ``F`` with ``-step`` (:func:`_rk4_steps`),
@@ -579,7 +547,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     Y = Y0
     errors = {}
     row_sign = sign[:, 0]
-    K = _isolated(F, Y, errors)
+    with np.errstate(all="ignore"):
+        K = F(Y, errors)
     for j, exc in errors.items():
         results[j] = exc
     scan = None
@@ -615,9 +584,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
             sized, factors = active.size, {}
             direction = None if (sign > 0.0).all() else np.repeat(sign, Y0.shape[1], axis=1)
         k0 = k
-        Ys, Ks, raised = [Y], [K], {}
-        f = F
-        live = np.ones(active.size, bool)
+        Ys, Ks, raised = [Y], [K], []
         with np.errstate(all="ignore"):
             while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
                 k += 1
@@ -628,24 +595,12 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                 steps = factors.get(dt)
                 if steps is None:
                     steps = factors[dt] = _rk4_steps(dt, direction)
-                try:
-                    Y_new = _rk4_step(f, Y, K, steps)
-                    K_new = f(Y_new)
-                    Y, K = Y_new, K_new
-                except Exception:
-                    # Redo the step row by row, keeping each row's first error,
-                    # then hold the rows that raised at the state they started
-                    # it from, with zero velocity, for the rest of the block.
-                    # Their samples past this step are never read.
-                    failed, late = {}, {}
-                    Y_new = _rk4_step(partial(_isolated, F, errors=failed), Y, K, steps)
-                    K_new = _isolated(F, Y_new, late)
-                    raised[len(Ks) - 1] = (failed, late)
-                    live[[*failed, *late]] = False
-                    f = partial(_held, F, np.flatnonzero(live))
-                    Y, K = np.where(live[:, None], Y_new, Y), np.where(live[:, None], K_new, 0.0)
-                Ys.append(Y_new)
-                Ks.append(K_new)
+                failed, late = {}, {}
+                Y = _rk4_step(F, Y, K, steps, failed)
+                K = F(Y, late)
+                raised.append((failed, late))
+                Ys.append(Y)
+                Ks.append(K)
                 times.append(t_new)
                 t = t_new
 
@@ -653,7 +608,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
             y_block = np.array(Ys[1:])
             y_max = np.abs(y_block).max(axis=2)  # NaN or inf where a state is not finite
             ok = y_max < np.inf
-            for s, (failed, late) in raised.items():
+            for s, (failed, late) in enumerate(raised):
                 for j, exc in late.items():
                     if ok[s, j]:
                         ok[s, j] = False
@@ -674,7 +629,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
             for j in np.flatnonzero(ended):
                 s = int(event[:, j].argmax())
                 i, r = k0 + 1 + s, active[j]
-                exc = raised[s][0].get(j) if s in raised else None
+                exc = raised[s][0].get(j)
                 if exc is not None and not isinstance(exc, _BLOWUP_ERRORS):
                     results[r] = exc
                 elif not ok[s, j]:
@@ -728,11 +683,13 @@ def _amax(values):
 
 
 def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
-    """Adaptive DP5 run of one row; raises what the Hamiltonian raises.
+    """Adaptive DP5 run of one row.
 
     The row is a list of floats and every field evaluation goes through the
     one-row form ``F.row``; the samples become the trajectory's arrays once,
-    at the end.
+    at the end.  A trial that raises is retried with a quarter of its step,
+    as a non-finite one is; at the ``2 * MIN_STEP`` floor, a blowup error
+    ends the run in ``blowup`` and any other error is raised.
     """
     row = F.row
     f = row if sign == 1.0 else (lambda x: [-v for v in row(x)])  # -v has the bits of -1.0 * v
@@ -770,7 +727,9 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
             dt = max(dt, MIN_STEP)
             try:
                 y_trial, err, stages = _dp_step(f, y, dt, f_cur)
-            except _BLOWUP_ERRORS:
+            except Exception as exc:  # a stage left the field's domain
+                if dt <= 2 * MIN_STEP and not isinstance(exc, _BLOWUP_ERRORS):
+                    raise
                 y_trial = [math.nan]
             if not all(map(math.isfinite, y_trial)):
                 if dt <= 2 * MIN_STEP:

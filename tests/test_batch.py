@@ -21,6 +21,7 @@ from bhamsys.hamiltonians import ExtendedKind, HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import (RETURN_BLOCK, Event, EventKind, IntegratorConfig, Method,
                                Trajectory, integrate, integrate_batch)
 from bhamsys.liftcheck import projectability_test, toric_moment_field
+from bhamsys.timescale import build_rescaled_extended, to_s_coordinates
 
 STRUCTURES = {
     "canonical": PhaseStructure(StructureKind.CANONICAL),
@@ -388,6 +389,38 @@ def test_an_error_at_a_new_sample_ends_only_its_row(error):
         assert_same_run(runs[i], integrate(structure, bad, states[i], config, directions[i]))
 
 
+EXTENDED_ROWS = {
+    # exp(lam*t) overflows past lam*t = 700: the second row ends in blowup
+    "rescaled_extended": (False, IntegratorConfig(step=0.01, t_max=1.0, blowup_bound=1e300),
+                          [[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 699.9, 1.0]], {1: EventKind.BLOWUP}),
+    # a stage of the middle row leaves the chart's domain s > 0
+    "s_coordinates": (True, IntegratorConfig(step=0.1, t_max=0.5, z_epsilon=1e-9),
+                      [[0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.15, 1.0], [0.5, -1.0, 2.0, 0.5]],
+                      {1: ValueError("Hamiltonian singular at s=0")}),
+}
+
+
+@pytest.mark.parametrize("variant", EXTENDED_ROWS, ids=EXTENDED_ROWS.keys())
+def test_a_raising_row_of_an_extended_kernel_ends_only_its_row(variant):
+    """The extended kernels run row by row and raise on one row: that row
+    ends, in blowup or with its error, and every other row has the bits of
+    its run alone."""
+    s_chart, config, rows, failing = EXTENDED_ROWS[variant]
+    structure, h = build_rescaled_extended(FAMILIES["linear"], 1.0)
+    if s_chart:
+        structure, h = to_s_coordinates(structure, h)
+    runs = integrate_batch(structure, h, rows, config)
+    for i, (row, run) in enumerate(zip(rows, runs)):
+        expected = failing.get(i)
+        if isinstance(expected, Exception):
+            assert repr(run) == repr(expected)
+        elif expected is not None:
+            assert run.terminal_event.kind is expected
+        else:
+            (alone,) = integrate_batch(structure, h, [row], config)
+            assert_same_run(run, alone)
+
+
 def test_classify_leaves_numpy_ma_unimported(tmp_path):
     """The first-return scan takes a median without numpy.ma, whose import
     would cost a classify process 17-30 ms."""
@@ -435,16 +468,15 @@ def refuses_below(bound):
 
 
 def count_rows_alone(monkeypatch):
-    """A list whose one entry counts the kernel calls on a single row, the
-    evaluations that isolate a row that raises."""
+    """A list whose one entry counts the kernel calls on a single row."""
     count = [0]
 
     def counting(structure, h):
         F = compile_field(structure, h)
 
-        def field(Y):
+        def field(Y, errors=None):
             count[0] += np.ndim(Y) == 1
-            return F(Y)
+            return F(Y, errors)
         field.row = F.row
         return field
     monkeypatch.setattr(importlib.import_module("bhamsys.integrate"), "compile_field", counting)
@@ -454,9 +486,8 @@ def count_rows_alone(monkeypatch):
 def test_rows_that_end_inside_a_block_equal_one_row_runs(monkeypatch):
     """Events are found once per block of steps; a row that ends inside a
     block, at any event, has the bits of its run alone, and so do the rows
-    carried on beside it.  A row that raises is held for the rest of its
-    block, so only the steps in which a row first raises are evaluated row
-    by row."""
+    carried on beside it.  A row that raises is isolated inside the batch
+    kernel, so no row is evaluated alone."""
     alone = count_rows_alone(monkeypatch)
     structure = PhaseStructure(StructureKind.TWISTED_B)
     h = HamiltonianSpec(PotentialSpec("custom", custom_eval=lambda q, t: 0.5 * q[0],
@@ -475,9 +506,7 @@ def test_rows_that_end_inside_a_block_equal_one_row_runs(monkeypatch):
     states = [PhaseState(*ic) for ic, _, _ in rows]
     directions = [direction for _, direction, _ in rows]
     batch = integrate_batch(structure, h, [s.to_array() for s in states], config, directions)
-    # carried through their blocks, the two rows that raise made every later
-    # stage of those blocks fail on the batch and run row by row: 1,070 calls
-    assert alone[0] == 18
+    assert alone[0] == 0
     last = []
     for state, direction, (_, _, expected), got in zip(states, directions, rows, batch):
         if expected is ValueError:
@@ -499,7 +528,7 @@ def test_an_overflowing_row_does_not_stop_the_batch_when_numpy_raises():
     structure = PhaseStructure(StructureKind.TWISTED_B)
     h = HamiltonianSpec(FAMILIES["linear"])
     config = IntegratorConfig(step=0.01, t_max=2.0)
-    rows = [[0.0, 3e4], [0.0, 1e5], [0.5, 1.0], [0.0, 1e154], [1.0, 2e3]]
+    rows = [[0.0, 3e4], [0.0, 1e5], [0.5, 1.0], [0.0, 1e154], [1.0, 2e3], [0.0, 1e200]]
     old = np.seterr(all="raise")
     try:
         with warnings.catch_warnings():
@@ -508,4 +537,5 @@ def test_an_overflowing_row_does_not_stop_the_batch_when_numpy_raises():
     finally:
         np.seterr(**old)
     assert [r.terminal_event.kind for r in runs] == [
-        EventKind.T_MAX, EventKind.BLOWUP, EventKind.T_MAX, EventKind.BLOWUP, EventKind.T_MAX]
+        EventKind.T_MAX, EventKind.BLOWUP, EventKind.T_MAX, EventKind.BLOWUP, EventKind.T_MAX,
+        EventKind.BLOWUP]

@@ -267,6 +267,17 @@ class TestPhysicalClock:
         assert np.max(np.abs(rt.q[:, 0] - q)) / scale < 1e-7
         assert np.max(np.abs(rt.velocity[:, 0] - v)) / scale < 1e-7
 
+    def test_a_clock_s_trial_that_leaves_the_chart_is_retried_with_a_smaller_step(self):
+        """A DP5 trial stage of this run overshoots below s = 0, where the
+        field raises; the trial is retried with a quarter of its step and
+        the run reaches its horizon on the free damped solution."""
+        traj = run_s_coordinates(ZERO, 1.0, 1.0, 0.5, 20.0)
+        assert traj.terminal_event == Event(20.0, EventKind.T_MAX)
+        rt = reconstruct_real_time(traj)
+        decay = np.exp(-rt.times)
+        assert np.max(np.abs(rt.q[:, 0] - (1.0 + 0.5 * (1.0 - decay)))) < 1e-9
+        assert np.max(np.abs(rt.velocity[:, 0] - 0.5 * decay)) < 1e-9
+
     @pytest.mark.parametrize("s_chart", [False, True])
     def test_field_of_k_is_g_times_the_field_of_h_on_the_zero_level(self, s_chart):
         rng = np.random.default_rng(3)
