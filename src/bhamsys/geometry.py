@@ -285,9 +285,11 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     named potential family, the gradient is computed on the flat states
     directly: as array expressions for the plain variant (the swap is one
     ``take``, and the force -dV/dx carries its sign in the family constant,
-    so it needs no negation), with the one
-    scalar formula of the extended variants, row by row, for the others,
-    and for the Poincare variants as the closed-form field of K itself; these
+    so it needs no negation), and row by row for the five extended variants,
+    whose one closed form (``hamiltonians._extended_terms``) gives the force
+    and the other partials that this kernel puts in place:
+    ``(dH/dp, -dH/dq, -dH/dE, dH/dt)`` on ``(t, E)`` and
+    ``(dH/dp, -dH/dq, (s/c) dH/dE_s, -(s/c) dH/ds)`` on ``(s, E_s)``; these
     raise what ``h.gradient`` raises, an ``OverflowError`` past
     ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Any other ``h``
     (custom potentials, duck-typed objects exposing ``gradient(state)``) is
@@ -303,12 +305,12 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
     ``F.row`` is the one-row form: it takes one state as a list of floats
     and returns its velocity as a list of floats, with the bits of ``F``.
-    For the extended variants it is the scalar formula itself, with no
-    array; every other kernel wraps ``F`` in ``np.array`` and ``tolist``.
+    For the extended variants it is the row kernel itself, with no array;
+    every other kernel wraps ``F`` in ``np.array`` and ``tolist``.
     """
     # hamiltonians imports this module, so its names are looked up here
     from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily,
-                               _extended_gradient, _family_slope, _poincare_field)
+                               _extended_terms, _family_slope)
 
     role = getattr(h, "extra_role", None)
     if structure.kind is StructureKind.EXTENDED_CANONICAL and role not in (None, "t_energy"):
@@ -359,23 +361,19 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
         return _with_row(field)
 
-    if named and h.extended in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S) and ext:
-        return _with_array(_poincare_field(h, c))  # the field of K in closed form, on floats
-
     if named and h.extended is not ExtendedKind.NONE and ext:
-        canonical = structure.kind is StructureKind.EXTENDED_CANONICAL
-        gradient = _extended_gradient(h)
-
-        def row_field(y):
-            # the same products as the general path below, on one row's scalars
-            g = gradient(y)
-            v = g[n:2 * n] + [-x for x in g[:n]]
-            if canonical:  # the (t, E) block has the constant scale -1
-                v += [-g[2 * n + 1], g[2 * n]]
-            else:
-                sigma = y[2 * n] / c  # the (s, E_s) pair, scaled by s/c
-                v += [g[2 * n + 1] * sigma, -g[2 * n] * sigma]
-            return list(map(float, v))  # numpy scalars of the formula as floats
+        terms = _extended_terms(h)
+        if structure.kind is StructureKind.EXTENDED_CANONICAL:
+            def row_field(y):
+                # (dH/dp, -dH/dq), then (-dH/dE, dH/dt): the (t, E) scale is -1
+                force, k_p, k_t, k_e = terms(y)
+                return k_p + force + [-k_e, k_t]
+        else:
+            def row_field(y):
+                # the (s, E_s) pair, scaled by s/c
+                force, k_p, k_s, k_e = terms(y)
+                sigma = y[2 * n] / c
+                return k_p + force + [k_e * sigma, -k_s * sigma]
 
         return _with_array(row_field)
 

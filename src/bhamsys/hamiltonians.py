@@ -35,6 +35,10 @@ g = dsigma/dt, so that the flow of K runs on physical time t:
 On the level set H = 0 the field of K is g times that of H, so dt/dtau = 1
 along it; off that level the partials of K carry the extra H * grad(g).
 
+This module computes only energies and partials: one function gives those of
+the five extended variants to ``HamiltonianSpec.gradient`` and to the field
+kernel, and :mod:`bhamsys.geometry` alone applies the bivector to them.
+
 Where the time variable enters through exponentials (``rescaled_extended``
 and ``poincare_t``), evaluation raises an overflow error once lam*t exceeds
 700.
@@ -296,7 +300,8 @@ class HamiltonianSpec:
             out[:n] = potential_gradient(self.potential, state.q, 0.0, self.axis)
             out[n:] = state.p
             return out
-        return np.array(_extended_gradient(self)(state.to_array().tolist()))
+        force, k_p, k_x, k_e = _extended_terms(self)(state.to_array().tolist())
+        return np.array([-x for x in force] + k_p + [k_x, k_e])
 
 
 def _bound_potential(h: HamiltonianSpec):
@@ -330,46 +335,53 @@ def _bound_potential(h: HamiltonianSpec):
     return potential
 
 
-def _extended_gradient(h: HamiltonianSpec):
-    """The exact partials of an extended ``h`` as a function of one flat row.
+def _extended_terms(h: HamiltonianSpec):
+    """The partials of an extended ``h`` in closed form, as ``terms(y) ->
+    (-dH/dq, dH/dp, dH/dt-or-s, dH/dE-or-E_s)`` on one flat row ``y`` of
+    Python floats, laid out ``(q, p, t, E)`` or ``(q, p, s, E_s)``, the
+    first two as lists; -dH/dq, the force, is the sign the field takes.
+    The variant, the potential's value and slope and the powers of lam are
+    bound here, once per Hamiltonian.
 
-    Returns ``grad(y)``, where ``y`` is the list of one state's floats, laid
-    out ``(q, p, t, E)`` or ``(q, p, s, E_s)``, and ``grad(y)`` the list of
-    partials in the order of :meth:`HamiltonianSpec.gradient`.  The variant,
-    the potential's value and slope, ``lam**2`` and ``lam**3`` are bound
-    here, once per Hamiltonian.
-
-    This is the one formula of the extended variants, used by
+    This is the one formula of the five extended variants, used by
     :meth:`HamiltonianSpec.gradient` and by the kernel of
-    :func:`~bhamsys.geometry.compile_field`; the Poincare variants go through
-    :func:`_poincare_terms`, which their field uses too.  It works on the
-    scalars of one row, with ``math.exp`` of ``lam*t`` and ``math.log`` of
-    ``s``, since numpy's ``exp`` can differ from them in the last bit.  ``t``
-    of the rescaled variant is a numpy scalar.  The ``s`` partials run on
-    Python floats, which give the bits of numpy scalars at a fraction of
-    their cost, and again on a numpy scalar ``s`` only where a float power
-    of ``s`` underflows to zero or overflows: there a division gives inf or
-    NaN, as an array division does, where floats raise.
+    :func:`~bhamsys.geometry.compile_field`, which applies the bivector.
+    The H variants give dH/dp = p; Poincare's K gives, on clock t,
+    K = lam e^{-lam t} |p|^2/2 + e^{lam t} V / lam - E::
+
+        dK/dq = e^{lam t} dV/dq / lam        dK/dp = lam e^{-lam t} p
+        dK/dt = e^{lam t} (V + V_t / lam) - lam^2 e^{-lam t} |p|^2/2
+        dK/dE = -1
+
+    and on clock s, K = lam s |p|^2/2 + V / (lam s) - lam E_s, with
+    dt/ds = -1/(lam s)::
+
+        dK/dq = dV/dq / (lam s)              dK/dp = lam s p
+        dK/ds = lam |p|^2/2 - (V + V_t / lam) / (lam s^2)
+        dK/dE_s = -lam
+
+    They raise an ``OverflowError`` past ``lam*t > 700`` and a
+    ``ValueError`` at ``s <= 0``.  The time factors are ``math.exp`` of
+    ``lam*t`` and ``math.log`` of ``s``, since numpy's ``exp`` can differ
+    from them in the last bit.  ``t`` of the plain and rescaled H is a
+    numpy scalar.  The s-coordinate H runs on a numpy scalar ``s`` and
+    returns Python floats: where a power of ``s`` under- or overflows, a
+    division by it gives inf or NaN, as an array division does, where
+    floats raise.  K on clock s runs on a Python float ``s``, and on a numpy
+    scalar only where ``lam s^2`` underflows to zero.
     """
     n, lam = h.n, h.friction
-    if h.extended in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
-        terms = _poincare_terms(h)
-
-        def grad(y):
-            force, k_p, k_x, k_e = terms(y)
-            return [-x for x in force] + k_p + [k_x, k_e]
-        return grad
-
     potential = _bound_potential(h)
     if h.extended is ExtendedKind.PLAIN_EXTENDED:
-        def grad(y):
+        def terms(y):
             _, v_t, g = potential(y, np.float64(y[2 * n]))
-            return g + y[n:2 * n] + [v_t, -1.0]
-        return grad
+            return [-x for x in g], y[n:2 * n], v_t, -1.0
+        return terms
 
-    lam2, lam3 = lam**2, lam**3
     if h.extended is ExtendedKind.RESCALED_EXTENDED:
-        def grad(y):
+        lam2 = lam**2
+
+        def terms(y):
             t = np.float64(y[2 * n])
             if lam * t > EXP_GUARD:
                 raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
@@ -377,57 +389,11 @@ def _extended_gradient(h: HamiltonianSpec):
             elt = math.exp(lam * t)
             e2lt = elt * elt
             scale = e2lt / lam2
-            return ([scale * x for x in g] + y[n:2 * n]
-                    + [2 * e2lt / lam * v + scale * v_t - elt * y[2 * n + 1], -elt / lam])
-        return grad
+            push = -scale
+            return ([push * x for x in g], y[n:2 * n],
+                    2 * e2lt / lam * v + scale * v_t - elt * y[2 * n + 1], -elt / lam)
+        return terms
 
-    def s_partials(y, s, v, v_t, g):
-        ls2 = (lam * s) ** 2
-        s3 = s**3
-        return ([x / ls2 for x in g] + y[n:2 * n]
-                + [-v_t / (lam3 * s3) - 2 * v / (lam2 * s3) + y[2 * n + 1] / s**2, -1.0 / s])
-
-    def grad(y):
-        # d/ds of V(q, t(s))/(lam s)^2 - E_s/s, with dt/ds = -1/(lam s)
-        s = y[2 * n]
-        if s <= 0.0:
-            raise ValueError("Hamiltonian singular at s=0")
-        v, v_t, g = potential(y, -math.log(s) / lam)
-        try:
-            return s_partials(y, s, v, v_t, g)
-        except (ZeroDivisionError, OverflowError):
-            # a power of s under- or overflowed: numpy scalars give inf or
-            # NaN there, as an array division does, where floats raise
-            return s_partials(y, np.float64(s), v, v_t, g)
-    return grad
-
-
-def _poincare_terms(h: HamiltonianSpec):
-    """The partials of a Poincare variant K of ``h`` in closed form, as
-    ``terms(y) -> (-dK/dq, dK/dp, dK/dt-or-s, dK/dE-or-E_s)`` on one flat
-    row of Python floats, the first two as lists; -dK/dq, the force, is the
-    sign the field takes.
-
-    Clock t, K = lam e^{-lam t} |p|^2/2 + e^{lam t} V / lam - E::
-
-        dK/dq = e^{lam t} dV/dq / lam        dK/dp = lam e^{-lam t} p
-        dK/dt = e^{lam t} (V + V_t / lam) - lam^2 e^{-lam t} |p|^2/2
-        dK/dE = -1
-
-    Clock s, K = lam s |p|^2/2 + V / (lam s) - lam E_s, with
-    dt/ds = -1/(lam s)::
-
-        dK/dq = dV/dq / (lam s)              dK/dp = lam s p
-        dK/ds = lam |p|^2/2 - (V + V_t / lam) / (lam s^2)
-        dK/dE_s = -lam
-
-    They raise what the variants of ``h`` raise: an ``OverflowError`` past
-    ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Where ``lam s^2``
-    underflows to zero, the s partials run on a numpy scalar ``s``, which
-    gives inf or NaN where floats raise.
-    """
-    n, lam = h.n, h.friction
-    potential = _bound_potential(h)
     if h.extended is ExtendedKind.POINCARE_T:
         def terms(y):
             t = y[2 * n]
@@ -439,6 +405,21 @@ def _poincare_terms(h: HamiltonianSpec):
             p = y[n:2 * n]
             return ([push * x for x in g], [decay * x for x in p],
                     elt * (v + v_t / lam) - lam * decay * 0.5 * sum([x * x for x in p]), -1.0)
+        return terms
+
+    if h.extended is ExtendedKind.S_COORDINATES:
+        lam2, lam3 = lam**2, lam**3
+
+        def terms(y):
+            s = np.float64(y[2 * n])
+            if s <= 0.0:
+                raise ValueError("Hamiltonian singular at s=0")
+            v, v_t, g = potential(y, -math.log(s) / lam)
+            ls2 = (lam * s) ** 2
+            s3 = s**3
+            return ([float(-x / ls2) for x in g], y[n:2 * n],
+                    float(-v_t / (lam3 * s3) - 2 * v / (lam2 * s3) + y[2 * n + 1] / s**2),
+                    float(-1.0 / s))
         return terms
 
     def terms(y):
@@ -456,27 +437,6 @@ def _poincare_terms(h: HamiltonianSpec):
         return ([-x / ls for x in g], [ls * x for x in p],
                 lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
     return terms
-
-
-def _poincare_field(h: HamiltonianSpec, weight: float):
-    """The Hamiltonian field of a Poincare variant ``h`` on its extended
-    structure, with modular weight ``weight`` on the (s, E_s) pair, as a
-    function of one flat row: ``(dK/dp, -dK/dq)`` and then, on clock t,
-    ``(-dK/dE, dK/dt) = (1, dK/dt)``, on clock s ``(s/c) (dK/dE_s, -dK/ds)``.
-    The partials are those of :func:`_poincare_terms`."""
-    n = h.n
-    terms = _poincare_terms(h)
-    if h.extended is ExtendedKind.POINCARE_T:
-        def field(y):
-            force, k_p, k_t, _ = terms(y)
-            return k_p + force + [1.0, k_t]
-        return field
-
-    def field(y):
-        force, k_p, k_s, k_e = terms(y)
-        sigma = y[2 * n] / weight
-        return k_p + force + [k_e * sigma, -k_s * sigma]
-    return field
 
 
 @dataclass(frozen=True)

@@ -250,15 +250,20 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
     """Initial state of the rescaled system for physical data (q0, v0) at t0.
 
     Uses p = exp(lam t) v / lam and, unless ``e0`` overrides it, the energy
-    value that puts the rescaled Hamiltonian on its zero level.
+    value that puts the rescaled Hamiltonian on its zero level.  Raises a
+    ``ValueError`` that names ``v0`` where p or the energy is not finite.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    p0 = v0 * math.exp(lam * t0) / lam
-    if e0 is None:
-        v_pot = potential_value(potential, q0, t0, axis)
-        e0 = (lam * math.exp(-lam * t0) * 0.5 * float(np.dot(p0, p0))
-              + math.exp(lam * t0) * v_pot / lam)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        p0 = v0 * math.exp(lam * t0) / lam
+        if e0 is None:
+            v_pot = potential_value(potential, q0, t0, axis)
+            e0 = (lam * math.exp(-lam * t0) * 0.5 * float(np.dot(p0, p0))
+                  + math.exp(lam * t0) * v_pot / lam)
+    if not (np.all(np.isfinite(p0)) and math.isfinite(e0)):
+        raise ValueError(f"initial momentum or energy not finite for v0 = {v0.tolist()} "
+                         f"at friction {lam!r}: p0 = {p0.tolist()}, e0 = {e0!r}")
     return PhaseState(q=q0, p=p0, extra=(t0, e0))
 
 

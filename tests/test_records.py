@@ -16,6 +16,7 @@ import pathlib
 import re
 
 import pytest
+from conftest import run_python
 
 from bhamsys.cli import main
 
@@ -90,6 +91,21 @@ def test_every_error_record_names_its_exception(tmp_path, command, doc):
     (record,) = read(out, "manifest.json")["records"]
     assert ERROR.match(record["status"]), record["status"]
     assert record["index"] == 0
+
+
+def test_an_overflowing_initial_momentum_names_v0_without_a_warning(tmp_path):
+    # p0 = v0 e^{friction t0} / friction overflows; the CLI runs in its own
+    # interpreter, so a numpy RuntimeWarning would reach its stderr
+    (tmp_path / "run.json").write_text(json.dumps(dict(TIMESCALE, friction=0.5,
+                                                       initial=[0.0, 1e308])))
+    code = "import sys\nfrom bhamsys.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    out = run_python(["-c", code, "timescale", "--config", str(tmp_path / "run.json"),
+                      "--out", str(tmp_path / "out")], timeout=120)
+    assert out.returncode == 1
+    (record,) = read(tmp_path / "out", "manifest.json")["records"]
+    assert record["status"].startswith("error: ValueError: ")
+    assert "v0" in record["status"]
+    assert "RuntimeWarning" not in out.stderr
 
 
 @pytest.mark.parametrize("command,name", [("simulate", "traj_000.csv"),

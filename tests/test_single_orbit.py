@@ -20,8 +20,11 @@ from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_
 from bhamsys.hamiltonians import (EXP_GUARD, ExtendedKind, HamiltonianSpec, PotentialSpec,
                                   potential_gradient, potential_time_derivative,
                                   potential_value)
-from bhamsys.integrate import _DP_A, _DP_B5, _DP_ERR, EventKind, _dp_step
-from bhamsys.timescale import run_rescaled, run_s_coordinates
+from bhamsys.integrate import (_DP_A, _DP_B5, _DP_ERR, EventKind, IntegratorConfig, Method,
+                               _dp_step, integrate)
+from bhamsys.timescale import (build_plain_extended, build_rescaled_extended,
+                               plain_initial_state, rescaled_initial_state, run_rescaled,
+                               run_s_coordinates, to_s_coordinates, to_s_state)
 
 FAMILIES = {
     "zero": {},
@@ -191,10 +194,20 @@ def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
     def no_gradient(self, state):
         raise AssertionError("the kernel went through HamiltonianSpec.gradient")
     monkeypatch.setattr(HamiltonianSpec, "gradient", no_gradient)
+    potential, q0, v0 = PotentialSpec("pure_quadratic", lam=0.7), [0.3, -0.2], [0.5, 0.1]
     for runner in (run_rescaled, run_s_coordinates):
-        traj = runner(PotentialSpec("pure_quadratic", lam=0.7), 0.8, [0.3, -0.2], [0.5, 0.1],
-                      2.0, axis=1)
+        traj = runner(potential, 0.8, q0, v0, 2.0, axis=1)
         assert traj.terminal_event.kind is EventKind.T_MAX
+    # the plain, rescaled and s-coordinate H share the kernel of K
+    rescaled = build_rescaled_extended(potential, 0.8, n=2, axis=1)
+    initial = rescaled_initial_state(potential, 0.8, q0, v0, axis=1)
+    runs = [(*build_plain_extended(potential, n=2, axis=1),
+             plain_initial_state(potential, q0, v0, axis=1)),
+            (*rescaled, initial),
+            (*to_s_coordinates(*rescaled), to_s_state(initial, 0.8))]
+    config = IntegratorConfig(method=Method.RK_ADAPTIVE, t_max=0.5)
+    for structure, h, y0 in runs:
+        assert integrate(structure, h, y0, config).terminal_event.kind is EventKind.T_MAX
 
 
 def dp_reference(f, y, dt, k1):

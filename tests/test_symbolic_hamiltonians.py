@@ -8,8 +8,9 @@ rescaled H and g = lam s times the s-coordinate one.  At seeded states,
 ``HamiltonianSpec.value`` must equal H, ``HamiltonianSpec.gradient`` its
 partials and ``_family_slope`` dV/dx, each within 1e-12 relative to the
 larger of the exact value and 1 (the largest error seen is near 1e-15).  For
-the Poincare variants the kernel of ``compile_field``, which computes the
-field of K in closed form without the gradient, must equal P . grad K too.
+all five extended variants the one-row kernel of ``compile_field``, which
+puts the closed-form partials in place without the gradient, must equal
+P . grad H too, with a Python float in every entry.
 """
 
 import itertools
@@ -25,6 +26,7 @@ sp = pytest.importorskip("sympy")
 
 FAMILIES = [f for f in PotentialFamily if f is not PotentialFamily.CUSTOM]
 VARIANTS = list(ExtendedKind)
+S_VARIANTS = (ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S)
 REL = 1e-12
 DIGITS = 30
 
@@ -61,11 +63,11 @@ def symbolic_hamiltonian(variant, v, p, tau, energy, friction):
 
 
 def symbolic_field(variant, partials, coords, n):
-    """P . grad K on the variant's extended structure (modular weight 1):
-    (dK/dp, -dK/dq), then (-dK/dE, dK/dt) on (t, E) or s (dK/dE_s, -dK/ds)
+    """P . grad H on the variant's extended structure (modular weight 1):
+    (dH/dp, -dH/dq), then (-dH/dE, dH/dt) on (t, E) or s (dH/dE_s, -dH/ds)
     on (s, E_s)."""
-    tail = ([-partials[2 * n + 1], partials[2 * n]] if variant is ExtendedKind.POINCARE_T
-            else [coords[2 * n] * partials[2 * n + 1], -coords[2 * n] * partials[2 * n]])
+    tail = ([coords[2 * n] * partials[2 * n + 1], -coords[2 * n] * partials[2 * n]]
+            if variant in S_VARIANTS else [-partials[2 * n + 1], partials[2 * n]])
     return partials[n:2 * n] + [-x for x in partials[:n]] + tail
 
 
@@ -95,10 +97,9 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
                            friction=friction if variant not in (ExtendedKind.NONE,
                                                                 ExtendedKind.PLAIN_EXTENDED)
                            else None)
-    poincare = variant in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S)
-    if poincare:
-        kind = (StructureKind.EXTENDED_CANONICAL if variant is ExtendedKind.POINCARE_T
-                else StructureKind.EXTENDED_B_S)
+    if extended:
+        kind = (StructureKind.EXTENDED_B_S if variant in S_VARIANTS
+                else StructureKind.EXTENDED_CANONICAL)
         field = compile_field(PhaseStructure(kind, dim=2 * n), spec).row
 
     q = sp.symbols(f"q1:{n + 1}")
@@ -114,8 +115,7 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
         qs, ps = rng.uniform(-2.0, 2.0, size=n), rng.uniform(-2.0, 2.0, size=n)
         extra = None
         if extended:
-            lo, hi = ((0.05, 1.0) if variant in (ExtendedKind.S_COORDINATES,
-                                                 ExtendedKind.POINCARE_S) else (0.0, 3.0))
+            lo, hi = (0.05, 1.0) if variant in S_VARIANTS else (0.0, 3.0)
             extra = (float(rng.uniform(lo, hi)), float(rng.uniform(-2.0, 2.0)))
         state = PhaseState(qs, ps, extra=extra)
         values = state.to_array().tolist()
@@ -128,7 +128,7 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
             assert_close(float(actual), exact.evalf(DIGITS, subs=subs), f"dH/d{c}")
         assert_close(float(_family_slope(spec.potential)(float(qs[axis]))),
                      slope.evalf(DIGITS, subs=subs), "slope")
-        if poincare:
+        if extended:
             velocity = field(values)
             exact_field = symbolic_field(variant, partials, coords, n)
             assert len(velocity) == len(coords)
