@@ -368,7 +368,8 @@ def _extended_terms(h: HamiltonianSpec):
     returns Python floats: where a power of ``s`` under- or overflows, a
     division by it gives inf or NaN, as an array division does, where
     floats raise.  K on clock s runs on a Python float ``s``, and on a numpy
-    scalar only where ``lam s^2`` underflows to zero.
+    scalar, without numpy's warnings, only where ``lam s^2`` underflows to
+    zero; it returns Python floats either way.
     """
     n, lam = h.n, h.friction
     potential = _bound_potential(h)
@@ -422,20 +423,24 @@ def _extended_terms(h: HamiltonianSpec):
                     float(-1.0 / s))
         return terms
 
+    def partials(s, p, v, v_t, g):
+        ls = lam * s
+        return ([-x / ls for x in g], [ls * x for x in p],
+                lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
+
     def terms(y):
         s = y[2 * n]
         if s <= 0.0:
             raise ValueError("Hamiltonian singular at s=0")
         v, v_t, g = potential(y, -math.log(s) / lam)
-        ls = lam * s
-        if ls * s == 0.0:
-            # lam s^2 underflowed: numpy scalars give inf or NaN below, as
-            # an array division does, where floats raise
-            s = np.float64(s)
-            ls = lam * s
         p = y[n:2 * n]
-        return ([-x / ls for x in g], [ls * x for x in p],
-                lam * 0.5 * sum([x * x for x in p]) - (v + v_t / lam) / (ls * s), -lam)
+        if lam * s * s != 0.0:
+            return partials(s, p, v, v_t, g)
+        # lam s^2 underflowed: numpy scalars give inf or NaN, as an array
+        # division does, where floats raise; float() keeps their bits
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            force, k_p, k_s, k_e = partials(np.float64(s), p, v, v_t, g)
+        return [float(x) for x in force], [float(x) for x in k_p], float(k_s), k_e
     return terms
 
 

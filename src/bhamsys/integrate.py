@@ -451,9 +451,8 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
     trajectory keeps its samples up to the one where the return was found.
     The search runs only where a row's progress along its initial velocity
     turns from negative to nonnegative near its start.  Adaptive rows run to
-    their own end: the search rejects periods shorter than
-    ``orbits.MIN_PERIOD_STEPS`` median steps, and the median step of a
-    prefix of an adaptive run is not the whole run's.
+    their own end: only the lockstep loop of a fixed-step batch runs the
+    search between its blocks.
     """
     if config is None:
         config = IntegratorConfig()

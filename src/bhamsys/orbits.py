@@ -9,21 +9,22 @@ two fixed points.  This module detects those types:
 * ``fixed_point``            -- the field vanished at the initial state.
 * ``escape_orbit``           -- the run terminated in the Z neighborhood.
 * ``periodic``               -- the state returns to its initial value (angles
-  compared on the circle) with nonvanishing speed.  Detected by a first
-  return through the hyperplane normal to the initial velocity of the field
-  the run followed (negated on a backward run), refined by the shared
-  bisection ``integrate._bisect`` on a cubic Hermite interpolant between
-  accepted steps.  The period is the time of that return.  A fixed-step
-  run made with ``integrate_batch(..., stop_at_return=True)`` (as CLI
-  ``classify`` makes them) ends at the first scan of its samples where this
-  search finds it (event ``returned_to_start``), so the first return
-  settles the run: an event that the run continued to ``t_max`` would meet
-  later (the Z neighborhood, a blowup, a field error) no longer changes
-  the result, and a row that has returned is ``periodic``, with the
-  period of its event, which that search found on the same samples.  The
-  period is the one the continued run gives, to the bit, unless it lies
-  within rounding of ``MIN_PERIOD_STEPS`` steps (the floor is computed from
-  the median step of the samples searched).
+  compared on the circle) with nonvanishing speed.  Detected by one search,
+  :func:`first_return_scan`: the crossings of the hyperplane normal to the
+  initial velocity of the field the run followed (negated on a backward
+  run), near the initial state, are each refined once, in order, by the
+  shared bisection ``integrate._bisect`` on a cubic Hermite interpolant
+  between accepted steps, until one returns.  The period is the time of
+  that return; it must exceed ``MIN_PERIOD_STEPS`` median steps of the
+  samples up to its crossing.  A fixed-step run made with
+  ``integrate_batch(..., stop_at_return=True)`` (as CLI ``classify`` makes
+  them) runs this search on each block of its samples and ends at the
+  crossing where it finds the return (event ``returned_to_start``), so the
+  first return settles the run: an event that the run continued to
+  ``t_max`` would meet later (the Z neighborhood, a blowup, a field error)
+  no longer changes the result, and a row that has returned is
+  ``periodic``, with the period of its event.  Any other run is searched
+  as one block, and a continued run gives the same period, to the bit.
 * ``heteroclinic_segment``   -- a two-sided trajectory whose both ends reached
   the Z neighborhood.
 * ``unbounded``              -- the run blew up.
@@ -144,66 +145,50 @@ def _crossings(progress: np.ndarray, dist: np.ndarray, gate) -> np.ndarray:
             & (np.minimum(dist[..., :-1], dist[..., 1:]) <= gate))
 
 
-def _first_return(structure: PhaseStructure, h, times: np.ndarray, ys: np.ndarray,
-                  direction: int = 1) -> Optional[float]:
-    """Time of first return to the initial state ``ys[0]`` of the samples
-    ``times``, ``ys`` of a run along ``direction`` times the field of ``h``,
-    or None."""
-    if len(times) < 3:
-        return None
-    x0 = ys[0]
+def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarray,
+                      directions: np.ndarray):
+    """The first-return search of runs started at the rows of ``Y0``, with
+    directed initial velocities ``K0`` and ``directions``.
+
+    Returns ``scan(store, times, rows, lo, hi)``: ``{j: (i, period)}`` for
+    each row ``rows[j]`` of the sample ``store`` (on the time grid
+    ``times``) whose first return is found at a sample ``i`` in
+    ``lo + 1 .. hi``.  Each crossing of :func:`_crossings` among those
+    samples is refined once, in order, until one returns: the shared
+    bisection ``integrate._bisect`` finds where the progress turns
+    nonnegative on the cubic Hermite interpolant of the step into ``i``,
+    and that time is the ``period`` when the state there lies within
+    ``RETURN_BALL`` of the start, the field there does not vanish, and it
+    is at least ``MIN_PERIOD_STEPS`` median steps of ``times[:i + 1]``.
+    A row without a return frame gets the gate -1, which no distance
+    passes.
+    """
     F = compile_field(structure, h)
-    f = F if direction == 1 else (lambda y: -F(y))
-    frame = _return_frame(x0, f(x0))
-    if frame is None:
-        return None
-    v0n, gate = frame
+    frames = [_return_frame(x0, v0) for x0, v0 in zip(Y0, K0)]
+    v0n = np.array([np.zeros_like(x0) if fr is None else fr[0] for x0, fr in zip(Y0, frames)])
+    gate = np.array([[-1.0 if fr is None else fr[1]] for fr in frames])
     angular_idx = _angular_columns(structure)
 
-    deltas = _angular_delta(ys, x0, angular_idx)
-    progress = deltas @ v0n
-    dist = np.max(np.abs(deltas), axis=1)
-
-    med_dt = _median(np.diff(times))
-    t_floor = MIN_PERIOD_STEPS * med_dt
-
-    crossings = np.flatnonzero(_crossings(progress, dist, gate) & (times[1:] >= t_floor)) + 1
-    for i in crossings.tolist():
+    def refine(r, ys, times, i) -> Optional[float]:
+        t_floor = MIN_PERIOD_STEPS * _median(np.diff(times[:i + 1]))
+        if times[i] < t_floor:
+            return None
+        x0, v, direction = Y0[r], v0n[r], directions[r]
         y0, y1 = ys[i - 1], ys[i]
-        f0, f1 = f(y0), f(y1)
+        f0, f1 = F(y0) * direction, F(y1) * direction
         dt = times[i] - times[i - 1]
 
         def prog(tau):
             y = hermite(y0, y1, f0, f1, dt, tau)
-            return float(_angular_delta(y, x0, angular_idx) @ v0n)
+            return float(_angular_delta(y, x0, angular_idx) @ v)
 
         tau = 0.5 * sum(_bisect(prog, dt))
         y_ret = hermite(y0, y1, f0, f1, dt, tau)
         d_ret = float(np.max(np.abs(_angular_delta(y_ret, x0, angular_idx))))
         t_ret = times[i - 1] + tau
-        if d_ret < RETURN_BALL and t_ret >= t_floor and np.max(np.abs(f(y_ret))) > 1e-12:
+        if d_ret < RETURN_BALL and t_ret >= t_floor and np.max(np.abs(F(y_ret))) > 1e-12:
             return float(t_ret)
-    return None
-
-
-def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarray,
-                      directions: np.ndarray):
-    """The first-return search of a fixed-step batch started at the rows of
-    ``Y0``, with directed initial velocities ``K0`` and ``directions``.
-
-    Returns ``scan(store, times, rows, lo, hi)``: ``{j: (i, period)}`` for
-    each row ``rows[j]`` of the sample ``store`` (on the time grid
-    ``times``) whose first return is found at a sample ``i`` in
-    ``lo + 1 .. hi``, where :func:`_first_return` on its samples up to ``i``
-    finds ``period``.  It is run only at the crossings of :func:`_crossings`
-    among those samples, so a crossing the progress computed here misses
-    (by rounding) is found at a later one, with the same period.  A row
-    without a return frame gets the gate -1, which no distance passes.
-    """
-    frames = [_return_frame(x0, v0) for x0, v0 in zip(Y0, K0)]
-    v0n = np.array([np.zeros_like(x0) if fr is None else fr[0] for x0, fr in zip(Y0, frames)])
-    gate = np.array([[-1.0 if fr is None else fr[1]] for fr in frames])
-    angular_idx = _angular_columns(structure)
+        return None
 
     def scan(store, times, rows, lo, hi) -> dict:
         deltas = _angular_delta(store[rows, lo:hi + 1], Y0[rows, None], angular_idx)
@@ -213,8 +198,7 @@ def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarr
         for j, c in zip(*np.nonzero(candidates)):
             if j not in found:
                 r, i = rows[j], lo + 1 + int(c)
-                period = _first_return(structure, h, np.array(times[:i + 1]), store[r, :i + 1],
-                                       int(directions[r]))
+                period = refine(r, store[r], times, i)
                 if period is not None:
                     found[j] = (i, period)
         return found
@@ -235,12 +219,15 @@ def classify_orbit(traj: Trajectory) -> OrbitClassification:
                                        limit_state=traj.final_state)
         return OrbitClassification(OrbitKind.ESCAPE_ORBIT, limit_state=traj.final_state)
     if terminal.kind is EventKind.RETURNED:
-        # the batch's scan found this period with _first_return on these samples
+        # the batch's scan found this period on these samples
         return OrbitClassification(OrbitKind.PERIODIC, period=terminal.time)
-    period = _first_return(traj.structure, traj.hamiltonian, traj.times, traj.ys,
-                           traj.direction)
-    if period is not None:
-        return OrbitClassification(OrbitKind.PERIODIC, period=period)
+    # the same scan, over the whole run as one block
+    ys, direction = traj.ys, np.array([traj.direction])
+    K0 = compile_field(traj.structure, traj.hamiltonian)(ys[:1]) * direction
+    scan = first_return_scan(traj.structure, traj.hamiltonian, ys[:1], K0, direction)
+    returned = scan(ys[None], traj.times, np.zeros(1, int), 0, len(ys) - 1)
+    if returned:
+        return OrbitClassification(OrbitKind.PERIODIC, period=returned[0][1])
     if terminal.kind is EventKind.BLOWUP:
         return OrbitClassification(OrbitKind.UNBOUNDED)
     return OrbitClassification(OrbitKind.UNDETERMINED)

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bhamsys.geometry import PhaseState
+from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec,
                                   LogMomentumHamiltonian, PotentialSpec,
                                   _extended_terms, potential_gradient, potential_value,
@@ -271,3 +271,19 @@ def test_s_chart_partials_on_floats_equal_those_on_numpy_scalars(family):
                 on_numpy = terms(row[:2] + [np.float64(row[2]), row[3]])
                 flat = [[*force, *k_p, k_s, k_e] for force, k_p, k_s, k_e in (on_floats, on_numpy)]
                 assert [float(x).hex() for x in flat[0]] == [float(x).hex() for x in flat[1]]
+
+
+def test_k_on_clock_s_gives_python_floats_where_lam_s_squared_underflows():
+    """Where lam s^2 underflows to zero, K on clock s computes on a numpy
+    scalar s to get numpy's inf instead of a float division error; its
+    kernel row is still four Python floats, with the bits of that
+    arithmetic, and numpy's divide-by-zero warning is not raised."""
+    h = HamiltonianSpec(PotentialSpec("linear", lam=1.0), extended=ExtendedKind.POINCARE_S,
+                        friction=0.8)
+    F = compile_field(PhaseStructure(StructureKind.EXTENDED_B_S), h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        velocity = F.row([0.1, 0.2, 1e-170, 0.3])
+    assert [type(x) for x in velocity] == [float] * 4
+    assert [x.hex() for x in velocity] == ["0x1.8bba884e35a7ap-568", "-0x1.08f936baf85c1p+564",
+                                           "-0x1.eea92a61c3118p-566", "inf"]

@@ -42,6 +42,25 @@ class TestClassify:
         expected = 2 * math.pi / math.sqrt(24.0)
         assert cls.period == pytest.approx(expected, abs=1e-7)
 
+    @pytest.mark.parametrize("tol", [
+        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1: the cubic Hermite between DP5 samples misses the first "
+            "return, and the run reports 3 periods (4.898529820788259)"))),
+        1e-10,
+    ])
+    def test_adaptive_rotation_reports_one_period(self, tol):
+        """A DP5 rotation of the twisted pendulum (lam = 4) is periodic with
+        one period, 2 pi / sqrt(4 E^2 - lam^2), not a multiple of it."""
+        lam, q, p = 4.0, 1.3959026582909244, 2.20327097884094
+        h = HamiltonianSpec(PotentialSpec("periodic", lam=lam))
+        cfg = IntegratorConfig(method="rk_adaptive", rel_tol=tol, abs_tol=tol, step=5e-3,
+                               t_max=15.0, z_epsilon=1e-4)
+        cls = classify_orbit(integrate(PENDULUM, h, PhaseState(q, p), cfg))
+        energy = 0.5 * p * p + 0.5 * lam * math.cos(q)
+        assert cls.kind is OrbitKind.PERIODIC
+        assert cls.period == pytest.approx(2 * math.pi / math.sqrt(4 * energy**2 - lam**2),
+                                           rel=1e-6)
+
     def test_classical_oscillator_is_periodic(self):
         h = HamiltonianSpec(PotentialSpec("pure_quadratic", lam=2.0))
         cfg = IntegratorConfig(step=1e-3, t_max=20.0)

@@ -6,6 +6,7 @@ with the period as the time of its ``returned_to_start`` event.  Rows that
 do not return, and adaptive DP5 rows, run as they always did.
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from bhamsys import cli
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind
 from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
-from bhamsys.integrate import EventKind, IntegratorConfig, Trajectory, integrate_batch
-from bhamsys.orbits import OrbitKind, _first_return, classify_orbit
+from bhamsys.integrate import Event, EventKind, IntegratorConfig, Trajectory, integrate_batch
+from bhamsys.orbits import OrbitKind, classify_orbit
 
 integrate_module = importlib.import_module("bhamsys.integrate")
 
@@ -162,7 +163,9 @@ def test_a_returned_row_classifies_with_the_period_of_its_event():
                 if run.terminal_event.kind is EventKind.RETURNED]
     assert len(returned) == 4
     for run in returned:
-        period = _first_return(run.structure, run.hamiltonian, run.times, run.ys, run.direction)
+        # the same samples, as a run ended by t_max, go through the search
+        searched = dataclasses.replace(run, events=(Event(run.times[-1], EventKind.T_MAX),))
+        period = classify_orbit(searched).period
         assert classify_orbit(run).period.hex() == period.hex() == run.terminal_event.time.hex()
 
 
