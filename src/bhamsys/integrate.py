@@ -1,7 +1,9 @@
 """Explicit Runge-Kutta integration of the singular Hamiltonian fields.
 
-Two schemes are provided: classic fixed-step RK4 and an adaptive
-Dormand-Prince 5(4) embedded pair.  Both are explicit: the fields are smooth
+Two schemes are provided: classic fixed-step RK4 and adaptive DOP853,
+Hairer's 8th-order method with embedded 5th- and 3rd-order error estimates
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10; scipy's ``DOP853``).
+Both are explicit: the fields are smooth
 on all of phase space (the bivector degenerates instead of blowing up), and
 correctness is checked against closed-form oracles rather than long-time
 structure preservation.
@@ -11,7 +13,7 @@ Runs terminate on the first of five events:
 * ``reached_Z_neighborhood`` -- the defining function of the critical set,
   with its initial sign, is at most ``z_epsilon`` (armed only off that
   neighborhood); time and sample are located by bisection on the step's
-  own interpolant: cubic Hermite for RK4, the DP5 continuous extension.
+  own interpolant (see Interpolation).
 * ``fixed_point``            -- the field magnitude falls below ``fp_epsilon``.
 * ``blowup``                 -- a state component exceeds ``blowup_bound`` or a
   field evaluation stops being finite.
@@ -30,8 +32,8 @@ negated field, so the forward and backward runs of N initial conditions go
 in together as 2N rows.  The kernel itself is never negated: a backward RK4
 row steps it with ``-step``, which gives the negated field's stage states to
 the bit, and takes its sign in the weighted sum of the stages and where its
-velocities are read as derivatives (:func:`_rk4_steps`); a backward DP5 row
-negates each velocity.  Fixed-step RK4 advances all rows in lockstep on the
+velocities are read as derivatives (:func:`_rk4_steps`); a backward DOP853
+row negates each velocity.  Fixed-step RK4 advances all rows in lockstep on the
 shared time grid ``t = k * step``, in blocks of ``RETURN_BLOCK`` steps; each
 row keeps its own events and leaves the batch when one fires.  Each RK4
 stage is one call of the batch kernel, which isolates a row that raises
@@ -39,14 +41,28 @@ stage is one call of the batch kernel, which isolates a row that raises
 on its own: at 14 to 32 rows a numpy call costs the same whatever the row
 count, so one pass over a block's samples finds each row's first event,
 and the rows that end inside the block are carried to its end, their extra
-samples discarded.  Adaptive DP5 rows choose their
-own steps and are advanced one at a time, on Python floats: the state and
-the stages are lists, each stage is a scalar weighted sum per component,
-added in stage order from 0, and the field is the kernel's one-row form
-``F.row``, which a forward row calls without negating it.  At 2 to 6 floats
-a row, this costs less than numpy's per-call overhead on arrays that small.
-A row's trajectory is the same, to the bit, in any batch; :func:`integrate`
-is the one-row case.
+samples discarded.  Adaptive DOP853 rows choose their own steps and are
+advanced one at a time, on Python floats: the state and the stages are
+lists, each stage is a scalar weighted sum per component, added in stage
+order from 0 with the zero weights kept, and the field is the kernel's
+one-row form ``F.row``, which a forward row calls without negating it.  At
+2 to 6 floats a row, this costs less than numpy's per-call overhead on
+arrays that small.  A row's trajectory is the same, to the bit, in any
+batch; :func:`integrate` is the one-row case.
+
+Interpolation
+-------------
+:meth:`Trajectory.interpolate` is the one interpolant of a run: the state a
+time ``tau`` into the step that ends at a sample.  On a fixed-step run it
+is the cubic Hermite on the step's two samples and their velocities; on an
+adaptive run it is DOP853's 7th-order dense output.  An adaptive trajectory
+keeps only the length of each accepted step, and the interpolant runs the
+step again from its first sample, which gives the accepted stages to the
+bit; keeping the 13 stages of every step would hold 13 times the floats of
+the samples.  The Z event is located on the same interpolant while the
+run has the step's stages at hand, the first-return search of
+:func:`~bhamsys.orbits.classify_orbit` refines its crossings on it, and
+``timescale`` samples a run in physical time on it.
 
 CSV
 ---
@@ -61,6 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -128,7 +145,7 @@ class Event:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Settings of a run.  ``step`` is the RK4 step, which must be smaller
-    than ``t_max``, and only the first trial step of adaptive DP5, which
+    than ``t_max``, and only the first trial step of adaptive DOP853, which
     clamps it to ``t_max / 10``; every other field is a positive number."""
 
     method: Method = Method.RK4_FIXED
@@ -157,6 +174,10 @@ class Trajectory:
     :mod:`bhamsys.geometry`.  ``events`` holds at least one entry and its
     last element is the terminal event of the run.  ``direction`` is ``-1``
     for a run of the negated field (a backward run), else ``1``.
+    ``step_lengths`` holds, on an adaptive run, the length of the accepted
+    step that ends at each sample after the first; a sample that ends the
+    run at an event lies inside its step.  It is None on a fixed-step run
+    and on a joined one (:func:`merge_backward_forward`).
     """
 
     times: np.ndarray
@@ -165,6 +186,7 @@ class Trajectory:
     structure: PhaseStructure
     hamiltonian: object
     direction: int = 1
+    step_lengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -179,11 +201,19 @@ class Trajectory:
             raise ValueError("trajectory must carry a terminal event")
         if self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
+        lengths = self.step_lengths
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=float)
+            if lengths.shape != (times.size - 1,):
+                raise ValueError("step_lengths needs one length per sample after the first")
+            lengths.setflags(write=False)
         times.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "step_lengths", lengths)
+        object.__setattr__(self, "_last_step", (None, None))
 
     def __len__(self) -> int:
         return self.times.size
@@ -222,6 +252,42 @@ class Trajectory:
     @property
     def final_state(self) -> PhaseState:
         return self.state(-1)
+
+    def interpolate(self, i: int, tau: float) -> np.ndarray:
+        """The state ``tau`` into the step that ends at sample ``i``.
+
+        On an adaptive run this is DOP853's dense output: the step is run
+        again from ``ys[i - 1]`` with its recorded length, which gives the
+        accepted stages to the bit, and three more stages give the
+        interpolant.  On any other run it is the cubic Hermite interpolant
+        (:func:`hermite`) on the two samples and the field there, along the
+        run's direction.  The last step asked for is kept, so a bisection
+        on one step runs it once.
+        """
+        last, at = self._last_step
+        if last != i:
+            at = self._step_interpolant(i)
+            object.__setattr__(self, "_last_step", (i, at))
+        return at(tau)
+
+    @cached_property
+    def _field(self):
+        return compile_field(self.structure, self.hamiltonian)
+
+    def _step_interpolant(self, i: int):
+        if not 0 < i < len(self):
+            raise IndexError(f"no step ends at sample {i} of {len(self)}")
+        F = self._field
+        if self.step_lengths is None:
+            y0, y1 = self.ys[i - 1], self.ys[i]
+            f0, f1 = F(y0) * self.direction, F(y1) * self.direction
+            dt = self.times[i] - self.times[i - 1]
+            return lambda tau: hermite(y0, y1, f0, f1, dt, tau)
+        f = _directed(F, float(self.direction))
+        y, dt = self.ys[i - 1].tolist(), float(self.step_lengths[i - 1])
+        y8, _, _, stages = _dop_step(f, y, dt, f(y))
+        dense = _dop_dense(f, y, y8, stages, dt)
+        return lambda tau: np.array(_dop_eval(y, dense, dt, tau))
 
     def csv_table(self) -> tuple:
         """The CSV form as ``(columns, values, footer)`` for :func:`write_table`:
@@ -300,65 +366,148 @@ def _rk4_step(f, y, k1, steps, errors=None):
     return y + (k1 * s1 + k2 * s2 + k3 * s2 + k4 * s1) * sixth
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10), with the
+# coefficients of scipy's ``DOP853``.  Row i of _DOP_A weighs the stages
+# k0 .. k(i-1) into stage i; row 12 gives the 8th-order solution y8, whose
+# field is k12; rows 13 to 15 are the three extra stages of the dense output.
+# _DOP_E5 and _DOP_E3 weigh k0 .. k12 into the 5th- and 3rd-order error
+# estimates, and _DOP_D weighs k0 .. k15 into four of the seven coefficients
+# of the dense output.
+_DOP_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Shampine's continuous extension (Math. Comp. 46, 1986), scipy's RK45.P:
-# u = tau / dt into a step, stage i has the weight P[i] . (u, u^2, u^3, u^4).
-_DP_P = (
-    (1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
-    (0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
-    (0.0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632),
-    (0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
-    (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+_DOP_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+           1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+           -0.022355307863886294, 0.0)
+_DOP_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+           -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+           0.02265179219836082, 0.0)
+_DOP_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
 )
 
 
-def _dp_step(f, y, dt, k1):
-    """One Dormand-Prince trial step on lists of floats; returns (y5,
-    error_estimate, (k1, ..., k7)), where k7 is f(y5).
-
-    Every stage is ``y_j + dt * (0 + a1*k1_j + a2*k2_j + ...)``: a weighted
-    sum in stage order that starts from 0, as numpy's sum over stage rows
-    did.  The zero weights stay in their sums, so a NaN or inf of ``k2``
-    still reaches ``y5`` and the error, and a sum of -0.0 terms is +0.0.
-    """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _DP_A
-    b1, b2, b3, b4, b5, b6 = _DP_B5
-    e1, e2, e3, e4, e5, e6, e7 = _DP_ERR
-    k2 = f([x + dt * (0.0 + a21 * p) for x, p in zip(y, k1)])
-    k3 = f([x + dt * (0.0 + a31 * p + a32 * q) for x, p, q in zip(y, k1, k2)])
-    k4 = f([x + dt * (0.0 + a41 * p + a42 * q + a43 * r) for x, p, q, r in zip(y, k1, k2, k3)])
-    k5 = f([x + dt * (0.0 + a51 * p + a52 * q + a53 * r + a54 * u)
-            for x, p, q, r, u in zip(y, k1, k2, k3, k4)])
-    k6 = f([x + dt * (0.0 + a61 * p + a62 * q + a63 * r + a64 * u + a65 * v)
-            for x, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [x + dt * (0.0 + b1 * p + b2 * q + b3 * r + b4 * u + b5 * v + b6 * w)
-          for x, p, q, r, u, v, w in zip(y, k1, k2, k3, k4, k5, k6)]
-    k7 = f(y5)
-    err = [dt * (0.0 + e1 * p + e2 * q + e3 * r + e4 * u + e5 * v + e6 * w + e7 * z)
-           for p, q, r, u, v, w, z in zip(k1, k2, k3, k4, k5, k6, k7)]
-    return y5, err, (k1, k2, k3, k4, k5, k6, k7)
+def _weighted(weights, terms):
+    """Source of ``0.0 + w0 * t0 + w1 * t1 + ...``: a weighted sum in stage
+    order that starts from 0, with every weight a float literal."""
+    return "0.0 + " + " + ".join(f"{w!r} * {t}" for w, t in zip(weights, terms))
 
 
-def _dp_dense(y, stages, dt, tau):
-    """The continuous extension ``tau`` into a Dormand-Prince step of length
-    ``dt`` from ``y``, summed as in :func:`_dp_step`."""
+def _unrolled_step():
+    """:func:`_dop_step`, compiled from source that writes every stage sum
+    out, one list comprehension per stage; a loop over the tableau's rows
+    costs twice as much per step on Python floats."""
+    k = [f"k{j}" for j in range(13)]
+    v = [f"v{j}" for j in range(13)]
+    lines = ["def _dop_step(f, y, dt, k0):"]
+    for i, row in enumerate(_DOP_A[:12], 1):
+        state = (f"[x + dt * ({_weighted(row, v)}) "
+                 f"for x, {', '.join(v[:i])} in zip(y, {', '.join(k[:i])})]")
+        lines += [f"    k{i} = f({state})"] if i < 12 else [f"    y8 = {state}", "    k12 = f(y8)"]
+    for name, row in (("e5", _DOP_E5), ("e3", _DOP_E3)):
+        lines.append(f"    {name} = [{_weighted(row, v)} for {', '.join(v)} in zip({', '.join(k)})]")
+    lines.append(f"    return y8, e5, e3, ({', '.join(k)})")
+    namespace = {}
+    exec(compile("\n".join(lines), "<bhamsys.integrate._dop_step>", "exec"), namespace)
+    return namespace["_dop_step"]
+
+
+_dop_step = _unrolled_step()
+_dop_step.__doc__ = """One DOP853 trial step on lists of floats from ``y``, where
+``k0 = f(y)``; returns ``(y8, e5, e3, (k0, ..., k12))``, where ``k12`` is
+``f(y8)`` and ``e5``, ``e3`` are the 5th- and 3rd-order error sums,
+without the factor ``dt``.
+
+Every stage is ``y_j + dt * (0.0 + a0*k0_j + a1*k1_j + ...)``: a weighted
+sum in stage order that starts from 0, as numpy's sum over stage rows
+does.  The zero weights stay in their sums, so a NaN or inf of any stage
+still reaches ``y8``, and one of ``k12`` reaches the error sums, and a sum
+of -0.0 terms is +0.0."""
+
+
+def _dot(weights, column):
+    """``0.0 + w0 * c0 + w1 * c1 + ...``, in order: the sum of :func:`_weighted`."""
+    total = 0.0
+    for w, c in zip(weights, column):
+        total += w * c
+    return total
+
+
+def _dop_dense(f, y, y8, stages, dt):
+    """The coefficients of DOP853's 7th-order dense output on the step of
+    length ``dt`` from ``y`` to ``y8`` with ``stages`` k0 .. k12, one
+    7-tuple per component: the three extra stages are evaluated and the
+    coefficients formed as scipy's ``DOP853._dense_output_impl`` does, each
+    sum as in :func:`_dop_step`."""
+    ks = list(stages)
+    for row in _DOP_A[12:]:
+        ks.append(f([x + dt * _dot(row, col) for x, col in zip(y, zip(*ks))]))
+    out = []
+    for x, x8, col in zip(y, y8, zip(*ks)):
+        dy = x8 - x
+        out.append((dy, dt * col[0] - dy, 2.0 * dy - dt * (col[12] + col[0]),
+                    *[dt * _dot(row, col) for row in _DOP_D]))
+    return out
+
+
+def _dop_eval(y, dense, dt, tau):
+    """The dense output ``tau`` into the step from ``y`` whose coefficients
+    are ``dense`` (:func:`_dop_dense`), evaluated as scipy's
+    ``Dop853DenseOutput``: from the last coefficient down, multiplied by
+    ``u = tau / dt`` and ``1 - u`` in turn."""
     u = tau / dt
-    b1, b2, b3, b4, b5, b6, b7 = [0.0 + c1 * u + c2 * u * u + c3 * u * u * u + c4 * u * u * u * u
-                                  for c1, c2, c3, c4 in _DP_P]
-    return [x + dt * (0.0 + b1 * p + b2 * q + b3 * r + b4 * s + b5 * v + b6 * w + b7 * z)
-            for x, p, q, r, s, v, w, z in zip(y, *stages)]
+    factors = (u, 1.0 - u) * 4
+    out = []
+    for x, coefficients in zip(y, dense):
+        total = 0.0
+        for c, factor in zip(reversed(coefficients), factors):
+            total = (total + c) * factor
+        out.append(x + total)
+    return out
 
 
 def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseState:
@@ -526,8 +675,9 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
 
     With ``stop_at_return``, after every block the new samples of the rows
     still active are searched for first returns by
-    ``orbits.first_return_scan``.  A row that another event ends inside the
-    block keeps that event, as it does without ``stop_at_return``.
+    ``orbits.first_return_scan``, on the cubic Hermite of each step in the
+    sample store.  A row that another event ends inside the block keeps
+    that event, as it does without ``stop_at_return``.
     """
     M, d = Y0.shape
     results = [None] * M
@@ -555,7 +705,14 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
         # orbits imports this module, so its name is looked up here
         from .orbits import first_return_scan
 
-        scan = first_return_scan(structure, h, Y0, K * sign, row_sign)
+        scan = first_return_scan(structure, h, Y0, K * sign)
+
+        def hermite_step(r, i):
+            # the cubic Hermite of row r's step into sample i, on the store
+            y0, y1 = store[r, i - 1], store[r, i]
+            f0, f1 = F(y0) * row_sign[r], F(y1) * row_sign[r]
+            dt = times[i] - times[i - 1]
+            return lambda tau: hermite(y0, y1, f0, f1, dt, tau)
     fixed = np.max(np.abs(K), axis=1) < fp_eps  # False on NaN rows
     for j in np.flatnonzero(fixed):
         ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
@@ -652,7 +809,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                 a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
 
         if scan is not None and active.size:
-            returned = scan(store, times, active, k0, k)
+            returned = scan(store, times, active, k0, k, hermite_step)
             if returned:
                 for j, (i, period) in returned.items():
                     ends[active[j]] = (i, times[i], Event(period, EventKind.RETURNED))
@@ -681,26 +838,39 @@ def _amax(values):
     return max(values) if total == total else total
 
 
+def _directed(F, sign):
+    """The one-row field of a run along ``sign``: ``F.row``, or its
+    negation, entry by entry (``-v`` has the bits of ``-1.0 * v``)."""
+    row = F.row
+    return row if sign == 1.0 else (lambda x: [-v for v in row(x)])
+
+
 def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
-    """Adaptive DP5 run of one row.
+    """Adaptive DOP853 run of one row.
 
     The row is a list of floats and every field evaluation goes through the
     one-row form ``F.row``; the samples become the trajectory's arrays once,
-    at the end.  A trial that raises is retried with a quarter of its step,
-    as a non-finite one is; at the ``2 * MIN_STEP`` floor, a blowup error
-    ends the run in ``blowup`` and any other error is raised.
+    at the end, with the length of each accepted step.  The error of a trial
+    is Hairer's: with the scale ``abs_tol + rel_tol * max(|y|, |y8|)`` per
+    component and ``n5``, ``n3`` the max-norms of the two error sums over
+    it, ``dt * n5**2 / sqrt(n5**2 + 0.01 * n3**2)``; the next step is
+    ``0.9 * err**(-1/8)`` times this one, within ``[STEP_SHRINK,
+    STEP_GROW]``.  A trial that raises is retried with a quarter of its
+    step, as a non-finite one is; at the ``2 * MIN_STEP`` floor, a blowup
+    error ends the run in ``blowup`` and any other error is raised.
     """
-    row = F.row
-    f = row if sign == 1.0 else (lambda x: [-v for v in row(x)])  # -v has the bits of -1.0 * v
+    f = _directed(F, sign)
     y = y.tolist()
     f_cur = f(y)
 
     times = [0.0]
     samples = [y]
+    lengths = []
 
     def finish(event):
         return Trajectory(times=np.array(times), ys=np.array(samples), events=(event,),
-                          structure=structure, hamiltonian=h, direction=int(sign))
+                          structure=structure, hamiltonian=h, direction=int(sign),
+                          step_lengths=np.array(lengths))
 
     if _amax([abs(v) for v in f_cur]) < config.fp_epsilon:
         return finish(Event(0.0, EventKind.FIXED_POINT))
@@ -725,7 +895,7 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         while accepted is None:
             dt = max(dt, MIN_STEP)
             try:
-                y_trial, err, stages = _dp_step(f, y, dt, f_cur)
+                y_trial, e5, e3, stages = _dop_step(f, y, dt, f_cur)
             except Exception as exc:  # a stage left the field's domain
                 if dt <= 2 * MIN_STEP and not isinstance(exc, _BLOWUP_ERRORS):
                     raise
@@ -735,24 +905,29 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
                     return finish(Event(t + dt, EventKind.BLOWUP))
                 dt = max(0.25 * dt, MIN_STEP)
                 continue
-            err_norm = _amax([abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                              for e, a, b in zip(err, y, y_trial)])
+            scale = [abs_tol + rel_tol * max(abs(a), abs(b)) for a, b in zip(y, y_trial)]
+            n5 = _amax([abs(e) / s for e, s in zip(e5, scale)])
+            n3 = _amax([abs(e) / s for e, s in zip(e3, scale)])
+            err_norm = 0.0 if n5 == 0.0 and n3 == 0.0 else \
+                dt * (n5 * n5) / math.sqrt(n5 * n5 + 0.01 * (n3 * n3))
             if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
                 accepted = (y_trial, stages)
                 factor = STEP_GROW if err_norm == 0.0 else min(
-                    STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2))
+                    STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125))
                 dt_next = dt * factor
             else:
-                dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2)
+                dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125)
         y_new, stages = accepted
         t_new = t + dt
         if remaining - dt <= config.t_max * 1e-14:
             t_new = config.t_max
+        lengths.append(dt)
 
         if z_armed and z_side * y_new[z_idx] <= z_eps:
-            _, tau = _bisect(lambda u: z_eps - z_side * _dp_dense(y, stages, dt, u)[z_idx], dt)
+            dense = _dop_dense(f, y, y_new, stages, dt)
+            _, tau = _bisect(lambda u: z_eps - z_side * _dop_eval(y, dense, dt, u)[z_idx], dt)
             times.append(t + tau)
-            samples.append(_dp_dense(y, stages, dt, tau))
+            samples.append(_dop_eval(y, dense, dt, tau))
             return finish(Event(t + tau, EventKind.REACHED_Z))
 
         times.append(t_new)
@@ -760,7 +935,7 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
 
         if _amax([abs(v) for v in y_new]) > config.blowup_bound:
             return finish(Event(t_new, EventKind.BLOWUP))
-        f_cur = stages[6]
+        f_cur = stages[12]
         if _amax([abs(v) for v in f_cur]) < config.fp_epsilon:
             return finish(Event(t_new, EventKind.FIXED_POINT))
 

@@ -12,11 +12,13 @@ two fixed points.  This module detects those types:
   compared on the circle) with nonvanishing speed.  Detected by one search,
   :func:`first_return_scan`: the crossings of the hyperplane normal to the
   initial velocity of the field the run followed (negated on a backward
-  run), near the initial state, are each refined once, in order, by the
-  shared bisection ``integrate._bisect`` on a cubic Hermite interpolant
-  between accepted steps, until one returns.  The period is the time of
-  that return; it must exceed ``MIN_PERIOD_STEPS`` median steps of the
-  samples up to its crossing.  A fixed-step run made with
+  run), near the initial state (within a gate widened by the step's
+  chord), are each refined once, in order, by the shared bisection
+  ``integrate._bisect`` on the interpolant of the step
+  (``Trajectory.interpolate``: the cubic Hermite of a fixed-step run,
+  DOP853's dense output of an adaptive one), until one returns.  The
+  period is the time of that return; it must exceed ``MIN_PERIOD_STEPS``
+  median steps of the samples up to its crossing.  A fixed-step run made with
   ``integrate_batch(..., stop_at_return=True)`` (as CLI ``classify`` makes
   them) runs this search on each block of its samples and ends at the
   crossing where it finds the return (event ``returned_to_start``), so the
@@ -38,13 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from .hamiltonians import HamiltonianSpec, PotentialFamily
-from .integrate import (EventKind, IntegratorConfig, Trajectory, _bisect, hermite, integrate,
+from .integrate import (EventKind, IntegratorConfig, Trajectory, _bisect, integrate,
                         integrate_batch, merge_backward_forward)
 
 __all__ = [
@@ -145,23 +148,25 @@ def _crossings(progress: np.ndarray, dist: np.ndarray, gate) -> np.ndarray:
             & (np.minimum(dist[..., :-1], dist[..., 1:]) <= gate))
 
 
-def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarray,
-                      directions: np.ndarray):
+def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarray):
     """The first-return search of runs started at the rows of ``Y0``, with
-    directed initial velocities ``K0`` and ``directions``.
+    directed initial velocities ``K0``.
 
-    Returns ``scan(store, times, rows, lo, hi)``: ``{j: (i, period)}`` for
-    each row ``rows[j]`` of the sample ``store`` (on the time grid
-    ``times``) whose first return is found at a sample ``i`` in
-    ``lo + 1 .. hi``.  Each crossing of :func:`_crossings` among those
-    samples is refined once, in order, until one returns: the shared
-    bisection ``integrate._bisect`` finds where the progress turns
-    nonnegative on the cubic Hermite interpolant of the step into ``i``,
-    and that time is the ``period`` when the state there lies within
-    ``RETURN_BALL`` of the start, the field there does not vanish, and it
-    is at least ``MIN_PERIOD_STEPS`` median steps of ``times[:i + 1]``.
-    A row without a return frame gets the gate -1, which no distance
-    passes.
+    Returns ``scan(store, times, rows, lo, hi, interpolant)``:
+    ``{j: (i, period)}`` for each row ``rows[j]`` of the sample ``store``
+    (on the time grid ``times``) whose first return is found at a sample
+    ``i`` in ``lo + 1 .. hi``.  ``interpolant(r, i)`` is the interpolant of
+    row ``r``'s step into sample ``i``, as a function of the time into that
+    step.  Each crossing of :func:`_crossings` among those samples is
+    refined once, in order, until one returns: the shared bisection
+    ``integrate._bisect`` finds where the progress turns nonnegative on the
+    step's interpolant, and that time is the ``period`` when the state there
+    lies within ``RETURN_BALL`` of the start, the field there does not
+    vanish, and it is at least ``MIN_PERIOD_STEPS`` median steps of
+    ``times[:i + 1]``.  The gate of a crossing is widened by its step's chord, the largest
+    change of a coordinate over the step, so that a return between two
+    long steps is still refined.  A row without a return frame gets the
+    gate -1, which no distance passes.
     """
     F = compile_field(structure, h)
     frames = [_return_frame(x0, v0) for x0, v0 in zip(Y0, K0)]
@@ -169,36 +174,35 @@ def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarr
     gate = np.array([[-1.0 if fr is None else fr[1]] for fr in frames])
     angular_idx = _angular_columns(structure)
 
-    def refine(r, ys, times, i) -> Optional[float]:
+    def refine(r, at, times, i) -> Optional[float]:
         t_floor = MIN_PERIOD_STEPS * _median(np.diff(times[:i + 1]))
         if times[i] < t_floor:
             return None
-        x0, v, direction = Y0[r], v0n[r], directions[r]
-        y0, y1 = ys[i - 1], ys[i]
-        f0, f1 = F(y0) * direction, F(y1) * direction
-        dt = times[i] - times[i - 1]
+        x0, v = Y0[r], v0n[r]
 
         def prog(tau):
-            y = hermite(y0, y1, f0, f1, dt, tau)
-            return float(_angular_delta(y, x0, angular_idx) @ v)
+            return float(_angular_delta(at(tau), x0, angular_idx) @ v)
 
-        tau = 0.5 * sum(_bisect(prog, dt))
-        y_ret = hermite(y0, y1, f0, f1, dt, tau)
+        tau = 0.5 * sum(_bisect(prog, times[i] - times[i - 1]))
+        y_ret = at(tau)
         d_ret = float(np.max(np.abs(_angular_delta(y_ret, x0, angular_idx))))
         t_ret = times[i - 1] + tau
         if d_ret < RETURN_BALL and t_ret >= t_floor and np.max(np.abs(F(y_ret))) > 1e-12:
             return float(t_ret)
         return None
 
-    def scan(store, times, rows, lo, hi) -> dict:
-        deltas = _angular_delta(store[rows, lo:hi + 1], Y0[rows, None], angular_idx)
+    def scan(store, times, rows, lo, hi, interpolant) -> dict:
+        ys = store[rows, lo:hi + 1]
+        deltas = _angular_delta(ys, Y0[rows, None], angular_idx)
         progress = (deltas @ v0n[rows, :, None])[..., 0]
-        candidates = _crossings(progress, np.abs(deltas).max(axis=2), gate[rows])
+        chord = np.abs(np.diff(ys, axis=1)).max(axis=2)
+        candidates = _crossings(progress, np.abs(deltas).max(axis=2),
+                                np.where(gate[rows] < 0.0, -1.0, gate[rows] + chord))
         found = {}
         for j, c in zip(*np.nonzero(candidates)):
             if j not in found:
                 r, i = rows[j], lo + 1 + int(c)
-                period = refine(r, store[r], times, i)
+                period = refine(r, interpolant(r, i), times, i)
                 if period is not None:
                     found[j] = (i, period)
         return found
@@ -221,11 +225,12 @@ def classify_orbit(traj: Trajectory) -> OrbitClassification:
     if terminal.kind is EventKind.RETURNED:
         # the batch's scan found this period on these samples
         return OrbitClassification(OrbitKind.PERIODIC, period=terminal.time)
-    # the same scan, over the whole run as one block
-    ys, direction = traj.ys, np.array([traj.direction])
-    K0 = compile_field(traj.structure, traj.hamiltonian)(ys[:1]) * direction
-    scan = first_return_scan(traj.structure, traj.hamiltonian, ys[:1], K0, direction)
-    returned = scan(ys[None], traj.times, np.zeros(1, int), 0, len(ys) - 1)
+    # the same scan, over the whole run as one block, on the run's interpolant
+    ys = traj.ys
+    K0 = compile_field(traj.structure, traj.hamiltonian)(ys[:1]) * traj.direction
+    scan = first_return_scan(traj.structure, traj.hamiltonian, ys[:1], K0)
+    returned = scan(ys[None], traj.times, np.zeros(1, int), 0, len(ys) - 1,
+                    lambda r, i: partial(traj.interpolate, i))
     if returned:
         return OrbitClassification(OrbitKind.PERIODIC, period=returned[0][1])
     if terminal.kind is EventKind.BLOWUP:

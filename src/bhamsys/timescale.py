@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 #: The configuration of a run given none, and the base that an ``integrator``
-#: section of the ``timescale`` command overrides key by key: adaptive DP5
+#: section of the ``timescale`` command overrides key by key: adaptive DOP853
 #: at 1e-10, with a blowup bound above the momentum p = exp(lam t) v / lam,
 #: which grows exponentially in the t chart.
 DEFAULT_CONFIG = IntegratorConfig(method=Method.RK_ADAPTIVE, rel_tol=1e-10, abs_tol=1e-10,
@@ -158,7 +158,9 @@ def _hermite_resample(ts: np.ndarray, ys: np.ndarray, ders: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class RealTimeTrajectory:
-    """Base motion (q(t), dq/dt) recovered from a run."""
+    """Base motion (q(t), dq/dt) recovered from a run.  ``run`` is the run
+    of a Poincare variant it came from, whose times are physical times, or
+    None for a run of H itself."""
 
     times: np.ndarray
     q: np.ndarray
@@ -166,6 +168,7 @@ class RealTimeTrajectory:
     lam: float
     potential: PotentialSpec
     axis: int = 0
+    run: Optional[Trajectory] = None
 
     def acceleration(self) -> np.ndarray:
         """Damped Newton acceleration -lam*v - dV/dq at every node."""
@@ -176,9 +179,20 @@ class RealTimeTrajectory:
         return acc
 
     def sample(self, t_new):
-        """Hermite resampling: positions quintic on (q, v, a), velocities
-        cubic on (v, a)."""
+        """(q, dq/dt) at the times ``t_new``, clipped to the run's span.  On
+        a run of a Poincare variant, the states of the run's own
+        interpolant (``Trajectory.interpolate``) projected to the base
+        motion; on a run of H, whose times are curvilinear, Hermite
+        resampling: positions quintic on (q, v, a), velocities cubic on
+        (v, a)."""
         t_new = np.atleast_1d(np.asarray(t_new, dtype=float))
+        if self.run is not None:
+            times = self.run.times
+            t_new = np.clip(t_new, times[0], times[-1])
+            steps = np.clip(np.searchsorted(times, t_new, side="right"), 1, times.size - 1)
+            ys = np.array([self.run.interpolate(int(i), float(t - times[i - 1]))
+                           for i, t in zip(steps, t_new)])
+            return _base_motion(self.run.hamiltonian, self.run.n, ys)
         acc = self.acceleration()
         q = _hermite_resample(self.times, self.q, self.velocity, t_new, acc)
         v = _hermite_resample(self.times, self.velocity, acc, t_new)
@@ -332,35 +346,47 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
 
 
+def _s_chart(h) -> bool:
+    return h.extended in (ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S)
+
+
+def _base_motion(h, n, ys) -> tuple:
+    """(q, dq/dt) of the extended states ``ys`` of a run of ``h``, with
+    dq/dt = lam * s * p, where s is the state's own s or exp(-lam t)."""
+    coord = ys[:, 2 * n]
+    s = coord if _s_chart(h) else np.exp(-h.friction * coord)
+    return ys[:, :n].copy(), h.friction * s[:, None] * ys[:, n:2 * n]
+
+
 def reconstruct_real_time(traj: Trajectory) -> RealTimeTrajectory:
     """Project a rescaled or s-coordinate run back to the base motion in
     physical time.
 
     The friction lam and the chart come from ``traj.hamiltonian``.  A run of
     a Poincare variant (what the runners return) keeps its own times, which
-    are physical times; a run of H itself reads t from its extended
-    coordinate, t or -ln(s)/lam.  Velocities follow from
+    are physical times, and its interpolant serves
+    :meth:`RealTimeTrajectory.sample`; a run of H itself reads t from its
+    extended coordinate, t or -ln(s)/lam.  Velocities follow from
     dq/dt = lam * exp(-lam t) * p = lam * s * p, with t or s the state's
     own coordinate.  The result satisfies the damped Newton equation up to
     finite-difference residuals (see :func:`friction_ode_residual`).
     """
     h = traj.hamiltonian
     chart = getattr(h, "extended", None)
-    s_chart = chart in (ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S)
-    if not s_chart and chart not in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.POINCARE_T):
+    if chart not in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.POINCARE_T,
+                     ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S):
         raise ValueError("reconstruction applies to rescaled or s-coordinate runs")
-    lam = h.friction
-    coord = traj.extra[:, 0]
-    s = coord if s_chart else np.exp(-lam * coord)
+    q, velocity = _base_motion(h, traj.n, traj.ys)
+    run = None
     if chart in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
-        times = traj.times.copy()
+        times, run = traj.times.copy(), traj
     else:
-        times = s_to_time(s, lam) if s_chart else coord.copy()
+        coord = traj.extra[:, 0]
+        times = s_to_time(coord, h.friction) if _s_chart(h) else coord.copy()
         if np.any(np.diff(times) <= 0):
             raise ValueError("t must increase strictly along the run")
-    velocity = lam * s[:, None] * traj.p
-    return RealTimeTrajectory(times=times, q=traj.q.copy(), velocity=velocity,
-                              lam=lam, potential=h.potential, axis=h.axis)
+    return RealTimeTrajectory(times=times, q=q, velocity=velocity, lam=h.friction,
+                              potential=h.potential, axis=h.axis, run=run)
 
 
 def friction_ode_residual(rt: RealTimeTrajectory, dt: float = 0.01) -> float:

@@ -1,51 +1,81 @@
-"""Adaptive DP5 runs on Python floats against their numpy predecessor.
+"""Adaptive DOP853 runs on Python floats against a numpy reference.
 
-The reference below is the numpy loop of adaptive runs that the scalar one
-replaced, kept here verbatim apart from its names and its Z event, which
-now fires on the first sample with ``side * d <= z_epsilon`` and is located
-on the step's continuous extension, with no clamp of the step near Z: a
-trial step with its seven stages as the rows of one array, and the run's
-tests as ``np.max`` over arrays.  Every run must give the reference's times, samples and events
-to the bit, forward and backward, over the structures, families and
-Hamiltonian kinds the kernel has paths for.  The edge cases pin the
-decisions where NaN, inf and raising fields meet the run's tests.
+The reference below is a numpy loop of adaptive runs with the tableau of
+scipy's ``DOP853`` (``scipy.integrate._ivp.dop853_coefficients``), a source
+independent of bhamsys: a trial step with its stages as the rows of one
+array, each stage and error sum a sum over those rows, the dense output as
+scipy's ``_dense_output_impl`` forms and evaluates it, and the run's tests
+as ``np.max`` over arrays.  Its Z event fires on the first sample with
+``side * d <= z_epsilon`` and is located on the step's dense output, with
+no clamp of the step near Z.  Every run must give the reference's times,
+samples, step lengths and events to the bit, forward and backward, over the
+structures, families and Hamiltonian kinds the kernel has paths for.  The
+edge cases pin the decisions where NaN, inf and raising fields meet the
+run's tests.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec, LogMomentumHamiltonian,
                                   PotentialSpec)
-from bhamsys.integrate import (_BLOWUP_ERRORS, _DP_A, _DP_B5, _DP_ERR, _DP_P, MIN_STEP,
+from bhamsys.integrate import (_BLOWUP_ERRORS, _DOP_A, _DOP_D, _DOP_E3, _DOP_E5, MIN_STEP,
                                STEP_GROW, STEP_SAFETY, STEP_SHRINK, Event, EventKind,
                                IntegratorConfig, Method, Trajectory, _bisect,
-                               _defining_index, integrate)
+                               _defining_index, _directed, _dop_step, integrate)
 from bhamsys.timescale import build_rescaled_extended, to_s_coordinates, to_s_state
 
-_DP_A_COLS = tuple(np.array(row)[:, None] for row in _DP_A)
-_DP_B5_COL = np.array(_DP_B5)[:, None]
-_DP_ERR_COL = np.array(_DP_ERR)[:, None]
-_DP_P_ROWS = np.array(_DP_P).T
+# row i weighs the stages 0 .. i-1: stages 1 to 11, y8 (row 12, scipy's B)
+# and the dense output's extra stages 13 to 15
+A_COLS = [dop853.A[i, :i][:, None] for i in range(1, dop853.N_STAGES_EXTENDED)]
+E5_COL = dop853.E5[:, None]
+E3_COL = dop853.E3[:, None]
 
 
-def reference_dp_step(f, y, dt, k1):
-    K = np.empty((7, y.size))
-    K[0] = k1
-    for i, a in enumerate(_DP_A_COLS, 1):
+def reference_dop_step(f, y, dt, k0):
+    K = np.empty((dop853.N_STAGES + 1, y.size))
+    K[0] = k0
+    for i, a in enumerate(A_COLS[:dop853.N_STAGES - 1], 1):
         K[i] = f(y + dt * (a * K[:i]).sum(axis=0))
-    y5 = y + dt * (_DP_B5_COL * K[:6]).sum(axis=0)
-    K[6] = f(y5)
-    return y5, dt * (_DP_ERR_COL * K).sum(axis=0), K
+    y8 = y + dt * (A_COLS[dop853.N_STAGES - 1] * K[:-1]).sum(axis=0)
+    K[-1] = f(y8)
+    return y8, (E5_COL * K).sum(axis=0), (E3_COL * K).sum(axis=0), K
 
 
-def reference_dense(y, K, dt, tau):
-    u = tau / dt
-    powers = np.array([u, u * u, u * u * u, u * u * u * u])[:, None]
-    weights = (powers * _DP_P_ROWS).sum(axis=0)[:, None]
-    return y + dt * (weights * K).sum(axis=0)
+def reference_dense(f, y, y8, K, dt):
+    K = np.vstack([K, np.empty((3, y.size))])
+    for i in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
+        K[i] = f(y + dt * (A_COLS[i - 1] * K[:i]).sum(axis=0))
+    F = np.empty((dop853.INTERPOLATOR_POWER, y.size))
+    delta_y = y8 - y
+    F[0] = delta_y
+    F[1] = dt * K[0] - delta_y
+    F[2] = 2 * delta_y - dt * (K[dop853.N_STAGES] + K[0])
+    for j, row in enumerate(dop853.D, 3):
+        F[j] = dt * (row[:, None] * K).sum(axis=0)
+    return F
+
+
+def reference_eval(y, F, dt, tau):
+    x = tau / dt
+    out = np.zeros_like(y)
+    for i, coefficient in enumerate(reversed(F)):
+        out += coefficient
+        out *= x if i % 2 == 0 else 1 - x
+    return y + out
+
+
+def reference_error(y, y8, e5, e3, dt, config):
+    scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y8))
+    n5 = float(np.max(np.abs(e5) / scale))
+    n3 = float(np.max(np.abs(e3) / scale))
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    return dt * (n5 * n5) / math.sqrt(n5 * n5 + 0.01 * (n3 * n3))
 
 
 def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
@@ -54,10 +84,11 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
 
     times = [0.0]
     samples = [y]
+    lengths = []
 
     def finish(event):
-        return Trajectory(times=np.array(times), ys=np.array(samples),
-                          events=(event,), structure=structure, hamiltonian=h)
+        return Trajectory(times=np.array(times), ys=np.array(samples), events=(event,),
+                          structure=structure, hamiltonian=h, step_lengths=np.array(lengths))
 
     if np.max(np.abs(f_cur)) < config.fp_epsilon:
         return finish(Event(0.0, EventKind.FIXED_POINT))
@@ -82,7 +113,7 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         while accepted is None:
             dt = max(dt, MIN_STEP)
             try:
-                y_trial, err, K = reference_dp_step(f, y, dt, f_cur)
+                y_trial, e5, e3, K = reference_dop_step(f, y, dt, f_cur)
             except _BLOWUP_ERRORS:
                 y_trial = np.array([np.nan])
             if not np.all(np.isfinite(y_trial)):
@@ -90,25 +121,27 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
                     return finish(Event(t + dt, EventKind.BLOWUP))
                 dt = max(0.25 * dt, MIN_STEP)
                 continue
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_trial))
-            err_norm = float(np.max(np.abs(err) / scale))
+            err_norm = reference_error(y, y_trial, e5, e3, dt, config)
             if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
                 accepted = (y_trial, K)
                 factor = STEP_GROW if err_norm == 0.0 else min(
-                    STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2))
+                    STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125))
                 dt_next = dt * factor
             else:
-                dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.2)
+                dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125)
         y_new, K = accepted
-        f_new = K[6]
+        f_new = K[-1]
         t_new = t + dt
         if remaining - dt <= config.t_max * 1e-14:
             t_new = config.t_max
+        lengths.append(dt)
 
         if z_armed and z_side * y_new[z_idx] <= z_eps:
-            _, tau = _bisect(lambda u: z_eps - z_side * reference_dense(y, K, dt, u)[z_idx], dt)
+            dense = reference_dense(f, y, y_new, K, dt)
+            _, tau = _bisect(lambda u: z_eps - z_side * reference_eval(y, dense, dt, u)[z_idx],
+                             dt)
             times.append(t + tau)
-            samples.append(reference_dense(y, K, dt, tau))
+            samples.append(reference_eval(y, dense, dt, tau))
             return finish(Event(t + tau, EventKind.REACHED_Z))
 
         times.append(t_new)
@@ -148,6 +181,7 @@ def assert_same_as_reference(structure, h, state, config, direction=1):
     assert isinstance(got, Trajectory)
     assert bits(got.times) == bits(want.times)
     assert bits(got.ys) == bits(want.ys)
+    assert bits(got.step_lengths) == bits(want.step_lengths)
     assert [(e.kind, float(e.time).hex()) for e in got.events] == \
         [(e.kind, float(e.time).hex()) for e in want.events]
     return got
@@ -282,15 +316,16 @@ CANONICAL = PhaseStructure(StructureKind.CANONICAL)
 
 
 def _nan_past(k):
-    # dp = k q^3 makes y5 differ from every stage point: p gains about
-    # k dt^4 / 4 at y5 and at most 0.105 k dt^4 at a stage; past p = 0.2 the
-    # velocity is (1e-20, NaN), whose first entry alone is a fixed point
+    # dp = k q^5 makes y8 differ from every stage point: p gains k dt^6 / 6
+    # at y8 and at most 0.1609 k dt^6 at a stage, so with k dt^6 = 1.22 only
+    # y8 lies past p = 0.2, where the velocity is (1e-20, NaN), whose first
+    # entry alone is a fixed point
     def velocity(q, p):
-        return (1e-20, np.nan) if p > 0.2 else (1.0, k * q**3)
+        return (1e-20, np.nan) if p > 0.2 else (1.0, k * q**5)
     return Canonical(velocity)
 
 
-@pytest.mark.parametrize("step,k", [(1e-12, 1e48), (1e-6, 1e24)],
+@pytest.mark.parametrize("step,k", [(1e-12, 1.22e72), (1e-6, 1.22e36)],
                          ids=["at-the-least-step", "with-room-to-shrink"])
 def test_a_field_turning_nan_is_never_a_fixed_point(step, k):
     config = IntegratorConfig(method=Method.RK_ADAPTIVE, step=step, t_max=1e3 * step)
@@ -307,11 +342,11 @@ def test_a_nan_start_is_not_a_fixed_point():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("band", [(0.15, 0.25), (0.15, math.inf)], ids=["band", "half-line"])
+@pytest.mark.parametrize("band", [(0.1, 0.24), (0.1, math.inf)], ids=["band", "half-line"])
 def test_a_field_turning_inf_ends_in_blowup(band):
     # from q = 0 at unit speed, the first trial step of length 1 puts only its
-    # second stage, at q = 0.2, on the band: its NaN reaches y5 through the
-    # zero weight of k2 alone
+    # stage k3, at q = 0.118, on the band: the velocity does not depend on p,
+    # so its inf reaches y8 through the zero weight of k3 alone
     lo, hi = band
 
     def velocity(q, p):
@@ -373,8 +408,9 @@ def test_a_fixed_point_in_the_middle():
     config = IntegratorConfig(**ADAPTIVE, t_max=20.0, z_epsilon=1e-3, fp_epsilon=1e-5)
     run = assert_same_as_reference(structure, h, PhaseState(0.0, 5e-4), config)
     assert run.terminal_event.kind is EventKind.FIXED_POINT
-    # the first sample past p/2 = 1e-5, near t = 2 ln 25
-    assert 2.0 * math.log(25.0) <= run.terminal_event.time < 2.0 * math.log(25.0) + 1.0
+    # the first sample past p/2 = 1e-5, near t = 2 ln 25: at most one step
+    # later, and no step is longer than t_max / 10
+    assert 2.0 * math.log(25.0) <= run.terminal_event.time < 2.0 * math.log(25.0) + 2.0
     F = compile_field(structure, h)
     assert np.max(np.abs(F(run.ys[-1]))) < 1e-5 <= np.max(np.abs(F(run.ys[-2])))
 
@@ -401,3 +437,42 @@ def test_a_stage_sum_of_negative_zeros_is_positive():
     run = assert_same_as_reference(CANONICAL, Canonical(velocity), PhaseState(0.0, -0.0),
                                    config)
     assert run.terminal_event.kind is EventKind.T_MAX and run.ys[-1, 1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the inlined tableau, and the accepted steps that the trajectory keeps
+
+def test_the_inlined_tableau_is_scipys_entry_by_entry():
+    def hexes(values):
+        return [float(v).hex() for v in values]
+    assert len(_DOP_A) == dop853.N_STAGES_EXTENDED - 1
+    for i, row in enumerate(_DOP_A, 1):
+        assert hexes(row) == hexes(dop853.A[i, :i])
+        assert not dop853.A[i, i:].any()  # the stages weigh earlier stages only
+    assert hexes(_DOP_A[dop853.N_STAGES - 1]) == hexes(dop853.B)
+    assert hexes(_DOP_E5) == hexes(dop853.E5)
+    assert hexes(_DOP_E3) == hexes(dop853.E3)
+    assert [hexes(row) for row in _DOP_D] == [hexes(row) for row in dop853.D]
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("name", ["twisted_stokes", "angular_periodic", "nontwisted",
+                                  "log_momentum"])
+def test_an_accepted_step_run_again_gives_its_sample(name, direction):
+    """Each accepted step, run again from ``ys[i - 1]`` with its recorded
+    length, gives ``ys[i]`` to the bit, and the interpolant starts at
+    ``ys[i - 1]``; a Z sample is the dense output inside its step."""
+    structure, h, state, extra = RUNS[name]
+    run = integrate(structure, h, state, IntegratorConfig(**ADAPTIVE, **extra), direction)
+    f = _directed(compile_field(structure, h), float(direction))
+    ends_at_z = run.terminal_event.kind is EventKind.REACHED_Z
+    for i in range(1, len(run) - ends_at_z):
+        y = run.ys[i - 1].tolist()
+        y8, _, _, _ = _dop_step(f, y, float(run.step_lengths[i - 1]), f(y))
+        assert bits(y8) == bits(run.ys[i])
+        assert bits(run.interpolate(i, 0.0)) == bits(run.ys[i - 1])
+    if ends_at_z:
+        i = len(run) - 1
+        tau = run.terminal_event.time - run.times[i - 1]
+        assert 0.0 < tau <= run.step_lengths[i - 1]
+        assert np.max(np.abs(run.interpolate(i, tau) - run.ys[i])) < 1e-12

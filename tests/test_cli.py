@@ -273,7 +273,7 @@ class TestTimescale:
         assert abs(rt[-1, 0] - 20.0) < 1e-5
 
     def test_a_section_overrides_the_timescale_defaults_key_by_key(self, tmp_path):
-        # rel_tol alone keeps the adaptive DP5 of the section-less run
+        # rel_tol alone keeps the adaptive DOP853 of the section-less run
         doc = dict(self.FALLING, clock="t", horizon=10.0)
         code, bare = self.run_timescale(tmp_path, "bare", **doc)
         assert code == 0
@@ -283,7 +283,7 @@ class TestTimescale:
 
     @pytest.mark.parametrize("clock", ["t", "s"])
     def test_a_dp5_section_fits_a_horizon_below_its_first_step(self, tmp_path, clock):
-        # the horizon 5e-4 is below the default step 1e-3, which DP5 clamps
+        # the horizon 5e-4 is below the default step 1e-3, which DOP853 clamps
         # to horizon / 10 with a section as without one
         doc = dict(self.FALLING, clock=clock, horizon=5e-4)
         code, bare = self.run_timescale(tmp_path, "bare", **doc)

@@ -213,7 +213,7 @@ def test_fixed_step_runs_are_bounded(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "portrait", "classify", "oracle-compare"])
 def test_an_adaptive_run_may_be_shorter_than_its_first_step(tmp_path, command):
-    # the default step 1e-3 is only DP5's first guess, clamped to t_max / 10
+    # the default step 1e-3 is only DOP853's first guess, clamped to t_max / 10
     doc = dict(SIMULATE, integrator={"method": "rk_adaptive", "t_max": 5e-4})
     assert run_main(tmp_path, command, json.dumps(doc)) == 0
     records = strict_json(tmp_path / "out" / "manifest.json")["records"]
@@ -313,7 +313,7 @@ def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
     # friction 1, horizon 1: the run's t_max is 1, whatever the section says
     doc = dict(TIMESCALE, integrator={"method": method, "step": 1.5, "t_max": 2.0})
     if method == "rk_adaptive":
-        # a DP5 step is only the first guess, which the run clamps to horizon / 10
+        # a DOP853 step is only the first guess, which the run clamps to horizon / 10
         clamped = dict(TIMESCALE, integrator={"method": method, "step": 0.1})
         for clock in ("t", "s"):
             files = []

@@ -16,6 +16,26 @@ CANONICAL = PhaseStructure(StructureKind.CANONICAL)
 PENDULUM = PhaseStructure(StructureKind.TWISTED_B, angular_mask=(True,))
 
 
+# (q, p, tol) of pendulum rotations (lam = 4) from the classify workload's
+# seeds: one at two tolerances, and nine at 1e-8 that reported twice their
+# period, or `undetermined` for (1.473891711134418, -2.3756395623565787),
+# when the first-return search ran on the cubic Hermite between samples
+ADAPTIVE_ROTATIONS = [
+    pytest.param(1.3959026582909244, 2.20327097884094, 1e-8, id="1e-08"),
+    pytest.param(1.3959026582909244, 2.20327097884094, 1e-10, id="1e-10"),
+] + [pytest.param(q, p, 1e-8, id=f"1e-08-{q!r}-{p!r}") for q, p in [
+    (-2.9684336381820478, 3.275207058926254),
+    (-1.0698271771715926, -2.583038828232323),
+    (-1.2365633569717065, 2.86483157958326),
+    (-1.4139091612381165, -2.3360433417215245),
+    (0.9891808059313085, -2.2688521197906537),
+    (1.473891711134418, -2.3756395623565787),
+    (1.494378890606205, 3.036813041882546),
+    (1.8969012279530073, 2.6584398982231585),
+    (2.3350532944055393, -3.004570321239645),
+]]
+
+
 class TestClassify:
     def test_escape_orbit_with_limit_state(self):
         cfg = IntegratorConfig(step=1e-3, t_max=25.0, z_epsilon=1e-4)
@@ -42,16 +62,11 @@ class TestClassify:
         expected = 2 * math.pi / math.sqrt(24.0)
         assert cls.period == pytest.approx(expected, abs=1e-7)
 
-    @pytest.mark.parametrize("tol", [
-        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 1: the cubic Hermite between DP5 samples misses the first "
-            "return, and the run reports 3 periods (4.898529820788259)"))),
-        1e-10,
-    ])
-    def test_adaptive_rotation_reports_one_period(self, tol):
-        """A DP5 rotation of the twisted pendulum (lam = 4) is periodic with
-        one period, 2 pi / sqrt(4 E^2 - lam^2), not a multiple of it."""
-        lam, q, p = 4.0, 1.3959026582909244, 2.20327097884094
+    @pytest.mark.parametrize("q,p,tol", ADAPTIVE_ROTATIONS)
+    def test_adaptive_rotation_reports_one_period(self, q, p, tol):
+        """A DOP853 rotation of the twisted pendulum (lam = 4) is periodic
+        with one period, 2 pi / sqrt(4 E^2 - lam^2), not a multiple of it."""
+        lam = 4.0
         h = HamiltonianSpec(PotentialSpec("periodic", lam=lam))
         cfg = IntegratorConfig(method="rk_adaptive", rel_tol=tol, abs_tol=tol, step=5e-3,
                                t_max=15.0, z_epsilon=1e-4)

@@ -3,7 +3,7 @@
 On fixed-step RK4 such a run must classify as the full run to ``t_max``
 does: the same kind and the same period to the bit, in both directions,
 with the period as the time of its ``returned_to_start`` event.  Rows that
-do not return, and adaptive DP5 rows, run as they always did.
+do not return, and adaptive DOP853 rows, run as they always did.
 """
 
 import dataclasses

@@ -1,11 +1,11 @@
-"""The cost of a one-orbit run: the extended kernel, the DP5 step and the
+"""The cost of a one-orbit run: the extended kernel, the DOP853 step and the
 import heap of the CLI.
 
 Each rewrite must keep the bits of what it replaces, so every test here
 compares against a reference kept in this file: the scalar formulas of the
 extended gradients, the swap and scale of ``h.gradient`` into a field (for
 the array kernel and its one-row form ``F.row``), and the generator sums of
-the Dormand-Prince step.
+the DOP853 step.
 """
 
 import math
@@ -20,8 +20,8 @@ from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_
 from bhamsys.hamiltonians import (EXP_GUARD, ExtendedKind, HamiltonianSpec, PotentialSpec,
                                   potential_gradient, potential_time_derivative,
                                   potential_value)
-from bhamsys.integrate import (_DP_A, _DP_B5, _DP_ERR, EventKind, IntegratorConfig, Method,
-                               _dp_step, integrate)
+from bhamsys.integrate import (_DOP_A, _DOP_E3, _DOP_E5, EventKind, IntegratorConfig, Method,
+                               _dop_step, integrate)
 from bhamsys.timescale import (build_plain_extended, build_rescaled_extended,
                                plain_initial_state, rescaled_initial_state, run_rescaled,
                                run_s_coordinates, to_s_coordinates, to_s_state)
@@ -210,17 +210,17 @@ def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
         assert integrate(structure, h, y0, config).terminal_event.kind is EventKind.T_MAX
 
 
-def dp_reference(f, y, dt, k1):
-    """The Dormand-Prince step as generator sums over a list of stages;
-    returns y5, the error estimate and the stages k1..k7 in one tuple."""
-    ks = [k1]
-    for row in _DP_A:
+def dop_reference(f, y, dt, k0):
+    """The DOP853 step as generator sums over a list of stages; returns y8,
+    the two error sums and the stages k0..k12 in one tuple."""
+    ks = [k0]
+    for row in _DOP_A[:11]:
         acc = sum(a * k for a, k in zip(row, ks))
         ks.append(f(y + dt * acc))
-    y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    ks.append(f(y5))
-    err = dt * sum(e * k for e, k in zip(_DP_ERR, ks))
-    return (y5, err, *ks)
+    y8 = y + dt * sum(b * k for b, k in zip(_DOP_A[11], ks))
+    ks.append(f(y8))
+    return (y8, sum(e * k for e, k in zip(_DOP_E5, ks)),
+            sum(e * k for e, k in zip(_DOP_E3, ks)), *ks)
 
 
 FIELDS = {
@@ -246,16 +246,16 @@ def test_dp_step_matches_the_generator_sums(name, dt, data):
                                                       st.sampled_from([0.0, -0.0]))))
     if structure.kind is StructureKind.EXTENDED_B_S:
         y[2 * structure.n] = data.draw(st.floats(0.5, 1.0))  # s > 0 in every stage
-    k1 = F(y)
-    y5, err, stages = _dp_step(F.row, y.tolist(), dt, k1.tolist())
-    for got, want in zip([y5, err, *stages], dp_reference(F, y, dt, k1), strict=True):
+    k0 = F(y)
+    y8, e5, e3, stages = _dop_step(F.row, y.tolist(), dt, k0.tolist())
+    for got, want in zip([y8, e5, e3, *stages], dop_reference(F, y, dt, k0), strict=True):
         assert same_bits(got, want)
 
 
 @given(y=arrays(float, 3, elements=st.sampled_from([0.0, -0.0, 0.5, -2.0])),
-       k1=arrays(float, 3, elements=st.sampled_from([0.0, -0.0, 1.0, -2.5])))
+       k0=arrays(float, 3, elements=st.sampled_from([0.0, -0.0, 1.0, -2.5])))
 @settings(max_examples=100, deadline=None)
-def test_dp_step_keeps_the_sign_of_zero_sums(y, k1):
+def test_dp_step_keeps_the_sign_of_zero_sums(y, k0):
     # a sum of -0.0 terms is +0.0 from a start of 0.0 and -0.0 without it;
     # this f turns the sign of a zero input into a different stage
     def f(x):
@@ -263,8 +263,8 @@ def test_dp_step_keeps_the_sign_of_zero_sums(y, k1):
 
     def f_row(x):
         return f(np.array(x)).tolist()
-    y5, err, stages = _dp_step(f_row, y.tolist(), 0.1, k1.tolist())
-    for got, want in zip([y5, err, *stages], dp_reference(f, y, 0.1, k1), strict=True):
+    y8, e5, e3, stages = _dop_step(f_row, y.tolist(), 0.1, k0.tolist())
+    for got, want in zip([y8, e5, e3, *stages], dop_reference(f, y, 0.1, k0), strict=True):
         assert same_bits(got, want)
 
 

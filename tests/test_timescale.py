@@ -1,5 +1,6 @@
 """Extended phase space, time rescaling, and real-time reconstruction."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -241,9 +242,9 @@ LONG_HORIZONS = {
     "pure_quadratic": (PotentialSpec("pure_quadratic", lam=2.0), 1.0, 40.0),
     "linear": (PotentialSpec("linear", lam=4.0), 0.5, 60.0),
 }
-# clock, family, most DP5 steps (1,037, 550, 1,243 and 1,058 are taken)
-LONG_CASES = [("s", "pure_quadratic", 1100), ("t", "linear", 600),
-              ("t", "pure_quadratic", 1300), ("s", "linear", 1100)]
+# clock, family, most DOP853 steps (168, 87, 142 and 107 are taken)
+LONG_CASES = [("s", "pure_quadratic", 200), ("t", "linear", 100),
+              ("t", "pure_quadratic", 170), ("s", "linear", 130)]
 
 
 class TestPhysicalClock:
@@ -267,12 +268,28 @@ class TestPhysicalClock:
         assert np.max(np.abs(rt.q[:, 0] - q)) / scale < 1e-7
         assert np.max(np.abs(rt.velocity[:, 0] - v)) / scale < 1e-7
 
-    def test_a_clock_s_trial_that_leaves_the_chart_is_retried_with_a_smaller_step(self):
-        """A DP5 trial stage of this run overshoots below s = 0, where the
-        field raises; the trial is retried with a quarter of its step and
-        the run reaches its horizon on the free damped solution."""
-        traj = run_s_coordinates(ZERO, 1.0, 1.0, 0.5, 20.0)
-        assert traj.terminal_event == Event(20.0, EventKind.T_MAX)
+    def test_a_clock_s_trial_that_leaves_the_chart_is_retried_with_a_smaller_step(
+            self, monkeypatch):
+        """Past friction * t of about 23, s is below the absolute tolerance
+        and the steps grow to horizon / 10 = 4: a trial stage of s' = -s
+        then overshoots below s = 0 from friction * step of about 3.2, where
+        the field raises.  With ``fp_epsilon`` below the field's size, the
+        trial is retried with a quarter of its step and the run reaches its
+        horizon on the free damped solution."""
+        integrate_module = importlib.import_module("bhamsys.integrate")
+        step, raised = integrate_module._dop_step, []
+
+        def counted(f, y, dt, k0):
+            try:
+                return step(f, y, dt, k0)
+            except ValueError as exc:
+                raised.append(exc)
+                raise
+        monkeypatch.setattr(integrate_module, "_dop_step", counted)
+        traj = run_s_coordinates(ZERO, 1.0, 1.0, 0.5, 40.0,
+                                 config=replace(DEFAULT_CONFIG, fp_epsilon=1e-30))
+        assert raised and all(str(exc) == "Hamiltonian singular at s=0" for exc in raised)
+        assert traj.terminal_event == Event(40.0, EventKind.T_MAX)
         rt = reconstruct_real_time(traj)
         decay = np.exp(-rt.times)
         assert np.max(np.abs(rt.q[:, 0] - (1.0 + 0.5 * (1.0 - decay)))) < 1e-9
