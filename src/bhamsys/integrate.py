@@ -279,10 +279,8 @@ class Trajectory:
             raise IndexError(f"no step ends at sample {i} of {len(self)}")
         F = self._field
         if self.step_lengths is None:
-            y0, y1 = self.ys[i - 1], self.ys[i]
-            f0, f1 = F(y0) * self.direction, F(y1) * self.direction
-            dt = self.times[i] - self.times[i - 1]
-            return lambda tau: hermite(y0, y1, f0, f1, dt, tau)
+            return _hermite_step(F, self.ys[i - 1], self.ys[i], self.direction,
+                                 self.times[i] - self.times[i - 1])
         f = _directed(F, float(self.direction))
         y, dt = self.ys[i - 1].tolist(), float(self.step_lengths[i - 1])
         y8, _, _, stages = _dop_step(f, y, dt, f(y))
@@ -554,6 +552,14 @@ def hermite(y0, y1, f0, f1, dt, tau):
     return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
 
 
+def _hermite_step(F, y0, y1, sign, dt):
+    """The cubic Hermite of a step of length ``dt`` from ``y0`` to ``y1``
+    along ``sign``, as a function of the time into the step; its
+    derivatives are the field ``F`` at the two ends, times ``sign``."""
+    f0, f1 = F(y0) * sign, F(y1) * sign
+    return lambda tau: hermite(y0, y1, f0, f1, dt, tau)
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -708,11 +714,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
         scan = first_return_scan(structure, h, Y0, K * sign)
 
         def hermite_step(r, i):
-            # the cubic Hermite of row r's step into sample i, on the store
-            y0, y1 = store[r, i - 1], store[r, i]
-            f0, f1 = F(y0) * row_sign[r], F(y1) * row_sign[r]
-            dt = times[i] - times[i - 1]
-            return lambda tau: hermite(y0, y1, f0, f1, dt, tau)
+            return _hermite_step(F, store[r, i - 1], store[r, i], row_sign[r],
+                                 times[i] - times[i - 1])
     fixed = np.max(np.abs(K), axis=1) < fp_eps  # False on NaN rows
     for j in np.flatnonzero(fixed):
         ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
