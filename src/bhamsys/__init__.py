@@ -30,7 +30,7 @@ from .orbits import (OrbitClassification, OrbitKind, PortraitRecord,
 from .timescale import (RealTimeTrajectory, build_plain_extended, build_rescaled_extended,
                         friction_ode_residual, from_s_state, plain_initial_state,
                         reconstruct_real_time, rescaled_initial_state,
-                        run_rescaled, run_s_coordinates, s_to_time, time_to_s,
+                        run_rescaled, run_s_coordinates, time_to_s,
                         to_s_coordinates, to_s_state)
 
 __version__ = "0.1.0"

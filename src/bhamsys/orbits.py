@@ -17,8 +17,10 @@ two fixed points.  This module detects those types:
   ``integrate._bisect`` on the interpolant of the step
   (``Trajectory.interpolate``: the cubic Hermite of a fixed-step run,
   DOP853's dense output of an adaptive one), until one returns.  The
-  period is the time of that return; it must exceed ``MIN_PERIOD_STEPS``
-  median steps of the samples up to its crossing.  A fixed-step run made with
+  period is the time of that return; its crossing must end sample
+  ``MIN_PERIOD_STEPS`` or a later one, a floor counted in samples, not in
+  time, so that it holds for any prefix of a run and does not pass over
+  the first return of an adaptive run's long steps.  A fixed-step run made with
   ``integrate_batch(..., stop_at_return=True)`` (as CLI ``classify`` makes
   them) runs this search on each block of its samples and ends at the
   crossing where it finds the return (event ``returned_to_start``), so the
@@ -64,8 +66,8 @@ __all__ = [
 #: Max-norm ball (angles on the circle) for the first-return test.
 RETURN_BALL = 1e-6
 
-#: A detected period must exceed this many median steps.
-MIN_PERIOD_STEPS = 10
+#: A return is sought only at a crossing that ends this sample or a later one.
+MIN_PERIOD_STEPS = 3
 
 
 class OrbitKind(str, Enum):
@@ -115,16 +117,6 @@ def _angular_delta(ys: np.ndarray, x0: np.ndarray, angular_idx: np.ndarray) -> n
     return d
 
 
-def _median(values: np.ndarray) -> float:
-    """The float ``np.median`` gives for finite ``values``, without the
-    ``numpy.ma`` import its first call pays."""
-    ordered = np.sort(values)
-    mid = ordered.size // 2
-    if ordered.size % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
-
-
 def _angular_columns(structure: PhaseStructure) -> np.ndarray:
     return np.array([i for i, a in enumerate(structure.angular_mask) if a], dtype=int)
 
@@ -162,10 +154,10 @@ def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarr
     ``integrate._bisect`` finds where the progress turns nonnegative on the
     step's interpolant, and that time is the ``period`` when the state there
     lies within ``RETURN_BALL`` of the start, the field there does not
-    vanish, and it is at least ``MIN_PERIOD_STEPS`` median steps of
-    ``times[:i + 1]``.  The gate of a crossing is widened by its step's chord, the largest
-    change of a coordinate over the step, so that a return between two
-    long steps is still refined.  A row without a return frame gets the
+    vanish, and ``i`` is at least ``MIN_PERIOD_STEPS``.  The gate of a
+    crossing is widened by its step's chord, the largest change of a
+    coordinate over the step, so that a return between two long steps is
+    still refined.  A row without a return frame gets the
     gate -1, which no distance passes.
     """
     F = compile_field(structure, h)
@@ -175,8 +167,7 @@ def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarr
     angular_idx = _angular_columns(structure)
 
     def refine(r, at, times, i) -> Optional[float]:
-        t_floor = MIN_PERIOD_STEPS * _median(np.diff(times[:i + 1]))
-        if times[i] < t_floor:
+        if i < MIN_PERIOD_STEPS:
             return None
         x0, v = Y0[r], v0n[r]
 
@@ -186,9 +177,8 @@ def first_return_scan(structure: PhaseStructure, h, Y0: np.ndarray, K0: np.ndarr
         tau = 0.5 * sum(_bisect(prog, times[i] - times[i - 1]))
         y_ret = at(tau)
         d_ret = float(np.max(np.abs(_angular_delta(y_ret, x0, angular_idx))))
-        t_ret = times[i - 1] + tau
-        if d_ret < RETURN_BALL and t_ret >= t_floor and np.max(np.abs(F(y_ret))) > 1e-12:
-            return float(t_ret)
+        if d_ret < RETURN_BALL and np.max(np.abs(F(y_ret))) > 1e-12:
+            return float(times[i - 1] + tau)
         return None
 
     def scan(store, times, rows, lo, hi, interpolant) -> dict:

@@ -39,9 +39,12 @@ in the s chart from physical time 0 to a horizon T.  Both run
 ``DEFAULT_CONFIG`` unless given a configuration, with ``t_max`` replaced by
 T, and return the integrator's plain ``Trajectory``, whose Hamiltonian
 carries lam and the chart and whose times are physical times.
-``reconstruct_real_time`` projects such a run back to (q(t), dq/dt) and is
-validated against the independent damped-Newton oracle in
-:mod:`bhamsys.oracles`.
+``reconstruct_real_time`` projects such a run back to (q(t), dq/dt), which
+``RealTimeTrajectory.sample`` reads between samples off the run's own
+interpolant (``Trajectory.interpolate``), and is validated against the
+independent damped-Newton oracle in :mod:`bhamsys.oracles`.  It takes runs
+of K alone: a run of H itself, whose clock is the curvilinear parameter,
+is refused.
 
 One limit remains, measured with the default ``blowup_bound`` 1e30 of
 ``DEFAULT_CONFIG``: the momentum p = exp(lam*t) v / lam and the energy
@@ -70,12 +73,11 @@ import numpy as np
 from .geometry import PhaseState, PhaseStructure, StructureKind
 from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialSpec,
                            potential_gradient, potential_value)
-from .integrate import EventKind, IntegratorConfig, Method, Trajectory, hermite, integrate
+from .integrate import EventKind, IntegratorConfig, Method, Trajectory, integrate
 
 __all__ = [
     "RealTimeTrajectory",
     "time_to_s",
-    "s_to_time",
     "to_s_state",
     "from_s_state",
     "build_plain_extended",
@@ -103,13 +105,6 @@ def time_to_s(t, lam: float):
     return np.exp(-lam * np.asarray(t, dtype=float))
 
 
-def s_to_time(s, lam: float):
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("s must be positive")
-    return -np.log(s) / lam + 0.0  # +0.0 normalizes -0.0 at s = 1
-
-
 def to_s_state(state: PhaseState, lam: float) -> PhaseState:
     """Map a (q, p, t, E) state to (q, p, s, E_s)."""
     if state.extra is None:
@@ -128,75 +123,30 @@ def from_s_state(state: PhaseState, lam: float) -> PhaseState:
     return PhaseState(q=state.q, p=state.p, extra=(-math.log(s) / lam, lam * e_s))
 
 
-def _quintic_hermite(y0, y1, f0, f1, a0, a1, dt, tau):
-    """Quintic Hermite interpolant, ``tau`` into a step of length ``dt``
-    from ``y0`` to ``y1`` with first derivatives ``f0``, ``f1`` and second
-    derivatives ``a0``, ``a1``; elementwise, as :func:`~bhamsys.integrate.hermite`."""
-    u = tau / dt
-    u3 = u * u * u
-    h0 = 1 - u3 * (10 - 15 * u + 6 * u * u)
-    h1 = u - u3 * (6 - 8 * u + 3 * u * u)
-    h2 = 0.5 * u * u * (1 - u) ** 3
-    h3 = 0.5 * u3 * (1 - u) ** 2
-    h4 = -u3 * (4 - 7 * u + 3 * u * u)
-    return (h0 * y0 + (1 - h0) * y1 + dt * (h1 * f0 + h4 * f1)
-            + dt * dt * (h2 * a0 + h3 * a1))
-
-
-def _hermite_resample(ts: np.ndarray, ys: np.ndarray, ders: np.ndarray,
-                      t_new: np.ndarray, second: Optional[np.ndarray] = None) -> np.ndarray:
-    """Piecewise Hermite evaluation of (ys, ders) sampled at ts: cubic, or
-    quintic with the second derivatives ``second``."""
-    t_new = np.clip(np.asarray(t_new, dtype=float), ts[0], ts[-1])
-    idx = np.clip(np.searchsorted(ts, t_new, side="right") - 1, 0, ts.size - 2)
-    dt, tau = (ts[idx + 1] - ts[idx])[:, None], (t_new - ts[idx])[:, None]
-    if second is None:
-        return hermite(ys[idx], ys[idx + 1], ders[idx], ders[idx + 1], dt, tau)
-    return _quintic_hermite(ys[idx], ys[idx + 1], ders[idx], ders[idx + 1],
-                            second[idx], second[idx + 1], dt, tau)
-
-
 @dataclass(frozen=True, eq=False)
 class RealTimeTrajectory:
-    """Base motion (q(t), dq/dt) recovered from a run.  ``run`` is the run
-    of a Poincare variant it came from, whose times are physical times, or
-    None for a run of H itself."""
+    """Base motion (q(t), dq/dt) recovered from ``run``, a run of Poincare's
+    K whose times are physical times; lam, the potential and the axis are
+    those of ``run.hamiltonian``."""
 
-    times: np.ndarray
+    run: Trajectory
     q: np.ndarray
     velocity: np.ndarray
-    lam: float
-    potential: PotentialSpec
-    axis: int = 0
-    run: Optional[Trajectory] = None
 
-    def acceleration(self) -> np.ndarray:
-        """Damped Newton acceleration -lam*v - dV/dq at every node."""
-        acc = np.empty_like(self.velocity)
-        for i, t in enumerate(self.times):
-            acc[i] = (-self.lam * self.velocity[i]
-                      - potential_gradient(self.potential, self.q[i], t, self.axis))
-        return acc
+    @property
+    def times(self) -> np.ndarray:
+        return self.run.times
 
     def sample(self, t_new):
-        """(q, dq/dt) at the times ``t_new``, clipped to the run's span.  On
-        a run of a Poincare variant, the states of the run's own
-        interpolant (``Trajectory.interpolate``) projected to the base
-        motion; on a run of H, whose times are curvilinear, Hermite
-        resampling: positions quintic on (q, v, a), velocities cubic on
-        (v, a)."""
-        t_new = np.atleast_1d(np.asarray(t_new, dtype=float))
-        if self.run is not None:
-            times = self.run.times
-            t_new = np.clip(t_new, times[0], times[-1])
-            steps = np.clip(np.searchsorted(times, t_new, side="right"), 1, times.size - 1)
-            ys = np.array([self.run.interpolate(int(i), float(t - times[i - 1]))
-                           for i, t in zip(steps, t_new)])
-            return _base_motion(self.run.hamiltonian, self.run.n, ys)
-        acc = self.acceleration()
-        q = _hermite_resample(self.times, self.q, self.velocity, t_new, acc)
-        v = _hermite_resample(self.times, self.velocity, acc, t_new)
-        return q, v
+        """(q, dq/dt) at the times ``t_new``, clipped to the run's span: the
+        states of the run's own interpolant (``Trajectory.interpolate``)
+        projected to the base motion."""
+        times = self.run.times
+        t_new = np.clip(np.atleast_1d(np.asarray(t_new, dtype=float)), times[0], times[-1])
+        steps = np.clip(np.searchsorted(times, t_new, side="right"), 1, times.size - 1)
+        ys = np.array([self.run.interpolate(int(i), float(t - times[i - 1]))
+                       for i, t in zip(steps, t_new)])
+        return _base_motion(self.run.hamiltonian, self.run.n, ys)
 
 
 def build_plain_extended(potential: PotentialSpec, n: int = 1, axis: int = 0):
@@ -346,47 +296,32 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
 
 
-def _s_chart(h) -> bool:
-    return h.extended in (ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S)
-
-
 def _base_motion(h, n, ys) -> tuple:
     """(q, dq/dt) of the extended states ``ys`` of a run of ``h``, with
     dq/dt = lam * s * p, where s is the state's own s or exp(-lam t)."""
     coord = ys[:, 2 * n]
-    s = coord if _s_chart(h) else np.exp(-h.friction * coord)
+    s = coord if h.extended is ExtendedKind.POINCARE_S else np.exp(-h.friction * coord)
     return ys[:, :n].copy(), h.friction * s[:, None] * ys[:, n:2 * n]
 
 
 def reconstruct_real_time(traj: Trajectory) -> RealTimeTrajectory:
-    """Project a rescaled or s-coordinate run back to the base motion in
-    physical time.
+    """Project a run of Poincare's K, as :func:`run_rescaled` and
+    :func:`run_s_coordinates` return it, back to the base motion in physical
+    time.
 
-    The friction lam and the chart come from ``traj.hamiltonian``.  A run of
-    a Poincare variant (what the runners return) keeps its own times, which
-    are physical times, and its interpolant serves
-    :meth:`RealTimeTrajectory.sample`; a run of H itself reads t from its
-    extended coordinate, t or -ln(s)/lam.  Velocities follow from
-    dq/dt = lam * exp(-lam t) * p = lam * s * p, with t or s the state's
-    own coordinate.  The result satisfies the damped Newton equation up to
-    finite-difference residuals (see :func:`friction_ode_residual`).
+    The friction lam and the chart come from ``traj.hamiltonian``, and the
+    run's times are physical times.  Velocities follow from
+    dq/dt = lam * exp(-lam t) * p = lam * s * p, with t or s the state's own
+    coordinate.  Any other run, a run of H itself included, is refused with
+    a ``ValueError``.  The result satisfies the damped Newton equation up
+    to finite-difference residuals (see :func:`friction_ode_residual`).
     """
     h = traj.hamiltonian
-    chart = getattr(h, "extended", None)
-    if chart not in (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.POINCARE_T,
-                     ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S):
-        raise ValueError("reconstruction applies to rescaled or s-coordinate runs")
+    if getattr(h, "extended", None) not in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
+        raise ValueError("reconstruction applies to the runs of K that run_rescaled "
+                         "and run_s_coordinates return")
     q, velocity = _base_motion(h, traj.n, traj.ys)
-    run = None
-    if chart in (ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S):
-        times, run = traj.times.copy(), traj
-    else:
-        coord = traj.extra[:, 0]
-        times = s_to_time(coord, h.friction) if _s_chart(h) else coord.copy()
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("t must increase strictly along the run")
-    return RealTimeTrajectory(times=times, q=q, velocity=velocity, lam=h.friction,
-                              potential=h.potential, axis=h.axis, run=run)
+    return RealTimeTrajectory(run=traj, q=q, velocity=velocity)
 
 
 def friction_ode_residual(rt: RealTimeTrajectory, dt: float = 0.01) -> float:
@@ -400,9 +335,10 @@ def friction_ode_residual(rt: RealTimeTrajectory, dt: float = 0.01) -> float:
     ts = np.linspace(t0, t1, m + 1)
     dt = ts[1] - ts[0]
     q, _ = rt.sample(ts)
+    h = rt.run.hamiltonian
     qdd = (q[2:] - 2 * q[1:-1] + q[:-2]) / dt**2
     qd = (q[2:] - q[:-2]) / (2 * dt)
     grad = np.empty_like(q[1:-1])
     for i in range(1, ts.size - 1):
-        grad[i - 1] = potential_gradient(rt.potential, q[i], ts[i], rt.axis)
-    return float(np.max(np.abs(qdd + rt.lam * qd + grad)))
+        grad[i - 1] = potential_gradient(h.potential, q[i], ts[i], h.axis)
+    return float(np.max(np.abs(qdd + h.friction * qd + grad)))

@@ -33,6 +33,10 @@ ADAPTIVE_ROTATIONS = [
     (1.494378890606205, 3.036813041882546),
     (1.8969012279530073, 2.6584398982231585),
     (2.3350532944055393, -3.004570321239645),
+]] + [pytest.param(q, p, 1e-6, id=f"1e-06-{q!r}-{p!r}") for q, p in [
+    (2.2156574695706945, -3.095456773829885),
+    (-1.507352191532362, 2.830337157855952),
+    (0.06841687889169634, 2.369918945202849),
 ]]
 
 

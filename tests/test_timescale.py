@@ -10,10 +10,10 @@ import pytest
 
 from bhamsys.geometry import PhaseState, StructureKind, hamiltonian_vector_field
 from bhamsys.hamiltonians import ExtendedKind, PotentialSpec
-from bhamsys.integrate import (MIN_STEP, IntegratorConfig, Trajectory, Event, EventKind,
+from bhamsys.integrate import (MIN_STEP, IntegratorConfig, Event, EventKind,
                                integrate)
 from bhamsys.oracles import damped_newton_reference
-from bhamsys.timescale import (DEFAULT_CONFIG, _quintic_hermite, build_plain_extended,
+from bhamsys.timescale import (DEFAULT_CONFIG, build_plain_extended,
                                build_rescaled_extended, friction_ode_residual, from_s_state,
                                plain_initial_state, poincare_transform,
                                reconstruct_real_time, rescaled_initial_state,
@@ -210,13 +210,15 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_real_time(traj)
 
-    def test_non_monotone_time_rejected(self):
+    @pytest.mark.parametrize("s_chart", [False, True])
+    def test_runs_of_h_are_not_reconstructible(self, s_chart):
         structure, h = build_rescaled_extended(ZERO, 1.0)
-        ys = np.array([[0.0, 1.0, 0.5, 0.0], [0.1, 1.0, 0.4, 0.0], [0.2, 1.0, 0.6, 0.0]])
-        traj = Trajectory(times=np.array([0.0, 0.1, 0.2]), ys=ys,
-                          events=(Event(0.2, EventKind.T_MAX),),
-                          structure=structure, hamiltonian=h)
-        with pytest.raises(ValueError, match="increase strictly"):
+        initial = rescaled_initial_state(ZERO, 1.0, 0.0, 1.0)
+        if s_chart:
+            structure, h = to_s_coordinates(structure, h)
+            initial = to_s_state(initial, 1.0)
+        traj = integrate(structure, h, initial, IntegratorConfig(step=1e-2, t_max=0.5))
+        with pytest.raises(ValueError, match="run_rescaled and run_s_coordinates"):
             reconstruct_real_time(traj)
 
 
@@ -321,14 +323,3 @@ class TestPhysicalClock:
         _, h = build_plain_extended(ZERO)
         with pytest.raises(ValueError, match="expected a rescaled"):
             poincare_transform(h)
-
-    def test_the_quintic_hermite_is_exact_on_quintics(self):
-        rng = np.random.default_rng(5)
-        coef = rng.normal(size=6)
-        poly = np.polynomial.Polynomial(coef)
-        d1, d2 = poly.deriv(), poly.deriv(2)
-        t0, dt = 0.3, 0.7
-        tau = np.linspace(0.0, dt, 9)
-        got = _quintic_hermite(poly(t0), poly(t0 + dt), d1(t0), d1(t0 + dt),
-                               d2(t0), d2(t0 + dt), dt, tau)
-        npt.assert_allclose(got, poly(t0 + tau), rtol=0, atol=1e-13)
