@@ -20,9 +20,8 @@ from .integrate import (BlowupError, Event, EventKind, IntegratorConfig, Method,
                         merge_backward_forward, sign_preservation_check, step)
 from .liftcheck import (LiftVerdict, Verdict, Witness, projectability_test,
                         toric_moment_field)
-from .oracles import (OracleResult, OracleSource, classical_parabola,
-                      damped_newton_reference, quadratic_tanh,
-                      quadratic_tanh_constants, quadratic_tanh_momentum,
+from .oracles import (OracleResult, classical_parabola, damped_newton_reference,
+                      quadratic_tanh, quadratic_tanh_constants, quadratic_tanh_momentum,
                       stokes_exact)
 from .orbits import (OrbitClassification, OrbitKind, PortraitRecord,
                      SingularPeriodicOrbit, assemble_singular_periodic,

@@ -10,13 +10,15 @@ structure preservation.
 
 Runs terminate on the first of five events:
 
-* ``reached_Z_neighborhood`` -- the defining function of the critical set,
-  with its initial sign, is at most ``z_epsilon`` (armed only off that
-  neighborhood); time and sample are located by bisection on the step's
-  own interpolant (see Interpolation).
+* ``reached_Z_neighborhood`` -- ``side * d <= limit`` after a step: ``d`` is
+  the defining function of the critical set, ``side`` its initial sign and
+  ``limit`` ``z_epsilon`` on a run that starts off that neighborhood, else
+  -inf (as without a critical set); time and sample are located by
+  bisection on the step's own interpolant (see Interpolation).
 * ``fixed_point``            -- the field magnitude falls below ``fp_epsilon``.
 * ``blowup``                 -- a state component exceeds ``blowup_bound`` or a
-  field evaluation stops being finite.
+  field evaluation stops being finite, or an adaptive trial at the least
+  step fails (no adaptive step is accepted without its error test).
 * ``returned_to_start``      -- armed only on fixed-step RK4 by
   ``integrate_batch(..., stop_at_return=True)``: the first-return search
   of :func:`~bhamsys.orbits.classify_orbit` finds a period in the samples
@@ -146,7 +148,8 @@ class Event:
 class IntegratorConfig:
     """Settings of a run.  ``step`` is the RK4 step, which must be smaller
     than ``t_max``, and only the first trial step of adaptive DOP853, which
-    clamps it to ``t_max / 10``; every other field is a positive number."""
+    clamps it to ``t_max / 10``; every other field is a positive number, and
+    ``t_max`` a finite one."""
 
     method: Method = Method.RK4_FIXED
     step: float = 1e-3
@@ -162,6 +165,8 @@ class IntegratorConfig:
         for f in fields(self)[1:]:  # every field after method
             if not getattr(self, f.name) > 0.0:
                 raise ValueError(f"{f.name} must be > 0")
+        if not math.isfinite(self.t_max):
+            raise ValueError("t_max must be finite")
         if self.method is Method.RK4_FIXED and not self.step < self.t_max:
             raise ValueError("step must be smaller than t_max")
 
@@ -177,7 +182,9 @@ class Trajectory:
     ``step_lengths`` holds, on an adaptive run, the length of the accepted
     step that ends at each sample after the first; a sample that ends the
     run at an event lies inside its step.  It is None on a fixed-step run
-    and on a joined one (:func:`merge_backward_forward`).
+    and on a joined one (:func:`merge_backward_forward`).  Its arrays are
+    read-only: one given read-only is kept as it is, any other is copied,
+    so the caller's own arrays stay writable.
     """
 
     times: np.ndarray
@@ -189,8 +196,15 @@ class Trajectory:
     step_lengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        for name in ("times", "ys", "step_lengths"):
+            a = getattr(self, name)
+            if a is not None:
+                a = np.asarray(a, dtype=float)
+                if a.flags.writeable:  # possibly the caller's: keep a copy
+                    a = a.copy()
+                    a.setflags(write=False)
+                object.__setattr__(self, name, a)
+        times, ys, lengths = self.times, self.ys, self.step_lengths
         if times.ndim != 1 or ys.ndim != 2 or ys.shape[0] != times.size:
             raise ValueError("times and ys must have matching leading length")
         if times.size == 0:
@@ -201,18 +215,9 @@ class Trajectory:
             raise ValueError("trajectory must carry a terminal event")
         if self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        lengths = self.step_lengths
-        if lengths is not None:
-            lengths = np.asarray(lengths, dtype=float)
-            if lengths.shape != (times.size - 1,):
-                raise ValueError("step_lengths needs one length per sample after the first")
-            lengths.setflags(write=False)
-        times.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "ys", ys)
+        if lengths is not None and lengths.shape != (times.size - 1,):
+            raise ValueError("step_lengths needs one length per sample after the first")
         object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "step_lengths", lengths)
         object.__setattr__(self, "_last_step", (None, None))
 
     def __len__(self) -> int:
@@ -596,8 +601,8 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
     exception that stopped it (a malformed or non-finite initial state, or
     an error raised by the Hamiltonian), so a failing row never stops the
     others.  Each trajectory is the one :func:`integrate` returns for its row
-    alone.  The trajectories of one fixed-step batch are views of one
-    shared sample store.
+    alone.  The trajectories of one fixed-step batch are read-only views of
+    one shared sample store.
 
     ``stop_at_return=True`` arms the ``returned_to_start`` event on a
     fixed-step batch: every ``RETURN_BLOCK`` steps, a row ends once the
@@ -692,7 +697,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     store = np.empty((M, cap, d))
     store[:, 0] = Y0
     times = [0.0]
-    z_col = _defining_index(structure) if structure.is_singular else None
+    z_col = _defining_index(structure) if structure.is_singular else 0
     z_eps = config.z_epsilon
     bound, fp_eps = config.blowup_bound, config.fp_epsilon
     t_tiny = config.t_max * 1e-14
@@ -721,17 +726,14 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
         ends[j] = (0, 0.0, Event(0.0, EventKind.FIXED_POINT))
     keep = ~fixed
     keep[list(errors)] = False
-    z_side = z_lim = None
-    if z_col is not None:
-        # The Z event is armed on a row that starts outside the neighborhood.
-        # Until it fires, the defining function d keeps the sign it started
-        # with, so a step fires it exactly when side * d <= z_eps afterwards.
-        # An unarmed row gets the limit -inf, which no finite d reaches.
-        d = Y[:, z_col]
-        z_side = np.where(d > 0.0, 1.0, -1.0)
-        z_lim = np.where(np.abs(d) >= z_eps, z_eps, -np.inf)
-    active, Y, K, sign, z_side, z_lim = (
-        a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
+    # The Z event is armed on a row that starts outside the neighborhood.
+    # Until it fires, the defining function d keeps the sign it started
+    # with, so a step fires it exactly when side * d <= z_eps afterwards.  An
+    # unarmed row, and any row without Z (column 0), gets the limit -inf.
+    d = Y[:, z_col]
+    z_side = np.where(d > 0.0, 1.0, -1.0)
+    z_lim = np.where(structure.is_singular & (np.abs(d) >= z_eps), z_eps, -np.inf)
+    active, Y, K, sign, z_side, z_lim = (a[keep] for a in (active, Y, K, sign, z_side, z_lim))
 
     t = 0.0
     k = 0
@@ -772,10 +774,8 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                     if ok[s, j]:
                         ok[s, j] = False
                         failed[j] = exc
-            event = ~ok | (y_max > bound) | (np.abs(Ks[1:]).max(axis=2) < fp_eps)
-            if z_col is not None:
-                fired = ok & (z_side * y_block[:, :, z_col] <= z_lim)
-                event |= fired
+            fired = ok & (z_side * y_block[:, :, z_col] <= z_lim)
+            event = ~ok | fired | (y_max > bound) | (np.abs(Ks[1:]).max(axis=2) < fp_eps)
             ended = event.any(axis=0)
 
             while k >= store.shape[1]:
@@ -793,7 +793,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                     results[r] = exc
                 elif not ok[s, j]:
                     ends[r] = (i - 1, times[i - 1], Event(times[i], EventKind.BLOWUP))
-                elif z_col is not None and fired[s, j]:
+                elif fired[s, j]:
                     t0, dt = times[i - 1], times[i] - times[i - 1]
                     y0, y1 = Ys[s][j], Ys[s + 1][j]
                     f0, f1 = Ks[s][j] * row_sign[r], Ks[s + 1][j] * row_sign[r]
@@ -809,7 +809,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
         if ended.any():
             keep = ~ended
             active, Y, K, sign, z_side, z_lim = (
-                a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
+                a[keep] for a in (active, Y, K, sign, z_side, z_lim))
 
         if scan is not None and active.size:
             returned = scan(store, times, active, k0, k, hermite_step)
@@ -819,18 +819,18 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
                 keep = np.ones(active.size, bool)
                 keep[list(returned)] = False
                 active, Y, K, sign, z_side, z_lim = (
-                    a if a is None else a[keep] for a in (active, Y, K, sign, z_side, z_lim))
+                    a[keep] for a in (active, Y, K, sign, z_side, z_lim))
         if config.t_max - t <= t_tiny:
             for r in active:
                 ends[r] = (k, times[k], Event(config.t_max, EventKind.T_MAX))
             break
 
     grid = np.array(times)
+    store.setflags(write=False)
     for r, (last, t_last, event) in ends.items():
-        row_times = grid[:last + 1].copy()
-        row_times[last] = t_last
-        results[r] = Trajectory(times=row_times, ys=store[r, :last + 1], events=(event,),
-                                structure=structure, hamiltonian=h, direction=int(row_sign[r]))
+        results[r] = Trajectory(times=np.append(grid[:last], t_last), ys=store[r, :last + 1],
+                                events=(event,), structure=structure, hamiltonian=h,
+                                direction=int(row_sign[r]))
     return results
 
 
@@ -858,9 +858,12 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
     component and ``n5``, ``n3`` the max-norms of the two error sums over
     it, ``dt * n5**2 / sqrt(n5**2 + 0.01 * n3**2)``; the next step is
     ``0.9 * err**(-1/8)`` times this one, within ``[STEP_SHRINK,
-    STEP_GROW]``.  A trial that raises is retried with a quarter of its
-    step, as a non-finite one is; at the ``2 * MIN_STEP`` floor, a blowup
-    error ends the run in ``blowup`` and any other error is raised.
+    STEP_GROW]``.  A trial is accepted only when its error norm is at most
+    1; one that fails is retried with a quarter of its step when its state
+    is not finite or it raises, else with the factor of its norm
+    (``STEP_SHRINK`` for a NaN).  At the ``2 * MIN_STEP`` floor a failing
+    trial ends the run in ``blowup`` at ``t + dt``, and an error that is not
+    a blowup error is raised.
     """
     f = _directed(F, sign)
     y = y.tolist()
@@ -871,20 +874,17 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
     lengths = []
 
     def finish(event):
-        return Trajectory(times=np.array(times), ys=np.array(samples), events=(event,),
-                          structure=structure, hamiltonian=h, direction=int(sign),
-                          step_lengths=np.array(lengths))
+        return Trajectory(times=times, ys=samples, events=(event,), structure=structure,
+                          hamiltonian=h, direction=int(sign), step_lengths=lengths)
 
     if _amax([abs(v) for v in f_cur]) < config.fp_epsilon:
         return finish(Event(0.0, EventKind.FIXED_POINT))
 
-    z_armed = False
+    # the Z rule of _integrate_lockstep, on one row
     z_eps = config.z_epsilon
-    if structure.is_singular:
-        z_idx = _defining_index(structure)
-        z_armed = abs(y[z_idx]) >= z_eps
-        z_side = 1.0 if y[z_idx] > 0.0 else -1.0
-
+    z_idx = _defining_index(structure) if structure.is_singular else 0
+    z_side = 1.0 if y[z_idx] > 0.0 else -1.0
+    z_lim = z_eps if structure.is_singular and abs(y[z_idx]) >= z_eps else -math.inf
     abs_tol, rel_tol = config.abs_tol, config.rel_tol
     t = 0.0
     dt_next = config.step
@@ -893,40 +893,36 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         if remaining <= config.t_max * 1e-14:
             return finish(Event(config.t_max, EventKind.T_MAX))
 
-        accepted = None
         dt = min(dt_next, config.t_max / 10.0, remaining)
-        while accepted is None:
+        while True:
             dt = max(dt, MIN_STEP)
             try:
-                y_trial, e5, e3, stages = _dop_step(f, y, dt, f_cur)
+                y_new, e5, e3, stages = _dop_step(f, y, dt, f_cur)
             except Exception as exc:  # a stage left the field's domain
                 if dt <= 2 * MIN_STEP and not isinstance(exc, _BLOWUP_ERRORS):
                     raise
-                y_trial = [math.nan]
-            if not all(map(math.isfinite, y_trial)):
-                if dt <= 2 * MIN_STEP:
-                    return finish(Event(t + dt, EventKind.BLOWUP))
-                dt = max(0.25 * dt, MIN_STEP)
-                continue
-            scale = [abs_tol + rel_tol * max(abs(a), abs(b)) for a, b in zip(y, y_trial)]
-            n5 = _amax([abs(e) / s for e, s in zip(e5, scale)])
-            n3 = _amax([abs(e) / s for e, s in zip(e3, scale)])
-            err_norm = 0.0 if n5 == 0.0 and n3 == 0.0 else \
-                dt * (n5 * n5) / math.sqrt(n5 * n5 + 0.01 * (n3 * n3))
-            if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
-                accepted = (y_trial, stages)
+                y_new = [math.nan]
+            err_norm, factor = math.nan, 0.25
+            if all(map(math.isfinite, y_new)):
+                scale = [abs_tol + rel_tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+                n5 = _amax([abs(e) / s for e, s in zip(e5, scale)])
+                n3 = _amax([abs(e) / s for e, s in zip(e3, scale)])
+                err_norm = 0.0 if n5 == 0.0 and n3 == 0.0 else \
+                    dt * (n5 * n5) / math.sqrt(n5 * n5 + 0.01 * (n3 * n3))
                 factor = STEP_GROW if err_norm == 0.0 else min(
                     STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125))
-                dt_next = dt * factor
-            else:
-                dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125)
-        y_new, stages = accepted
+            if err_norm <= 1.0:
+                break
+            if dt <= 2 * MIN_STEP:
+                return finish(Event(t + dt, EventKind.BLOWUP))
+            dt *= factor
+        dt_next = dt * factor
         t_new = t + dt
         if remaining - dt <= config.t_max * 1e-14:
             t_new = config.t_max
         lengths.append(dt)
 
-        if z_armed and z_side * y_new[z_idx] <= z_eps:
+        if z_side * y_new[z_idx] <= z_lim:
             dense = _dop_dense(f, y, y_new, stages, dt)
             _, tau = _bisect(lambda u: z_eps - z_side * _dop_eval(y, dense, dt, u)[z_idx], dt)
             times.append(t + tau)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ import numpy as np
 from .hamiltonians import PotentialSpec, potential_gradient
 
 __all__ = [
-    "OracleSource",
     "OracleResult",
     "stokes_exact",
     "classical_parabola",
@@ -39,11 +37,6 @@ __all__ = [
     "quadratic_tanh_constants",
     "damped_newton_reference",
 ]
-
-
-class OracleSource(str, Enum):
-    CLOSED_FORM = "closed_form"
-    FINE_INTEGRATION = "fine_integration"
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +48,7 @@ class OracleResult:
     times: np.ndarray
     qs: np.ndarray
     ps: np.ndarray
-    source: OracleSource
-    step: Optional[float] = None
+    step: float
 
 
 def stokes_exact(q0: float, p0: float, lam: float, t):
@@ -168,5 +160,4 @@ def damped_newton_reference(potential: PotentialSpec, lam: float, q0, v0,
         t = float(t_grid[j])
         qs[j] = q
         vs[j] = v
-    return OracleResult(times=t_grid.copy(), qs=qs, ps=vs,
-                        source=OracleSource.FINE_INTEGRATION, step=step)
+    return OracleResult(times=t_grid.copy(), qs=qs, ps=vs, step=step)

@@ -108,28 +108,28 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         if remaining <= config.t_max * 1e-14:
             return finish(Event(config.t_max, EventKind.T_MAX))
 
-        accepted = None
         dt = min(max(dt_next, MIN_STEP), config.t_max / 10.0, remaining)
-        while accepted is None:
+        while True:
             dt = max(dt, MIN_STEP)
             try:
-                y_trial, e5, e3, K = reference_dop_step(f, y, dt, f_cur)
-            except _BLOWUP_ERRORS:
-                y_trial = np.array([np.nan])
-            if not np.all(np.isfinite(y_trial)):
-                if dt <= 2 * MIN_STEP:
-                    return finish(Event(t + dt, EventKind.BLOWUP))
-                dt = max(0.25 * dt, MIN_STEP)
-                continue
-            err_norm = reference_error(y, y_trial, e5, e3, dt, config)
-            if err_norm <= 1.0 or dt <= 2 * MIN_STEP:
-                accepted = (y_trial, K)
-                factor = STEP_GROW if err_norm == 0.0 else min(
-                    STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125))
-                dt_next = dt * factor
-            else:
+                y_new, e5, e3, K = reference_dop_step(f, y, dt, f_cur)
+            except Exception as exc:  # retried as a non-finite trial, but at the floor
+                if dt <= 2 * MIN_STEP and not isinstance(exc, _BLOWUP_ERRORS):
+                    raise
+                y_new = np.array([np.nan])
+            finite = np.all(np.isfinite(y_new))
+            err_norm = reference_error(y, y_new, e5, e3, dt, config) if finite else np.nan
+            if err_norm <= 1.0:
+                break
+            # a trial that fails at the floor cannot shrink: the run ends
+            if dt <= 2 * MIN_STEP:
+                return finish(Event(t + dt, EventKind.BLOWUP))
+            if finite:
                 dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125)
-        y_new, K = accepted
+            else:
+                dt = max(0.25 * dt, MIN_STEP)
+        dt_next = dt * (STEP_GROW if err_norm == 0.0 else
+                        min(STEP_GROW, STEP_SAFETY * err_norm ** -0.125))
         f_new = K[-1]
         t_new = t + dt
         if remaining - dt <= config.t_max * 1e-14:
@@ -330,8 +330,10 @@ def _nan_past(k):
 def test_a_field_turning_nan_is_never_a_fixed_point(step, k):
     config = IntegratorConfig(method=Method.RK_ADAPTIVE, step=step, t_max=1e3 * step)
     run = assert_same_as_reference(CANONICAL, _nan_past(k), PhaseState(0.0, 0.0), config)
-    assert run.terminal_event.kind is EventKind.BLOWUP
-    assert np.all(np.isfinite(run.ys)) and len(run) >= 2
+    assert run.terminal_event.kind is EventKind.BLOWUP and np.all(np.isfinite(run.ys))
+    # at the least step, the first trial's error norm is NaN and its step
+    # cannot shrink, so it is refused and ends the run
+    assert len(run) == 1 if step == MIN_STEP else len(run) >= 2
 
 
 def test_a_nan_start_is_not_a_fixed_point():
@@ -371,12 +373,28 @@ def test_an_overflow_past_the_exp_guard_ends_in_blowup():
     assert run.terminal_event.time <= 2 * MIN_STEP
 
 
-def test_s_reaching_zero_raises():
-    # s falls at unit speed; with Z unarmed (|s0| < z_epsilon) a stage
-    # reaches s <= 0, which the Hamiltonian refuses
+@pytest.mark.parametrize("step", [1e-2, 0.1], ids=["short", "past-zero"])
+def test_s_reaching_zero_ends_in_blowup(step):
+    # s falls at unit speed; with Z unarmed (|s0| < z_epsilon) the steps
+    # shrink towards s = 0 until a trial at the least step fails its error
+    # test, which ends the run short of s = 0; a first trial of 0.1 puts a
+    # stage at s <= 0, which the Hamiltonian refuses, and is retried
     structure, h, state = _extended_case("s", "linear", 1)
     state = PhaseState(state.q, state.p, extra=(0.05, state.extra[1]))
-    config = IntegratorConfig(**ADAPTIVE, t_max=1.0, z_epsilon=0.1, blowup_bound=1e300)
+    config = IntegratorConfig(**{**ADAPTIVE, "step": step}, t_max=1.0, z_epsilon=0.1,
+                              blowup_bound=1e300)
+    run = assert_same_as_reference(structure, h, state, config)
+    assert run.terminal_event.kind is EventKind.BLOWUP
+    assert 0.0 < run.ys[-1, 2] < 0.05 and run.step_lengths[-1] < 2 * MIN_STEP
+
+
+def test_s_reaching_zero_raises():
+    # the first trial, at the least step from s0 = 3e-13, puts a stage at
+    # s <= 0, which the Hamiltonian refuses; at the floor that error is raised
+    structure, h, state = _extended_case("s", "linear", 1)
+    state = PhaseState(state.q, state.p, extra=(3e-13, state.extra[1]))
+    config = IntegratorConfig(**{**ADAPTIVE, "step": MIN_STEP}, t_max=1.0, z_epsilon=0.1,
+                              blowup_bound=1e300)
     assert assert_same_as_reference(structure, h, state, config) == \
         (ValueError, "Hamiltonian singular at s=0")
 
@@ -456,21 +474,26 @@ def test_the_inlined_tableau_is_scipys_entry_by_entry():
 
 
 @pytest.mark.parametrize("direction", [1, -1])
-@pytest.mark.parametrize("name", ["twisted_stokes", "angular_periodic", "nontwisted",
-                                  "log_momentum"])
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_an_accepted_step_run_again_gives_its_sample(name, direction):
     """Each accepted step, run again from ``ys[i - 1]`` with its recorded
-    length, gives ``ys[i]`` to the bit, and the interpolant starts at
+    length, gives ``ys[i]`` to the bit and an error norm of at most 1 (no
+    step is accepted without its error test), and the interpolant starts at
     ``ys[i - 1]``; a Z sample is the dense output inside its step."""
     structure, h, state, extra = RUNS[name]
-    run = integrate(structure, h, state, IntegratorConfig(**ADAPTIVE, **extra), direction)
+    config = IntegratorConfig(**ADAPTIVE, **extra)
+    run = integrate(structure, h, state, config, direction)
     f = _directed(compile_field(structure, h), float(direction))
     ends_at_z = run.terminal_event.kind is EventKind.REACHED_Z
+    norms = []
     for i in range(1, len(run) - ends_at_z):
-        y = run.ys[i - 1].tolist()
-        y8, _, _, _ = _dop_step(f, y, float(run.step_lengths[i - 1]), f(y))
+        y, dt = run.ys[i - 1].tolist(), float(run.step_lengths[i - 1])
+        y8, e5, e3, _ = _dop_step(f, y, dt, f(y))
         assert bits(y8) == bits(run.ys[i])
         assert bits(run.interpolate(i, 0.0)) == bits(run.ys[i - 1])
+        norms.append(reference_error(run.ys[i - 1], run.ys[i], np.array(e5), np.array(e3),
+                                     dt, config))
+    assert max(norms) <= 1.0, f"{sum(e > 1.0 for e in norms)} of {len(norms)} steps fail"
     if ends_at_z:
         i = len(run) - 1
         tau = run.terminal_event.time - run.times[i - 1]

@@ -8,7 +8,7 @@ import pytest
 
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind
 from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
-from bhamsys.integrate import (EventKind, IntegratorConfig, Method, Trajectory,
+from bhamsys.integrate import (Event, EventKind, IntegratorConfig, Method, Trajectory,
                                integrate, merge_backward_forward,
                                sign_preservation_check, step)
 from bhamsys.integrate import hermite
@@ -32,6 +32,11 @@ class TestConfigValidation:
     def test_step_below_t_max(self):
         with pytest.raises(ValueError):
             IntegratorConfig(step=2.0, t_max=1.0)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_t_max_must_be_finite(self, method):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            IntegratorConfig(method=method, t_max=math.inf)
 
 
 class TestStep:
@@ -204,6 +209,16 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 0.0]), ys=np.zeros((2, 2)),
                        events=(), structure=TWISTED, hamiltonian=linear_h())
+
+    def test_arrays_given_stay_writable_and_the_kept_ones_are_read_only(self):
+        times, ys, lengths = np.array([0.0, 1.0]), np.zeros((2, 2)), np.array([1.0])
+        traj = Trajectory(times=times, ys=ys, events=(Event(1.0, EventKind.T_MAX),),
+                          structure=TWISTED, hamiltonian=linear_h(), step_lengths=lengths)
+        times[0], ys[0, 0], lengths[0] = 0.5, 2.0, 3.0
+        assert traj.times[0] == 0.0 and traj.ys[0, 0] == 0.0 and traj.step_lengths[0] == 1.0
+        for kept in (traj.times, traj.ys, traj.step_lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1.0
 
     def test_merge_backward_forward(self):
         cfg = IntegratorConfig(step=1e-2, t_max=1.0)

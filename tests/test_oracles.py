@@ -7,10 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from bhamsys.hamiltonians import PotentialSpec
-from bhamsys.oracles import (OracleSource, classical_parabola,
-                             damped_newton_reference, quadratic_tanh,
-                             quadratic_tanh_constants, quadratic_tanh_momentum,
-                             stokes_exact)
+from bhamsys.oracles import (classical_parabola, damped_newton_reference, quadratic_tanh,
+                             quadratic_tanh_constants, quadratic_tanh_momentum, stokes_exact)
 
 
 def central_residual(values, dt, rhs):
@@ -128,7 +126,6 @@ class TestDampedNewtonReference:
         res = damped_newton_reference(PotentialSpec("zero"), 1.0, 0.0, 1.0, t)
         npt.assert_allclose(res.qs[:, 0], 1.0 - np.exp(-t), atol=1e-10)
         npt.assert_allclose(res.ps[:, 0], np.exp(-t), atol=1e-10)
-        assert res.source is OracleSource.FINE_INTEGRATION
         assert res.step is not None
 
     def test_undamped_oscillator_limit(self):
