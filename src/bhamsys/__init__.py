@@ -14,10 +14,9 @@ from .geometry import (DEGENERACY_TOL, PhaseState, PhaseStructure, StructureKind
                        hamiltonian_vector_field, poisson_bivector)
 from .hamiltonians import (ExtendedKind, HamiltonianSpec, LogMomentumHamiltonian,
                            PotentialFamily, PotentialSpec, potential_gradient,
-                           potential_value, second_order_residual)
-from .integrate import (BlowupError, Event, EventKind, IntegratorConfig, Method,
-                        Trajectory, integrate, integrate_batch,
-                        merge_backward_forward, sign_preservation_check, step)
+                           potential_value)
+from .integrate import (Event, EventKind, IntegratorConfig, Method, Trajectory, integrate,
+                        integrate_batch, merge_backward_forward)
 from .liftcheck import (LiftVerdict, Verdict, Witness, projectability_test,
                         toric_moment_field)
 from .oracles import (OracleResult, classical_parabola, damped_newton_reference,
@@ -26,10 +25,8 @@ from .oracles import (OracleResult, classical_parabola, damped_newton_reference,
 from .orbits import (OrbitClassification, OrbitKind, PortraitRecord,
                      SingularPeriodicOrbit, assemble_singular_periodic,
                      classify_orbit, level_set_residual, phase_portrait)
-from .timescale import (RealTimeTrajectory, build_plain_extended, build_rescaled_extended,
-                        friction_ode_residual, from_s_state, plain_initial_state,
-                        reconstruct_real_time, rescaled_initial_state,
-                        run_rescaled, run_s_coordinates, time_to_s,
-                        to_s_coordinates, to_s_state)
+from .timescale import (RealTimeTrajectory, build_rescaled_extended, friction_ode_residual,
+                        reconstruct_real_time, rescaled_initial_state, run_rescaled,
+                        run_s_coordinates, to_s_coordinates, to_s_state)
 
 __version__ = "0.1.0"

@@ -60,6 +60,10 @@ COMMANDS = ("simulate", "portrait", "classify", "oracle-compare", "timescale", "
 #: ``timescale``, whose ``t_max`` is its horizon, ``ceil(horizon / step)``.
 MAX_FIXED_STEPS = 10**7
 
+#: Most initial states a grid spec may expand to, its q count times its p
+#: count; a grid of 10^5 states takes about 0.7 s and 80 MB to parse.
+MAX_GRID_STATES = 10**5
+
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
 _POTENTIAL_KEYS = {"family", "lambda", "alpha", "axis"}
 #: ``method``, then the numeric settings, in field order
@@ -276,23 +280,32 @@ def _build_integrator(section, structure, warnings,
     return config
 
 
-def _expand_axis_spec(spec, path) -> list:
+def _axis_spec(spec, path) -> tuple:
+    """``(count, expand)`` of one axis of a grid spec: the number of its
+    values, and a function that lists them, so that the grid's size is
+    checked before either axis is built.  A range's ``start``, ``stop`` and
+    ``stop - start`` must be finite; a ``values`` entry may be non-finite,
+    which fails only its own records."""
     spec = _require_mapping(spec, path)
     _reject_unknown(spec, _AXIS_SPEC_KEYS, path)
     if "values" in spec:
         values = spec["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values must be a nonempty list")
-        return [_as_number(v, f"{path}.values[{i}]", finite=False)
-                for i, v in enumerate(values)]
+        values = [_as_number(v, f"{path}.values[{i}]", finite=False)
+                  for i, v in enumerate(values)]
+        return len(values), lambda: values
     for key in ("start", "stop", "count"):
         if key not in spec:
             raise ConfigError(f"{path}.{key} is required for a range spec")
     count = spec["count"]
     if not _is_int(count) or count < 1:
         raise ConfigError(f"{path}.count must be a positive integer")
-    return list(np.linspace(_as_number(spec["start"], f"{path}.start", finite=False),
-                            _as_number(spec["stop"], f"{path}.stop", finite=False), count))
+    start = _as_number(spec["start"], f"{path}.start")
+    stop = _as_number(spec["stop"], f"{path}.stop")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{path}: stop - start must be finite, got {stop!r} - {start!r}")
+    return count, lambda: list(np.linspace(start, stop, count))
 
 
 def _build_initials(section, n) -> list:
@@ -303,8 +316,12 @@ def _build_initials(section, n) -> list:
         if n != 1:
             raise ConfigError("initial.grid is only supported for n=1; "
                               "list initial conditions explicitly")
-        qs = _expand_axis_spec(grid.get("q", {"values": [0.0]}), "initial.grid.q")
-        ps = _expand_axis_spec(grid.get("p", {"values": [0.0]}), "initial.grid.p")
+        q_count, qs = _axis_spec(grid.get("q", {"values": [0.0]}), "initial.grid.q")
+        p_count, ps = _axis_spec(grid.get("p", {"values": [0.0]}), "initial.grid.p")
+        if q_count * p_count > MAX_GRID_STATES:
+            raise ConfigError(f"initial.grid.q x initial.grid.p: {q_count} x {p_count} states "
+                              f"exceed the {MAX_GRID_STATES} a grid may have")
+        qs, ps = qs(), ps()
         return [PhaseState(q, p) for q in qs for p in ps]
     if not isinstance(section, list) or not section:
         raise ConfigError("initial must be a nonempty list of states or a grid spec")

@@ -285,7 +285,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     named potential family, the gradient is computed on the flat states
     directly: as array expressions for the plain variant (the swap is one
     ``take``, and the force -dV/dx carries its sign in the family constant,
-    so it needs no negation), and row by row for the five extended variants,
+    so it needs no negation), and row by row for the four extended variants,
     whose one closed form (``hamiltonians._extended_terms``) gives the force
     and the other partials that this kernel puts in place:
     ``(dH/dp, -dH/dq, -dH/dE, dH/dt)`` on ``(t, E)`` and

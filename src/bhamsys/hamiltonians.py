@@ -14,16 +14,15 @@ family               V as a function of the axis coordinate x
 ``custom``           user callable V(q, t)
 ===================  =========================================
 
-Three extended variants append a conjugate time-energy pair and support the
+Two extended variants append a conjugate time-energy pair and support the
 time-rescaling friction construction in :mod:`bhamsys.timescale`:
 
-* ``plain_extended``:    H = |p|^2/2 + V(q, t) - E
 * ``rescaled_extended``: H = |p|^2/2 + exp(2*lam*t)/lam^2 * V(q, t)
   - exp(lam*t)/lam * E
 * ``s_coordinates``:     H = |p|^2/2 + V(q, t(s))/(lam*s)^2 - E_s/s  with
   t(s) = -ln(s)/lam, defined for s > 0
 
-Two more are Poincare's time transformation K = g*H of the last two
+Two more are Poincare's time transformation K = g*H of these two
 (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, VIII.2), with
 g = dsigma/dt, so that the flow of K runs on physical time t:
 
@@ -36,7 +35,7 @@ On the level set H = 0 the field of K is g times that of H, so dt/dtau = 1
 along it; off that level the partials of K carry the extra H * grad(g).
 
 This module computes only energies and partials: one function gives those of
-the five extended variants to ``HamiltonianSpec.gradient`` and to the field
+the four extended variants to ``HamiltonianSpec.gradient`` and to the field
 kernel, and :mod:`bhamsys.geometry` alone applies the bivector to them.
 
 Where the time variable enters through exponentials (``rescaled_extended``
@@ -64,7 +63,6 @@ __all__ = [
     "potential_value",
     "potential_gradient",
     "potential_time_derivative",
-    "second_order_residual",
 ]
 
 #: Central-difference step used when a custom potential has no analytic gradient.
@@ -85,16 +83,13 @@ class PotentialFamily(str, Enum):
 
 class ExtendedKind(str, Enum):
     NONE = "none"
-    PLAIN_EXTENDED = "plain_extended"
     RESCALED_EXTENDED = "rescaled_extended"
     S_COORDINATES = "s_coordinates"
     POINCARE_T = "poincare_t"
     POINCARE_S = "poincare_s"
 
 
-#: The variants that carry a friction coefficient, and those on the (s, E_s) pair.
-_FRICTION_KINDS = frozenset({ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES,
-                             ExtendedKind.POINCARE_T, ExtendedKind.POINCARE_S})
+#: The variants on the (s, E_s) pair.
 _S_KINDS = frozenset({ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S})
 
 
@@ -245,7 +240,7 @@ class HamiltonianSpec:
             raise ValueError("n must be >= 1")
         if not 0 <= self.axis < self.n:
             raise ValueError(f"axis {self.axis} out of range for n={self.n}")
-        if self.extended in _FRICTION_KINDS:
+        if self.extended is not ExtendedKind.NONE:
             if self.friction is None or not self.friction > 0.0:
                 raise ValueError(f"{self.extended.value} requires friction > 0")
 
@@ -270,9 +265,6 @@ class HamiltonianSpec:
         kinetic = 0.5 * float(np.dot(state.p, state.p))
         if self.extended is ExtendedKind.NONE:
             return kinetic + potential_value(self.potential, state.q, 0.0, self.axis)
-        if self.extended is ExtendedKind.PLAIN_EXTENDED:
-            t, e = state.extra
-            return kinetic + potential_value(self.potential, state.q, t, self.axis) - e
         lam = self.friction
         if self.extended in _S_KINDS:
             s, e_s = state.extra
@@ -307,15 +299,13 @@ class HamiltonianSpec:
 def _bound_potential(h: HamiltonianSpec):
     """``potential(y, t) -> (V, dV/dt, dV/dq)`` of ``h`` on one flat row
     ``y``, with the family's value and slope bound once; ``dV/dq`` is a
-    list of n floats.  V is None for the plain variant, which does not use
-    it."""
+    list of n floats."""
     n, axis, spec = h.n, h.axis, h.potential
-    plain = h.extended is ExtendedKind.PLAIN_EXTENDED
     if spec.family is PotentialFamily.CUSTOM:
         def potential(y, t):
             q = np.array(y[:n])
-            v = None if plain else potential_value(spec, q, t, axis)
-            return (v, potential_time_derivative(spec, q, t, axis),
+            return (potential_value(spec, q, t, axis),
+                    potential_time_derivative(spec, q, t, axis),
                     potential_gradient(spec, q, t, axis).tolist())
         return potential
     # V depends on q[axis] alone, not on t
@@ -331,7 +321,7 @@ def _bound_potential(h: HamiltonianSpec):
         x = y[axis]
         grad = [0.0] * n
         grad[axis] = slope(x)
-        return None if plain else value(x), 0.0, grad
+        return value(x), 0.0, grad
     return potential
 
 
@@ -343,7 +333,7 @@ def _extended_terms(h: HamiltonianSpec):
     The variant, the potential's value and slope and the powers of lam are
     bound here, once per Hamiltonian.
 
-    This is the one formula of the five extended variants, used by
+    This is the one formula of the four extended variants, used by
     :meth:`HamiltonianSpec.gradient` and by the kernel of
     :func:`~bhamsys.geometry.compile_field`, which applies the bivector.
     The H variants give dH/dp = p; Poincare's K gives, on clock t,
@@ -363,22 +353,15 @@ def _extended_terms(h: HamiltonianSpec):
     They raise an ``OverflowError`` past ``lam*t > 700`` and a
     ``ValueError`` at ``s <= 0``.  The time factors are ``math.exp`` of
     ``lam*t`` and ``math.log`` of ``s``, since numpy's ``exp`` can differ
-    from them in the last bit.  ``t`` of the plain and rescaled H is a
-    numpy scalar.  The s-coordinate H runs on a numpy scalar ``s`` and
-    returns Python floats: where a power of ``s`` under- or overflows, a
-    division by it gives inf or NaN, as an array division does, where
-    floats raise.  K on clock s runs on a Python float ``s``, and on a numpy
+    from them in the last bit.  ``t`` of the rescaled H is a numpy scalar.
+    The s-coordinate H runs on a numpy scalar ``s`` and returns Python
+    floats: where a power of ``s`` under- or overflows, a division by it
+    gives inf or NaN, as an array division does, where floats raise.  K on clock s runs on a Python float ``s``, and on a numpy
     scalar, without numpy's warnings, only where ``lam s^2`` underflows to
     zero; it returns Python floats either way.
     """
     n, lam = h.n, h.friction
     potential = _bound_potential(h)
-    if h.extended is ExtendedKind.PLAIN_EXTENDED:
-        def terms(y):
-            _, v_t, g = potential(y, np.float64(y[2 * n]))
-            return [-x for x in g], y[n:2 * n], v_t, -1.0
-        return terms
-
     if h.extended is ExtendedKind.RESCALED_EXTENDED:
         lam2 = lam**2
 
@@ -483,26 +466,3 @@ class LogMomentumHamiltonian:
         out[self.n:] = 1.0
         out[self.n + k] = self.c / pk
         return out
-
-
-def second_order_residual(h: HamiltonianSpec, q_samples: np.ndarray, dt: float) -> np.ndarray:
-    """Residual of the reduced second-order equation on a sampled path.
-
-    For the twisted model with ``H = p^2/2 + f(q)`` the position obeys
-    ``q'' = -2 q' df/dq``; this returns ``q'' + 2 q' df/dq`` by central
-    differences at the interior samples, so a true trajectory gives values
-    near zero (limited by the difference step).  Only one-coordinate
-    potential families are supported.
-    """
-    if h.potential.family is PotentialFamily.CUSTOM:
-        raise ValueError("second_order_residual supports the named 1-d families only")
-    q = np.asarray(q_samples, dtype=float)
-    if q.ndim != 1 or q.size < 3:
-        raise ValueError("need a 1-d series of at least 3 samples")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    qdd = (q[2:] - 2 * q[1:-1] + q[:-2]) / dt**2
-    qd = (q[2:] - q[:-2]) / (2 * dt)
-    slope_at = _family_slope(h.potential)
-    slope = np.array([slope_at(x) for x in q[1:-1]])
-    return qdd + 2.0 * qd * slope

@@ -97,12 +97,9 @@ __all__ = [
     "Trajectory",
     "write_table",
     "hermite",
-    "BlowupError",
-    "step",
     "integrate",
     "integrate_batch",
     "merge_backward_forward",
-    "sign_preservation_check",
 ]
 
 #: Hard limits of the adaptive step controller.
@@ -119,10 +116,6 @@ STORE_ELEMENTS = 1 << 22
 #: one for the events of every row, and the scan for first returns
 #: (``stop_at_return``).
 RETURN_BLOCK = 32
-
-
-class BlowupError(RuntimeError):
-    """A field or state evaluation left the finite range."""
 
 
 class Method(str, Enum):
@@ -334,7 +327,7 @@ def write_table(path, columns, values, footer=None, suffix="") -> None:
 # steppers
 
 #: Exceptions that end a run with a ``blowup`` event instead of an error.
-_BLOWUP_ERRORS = (BlowupError, OverflowError, FloatingPointError)
+_BLOWUP_ERRORS = (OverflowError, FloatingPointError)
 
 
 def _rk4_steps(dt, sign=None):
@@ -511,19 +504,6 @@ def _dop_eval(y, dense, dt, tau):
             total = (total + c) * factor
         out.append(x + total)
     return out
-
-
-def step(structure: PhaseStructure, h, state: PhaseState, dt: float) -> PhaseState:
-    """One explicit RK4 step of the Hamiltonian field (4th-order accurate)."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    _check_state(structure, state)
-    F = compile_field(structure, h)
-    y = state.to_array()
-    y_new = _rk4_step(F, y, F(y), _rk4_steps(dt))
-    if not np.all(np.isfinite(y_new)):
-        raise BlowupError("state became non-finite during the step")
-    return PhaseState.from_array(y_new, structure.n, structure.is_extended)
 
 
 # ---------------------------------------------------------------------------
@@ -954,26 +934,3 @@ def merge_backward_forward(backward: Trajectory, forward: Trajectory) -> Traject
     back_events = tuple(Event(-e.time, e.kind) for e in reversed(backward.events))
     return Trajectory(times=times, ys=ys, events=back_events + tuple(forward.events),
                       structure=forward.structure, hamiltonian=forward.hamiltonian)
-
-
-def sign_preservation_check(traj: Trajectory, structure: Optional[PhaseStructure] = None,
-                            z_epsilon: float = 1e-6) -> bool:
-    """True when the critical-set coordinate never changes sign along ``traj``.
-
-    The terminal sample is exempt when it sits inside the ``z_epsilon``
-    neighborhood (an orbit that just reached Z still preserves sign).  For a
-    canonical structure, which has no critical set of its own, the momentum
-    at ``singular_index`` is monitored instead so classical runs can be
-    compared against their twisted counterparts.
-    """
-    if structure is None:
-        structure = traj.structure
-    if structure.is_singular:
-        idx = _defining_index(structure)
-    else:
-        idx = structure.n + structure.singular_index
-    d = traj.ys[:, idx]
-    if d.size > 1 and abs(d[-1]) < z_epsilon:
-        d = d[:-1]
-    signs = np.sign(d[np.abs(d) > 0.0])
-    return bool(signs.size == 0 or np.all(signs == signs[0]))

@@ -2,18 +2,15 @@
 
 The configuration space is extended by the physical time t, with conjugate
 energy E, and the flow of the paper runs in a curvilinear parameter sigma.
-Three stages:
+Two charts:
 
-1. ``build_plain_extended``: H = |p|^2/2 + V(q, t) - E with the pairing
-   ``sum_i dp_i ^ dq_i - dE ^ dt``.  The curvilinear parameter coincides
-   with t (dt/ds = 1) and H = 0 is preserved, so this is ordinary
-   time-dependent dynamics.
-2. ``build_rescaled_extended``: H = |p|^2/2 + exp(2*lam*t)/lam^2 * V
-   - exp(lam*t)/lam * E on the same pairing.  Now dt/dsigma = exp(lam*t)/lam,
-   so physical time accelerates relative to the curvilinear parameter,
-   sigma = 1 - exp(-lam*t), and, after projecting out (t, E), the base
-   motion obeys the damped Newton equation  d2q/dt2 = -lam dq/dt - dV/dq.
-3. ``to_s_coordinates``: the substitution s = exp(-lam*t), E_s = E/lam turns
+1. ``build_rescaled_extended``: H = |p|^2/2 + exp(2*lam*t)/lam^2 * V
+   - exp(lam*t)/lam * E with the pairing ``sum_i dp_i ^ dq_i - dE ^ dt``.
+   Here dt/dsigma = exp(lam*t)/lam, so physical time accelerates relative
+   to the curvilinear parameter, sigma = 1 - exp(-lam*t), and, after
+   projecting out (t, E), the base motion obeys the damped Newton equation
+   d2q/dt2 = -lam dq/dt - dV/dq.
+2. ``to_s_coordinates``: the substitution s = exp(-lam*t), E_s = E/lam turns
    the pairing into the non-twisted singular form on the (s, E_s) pair and
    the Hamiltonian into |p|^2/2 + V/(lam*s)^2 - E_s/s, whose singularity at
    s = 0 is of second order (s^2 * H stays finite there for bounded V, one
@@ -77,13 +74,9 @@ from .integrate import EventKind, IntegratorConfig, Method, Trajectory, integrat
 
 __all__ = [
     "RealTimeTrajectory",
-    "time_to_s",
     "to_s_state",
-    "from_s_state",
-    "build_plain_extended",
     "build_rescaled_extended",
     "to_s_coordinates",
-    "plain_initial_state",
     "rescaled_initial_state",
     "poincare_transform",
     "run_rescaled",
@@ -101,26 +94,12 @@ DEFAULT_CONFIG = IntegratorConfig(method=Method.RK_ADAPTIVE, rel_tol=1e-10, abs_
                                   blowup_bound=1e30)
 
 
-def time_to_s(t, lam: float):
-    return np.exp(-lam * np.asarray(t, dtype=float))
-
-
 def to_s_state(state: PhaseState, lam: float) -> PhaseState:
     """Map a (q, p, t, E) state to (q, p, s, E_s)."""
     if state.extra is None:
         raise ValueError("state carries no extended pair")
     t, e = state.extra
     return PhaseState(q=state.q, p=state.p, extra=(math.exp(-lam * t), e / lam))
-
-
-def from_s_state(state: PhaseState, lam: float) -> PhaseState:
-    """Inverse of :func:`to_s_state`; identity round trip up to rounding."""
-    if state.extra is None:
-        raise ValueError("state carries no extended pair")
-    s, e_s = state.extra
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return PhaseState(q=state.q, p=state.p, extra=(-math.log(s) / lam, lam * e_s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +126,6 @@ class RealTimeTrajectory:
         ys = np.array([self.run.interpolate(int(i), float(t - times[i - 1]))
                        for i, t in zip(steps, t_new)])
         return _base_motion(self.run.hamiltonian, self.run.n, ys)
-
-
-def build_plain_extended(potential: PotentialSpec, n: int = 1, axis: int = 0):
-    """Structure and Hamiltonian of the plain time-extended system."""
-    structure = PhaseStructure(kind=StructureKind.EXTENDED_CANONICAL, dim=2 * n)
-    h = HamiltonianSpec(potential=potential, n=n, axis=axis,
-                        extended=ExtendedKind.PLAIN_EXTENDED)
-    return structure, h
 
 
 def build_rescaled_extended(potential: PotentialSpec, lam: float, n: int = 1, axis: int = 0):
@@ -196,16 +167,6 @@ def poincare_transform(h: HamiltonianSpec) -> HamiltonianSpec:
     if h.extended not in kinds:
         raise ValueError("expected a rescaled_extended or s_coordinates Hamiltonian")
     return replace(h, extended=kinds[h.extended])
-
-
-def plain_initial_state(potential: PotentialSpec, q0, v0, t0: float = 0.0,
-                        e0: Optional[float] = None, axis: int = 0) -> PhaseState:
-    """Initial extended state with p = dq/dt and E fixed by H = 0 by default."""
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    if e0 is None:
-        e0 = 0.5 * float(np.dot(v0, v0)) + potential_value(potential, q0, t0, axis)
-    return PhaseState(q=q0, p=v0, extra=(t0, e0))
 
 
 def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,

@@ -283,17 +283,6 @@ def test_extended_runs_equal_the_reference(clock, family, n, direction):
     assert run.terminal_event.kind is EventKind.T_MAX and len(run) > 5
 
 
-def test_the_plain_extended_variant_equals_the_reference():
-    h = HamiltonianSpec(PotentialSpec("custom", custom_eval=_custom), n=2,
-                        extended=ExtendedKind.PLAIN_EXTENDED)
-    structure = PhaseStructure(StructureKind.EXTENDED_CANONICAL, dim=4)
-    state = PhaseState([0.1, -0.2], [0.5, 0.3], extra=(0.0, 1.0))
-    for direction in (1, -1):
-        run = assert_same_as_reference(structure, h, state,
-                                       IntegratorConfig(**ADAPTIVE, t_max=3.0), direction)
-        assert run.terminal_event.kind is EventKind.T_MAX
-
-
 # ---------------------------------------------------------------------------
 # edge semantics: NaN, inf and raising fields, fixed points, signed zeros
 

@@ -81,7 +81,6 @@ class TestCompileField:
             assert bits(compile_field(structure, h)(y)) == bits(v)
 
     @pytest.mark.parametrize("kind,extended", [
-        (StructureKind.EXTENDED_CANONICAL, ExtendedKind.PLAIN_EXTENDED),
         (StructureKind.EXTENDED_CANONICAL, ExtendedKind.RESCALED_EXTENDED),
         (StructureKind.EXTENDED_B_S, ExtendedKind.S_COORDINATES),
     ])

@@ -9,8 +9,9 @@ are configuration errors too: a non-finite number outside the initial
 states, a liftcheck sample on the critical set or of the wrong length, a
 non-integer ``singular_index``, a boolean where an integer belongs
 (``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
-non-object ``potential`` under ``--family``, a fixed-step run of more than
-``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit
+non-object ``potential`` under ``--family``, a grid range whose ends or
+span are not finite, a grid of more than ``MAX_GRID_STATES`` states, a
+fixed-step run of more than ``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit
 the horizon, which is the run's ``t_max``, and a clock-s horizon whose
 ``z_epsilon`` underflows to 0.  An adaptive step is only a first guess and
 fits any horizon.
@@ -20,11 +21,12 @@ import copy
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from bhamsys.cli import MAX_FIXED_STEPS, ConfigError, main, parse_config
+from bhamsys.cli import MAX_FIXED_STEPS, MAX_GRID_STATES, ConfigError, main, parse_config
 from bhamsys.hamiltonians import PotentialSpec
 from bhamsys.timescale import run_s_coordinates
 
@@ -145,6 +147,50 @@ def test_non_finite_parameters_name_their_path(command, doc, path, where):
     text = json.dumps(edit(doc, path, float("inf")))
     with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be finite$"):
         parse_config(text, command)
+
+
+@pytest.mark.parametrize("start,stop,where", [
+    (-1e308, 1e308, r"initial\.grid\.q: stop - start must be finite"),
+    (1e308, -1e308, r"initial\.grid\.q: stop - start must be finite"),
+    (-math.inf, 1.0, r"initial\.grid\.q\.start must be finite"),
+    (0.0, math.nan, r"initial\.grid\.q\.stop must be finite"),
+], ids=["span-overflows", "negative-span-overflows", "infinite-start", "nan-stop"])
+def test_a_grid_range_must_have_a_finite_span(tmp_path, capsys, start, stop, where):
+    # the ends are finite, yet linspace's step overflows: before, the states
+    # were nan, inf and 1e308, with two numpy RuntimeWarnings
+    doc = edit(edit(GRID, ("initial", "grid", "q", "start"), start),
+               ("initial", "grid", "q", "stop"), stop)
+    with pytest.raises(ConfigError, match=f"^{where}"):
+        parse_config(doc, "portrait")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(tmp_path, "portrait", json.dumps(doc)) == 2
+    assert re.search(where, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("q,p", [
+    ({"start": 0.0, "stop": 1.0, "count": MAX_GRID_STATES + 1}, {"values": [1.0]}),
+    ({"values": [0.0, 1.0]}, {"start": 0.0, "stop": 1.0, "count": MAX_GRID_STATES // 2 + 1}),
+    ({"start": 0.0, "stop": 1.0, "count": 1000},
+     {"start": 0.0, "stop": 1.0, "count": MAX_GRID_STATES // 1000 + 1}),
+], ids=["q-count", "values-times-count", "count-times-count"])
+def test_grids_are_bounded_before_they_are_built(tmp_path, capsys, monkeypatch, q, p):
+    def no_linspace(*args):
+        raise AssertionError("the grid was expanded before its size was checked")
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    doc = dict(SIMULATE, initial={"grid": {"q": q, "p": p}})
+    where = r"^initial\.grid\.q x initial\.grid\.p: \d+ x \d+ states exceed the 100000"
+    with pytest.raises(ConfigError, match=where):
+        parse_config(doc, "portrait")
+    assert run_main(tmp_path, "portrait", json.dumps(doc)) == 2
+    assert "config error: initial.grid.q x initial.grid.p" in capsys.readouterr().err
+    # a grid of MAX_GRID_STATES states passes the check (expanded short here)
+    monkeypatch.setattr(np, "linspace", lambda start, stop, count: [start, stop])
+    doc = dict(SIMULATE, initial={"grid": {"q": {"start": 0.0, "stop": 1.0, "count": 1000},
+                                           "p": {"start": 0.0, "stop": 1.0,
+                                                 "count": MAX_GRID_STATES // 1000}}})
+    assert len(parse_config(doc, "portrait").initials) == 4
 
 
 def test_huge_integer_is_not_a_float_overflow():

@@ -22,8 +22,7 @@ from bhamsys.hamiltonians import (EXP_GUARD, ExtendedKind, HamiltonianSpec, Pote
                                   potential_value)
 from bhamsys.integrate import (_DOP_A, _DOP_E3, _DOP_E5, EventKind, IntegratorConfig, Method,
                                _dop_step, integrate)
-from bhamsys.timescale import (build_plain_extended, build_rescaled_extended,
-                               plain_initial_state, rescaled_initial_state, run_rescaled,
+from bhamsys.timescale import (build_rescaled_extended, rescaled_initial_state, run_rescaled,
                                run_s_coordinates, to_s_coordinates, to_s_state)
 
 FAMILIES = {
@@ -33,8 +32,7 @@ FAMILIES = {
     "general_quadratic": {"lam": 0.9, "alpha": -0.4},
     "periodic": {"lam": 1.1},
 }
-VARIANTS = (ExtendedKind.PLAIN_EXTENDED, ExtendedKind.RESCALED_EXTENDED,
-            ExtendedKind.S_COORDINATES)
+VARIANTS = (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES)
 
 
 def scalar_gradient(h, state):
@@ -43,12 +41,6 @@ def scalar_gradient(h, state):
     n, pot, axis = h.n, h.potential, h.axis
     out = np.empty(2 * n + 2)
     out[n:2 * n] = state.p
-    if h.extended is ExtendedKind.PLAIN_EXTENDED:
-        t, _ = state.extra
-        out[:n] = potential_gradient(pot, state.q, t, axis)
-        out[2 * n] = potential_time_derivative(pot, state.q, t, axis)
-        out[2 * n + 1] = -1.0
-        return out
     lam = h.friction
     if h.extended is ExtendedKind.RESCALED_EXTENDED:
         t, e = state.extra
@@ -120,8 +112,7 @@ def test_extended_kernel_matches_the_swapped_gradient(variant, family, n, data):
     friction = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="friction")
     weight = data.draw(st.sampled_from([1.0, -0.5]), label="weight")
     h = HamiltonianSpec(PotentialSpec(family, **FAMILIES[family]), n=n, axis=axis,
-                        extended=variant,
-                        friction=None if variant is ExtendedKind.PLAIN_EXTENDED else friction)
+                        extended=variant, friction=friction)
     if variant is ExtendedKind.S_COORDINATES:
         structure = PhaseStructure(StructureKind.EXTENDED_B_S, dim=2 * n, modular_weight=weight)
     else:
@@ -198,12 +189,10 @@ def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
     for runner in (run_rescaled, run_s_coordinates):
         traj = runner(potential, 0.8, q0, v0, 2.0, axis=1)
         assert traj.terminal_event.kind is EventKind.T_MAX
-    # the plain, rescaled and s-coordinate H share the kernel of K
+    # the rescaled and s-coordinate H share the kernel of K
     rescaled = build_rescaled_extended(potential, 0.8, n=2, axis=1)
     initial = rescaled_initial_state(potential, 0.8, q0, v0, axis=1)
-    runs = [(*build_plain_extended(potential, n=2, axis=1),
-             plain_initial_state(potential, q0, v0, axis=1)),
-            (*rescaled, initial),
+    runs = [(*rescaled, initial),
             (*to_s_coordinates(*rescaled), to_s_state(initial, 0.8))]
     config = IntegratorConfig(method=Method.RK_ADAPTIVE, t_max=0.5)
     for structure, h, y0 in runs:

@@ -1,14 +1,14 @@
 """The Hamiltonians and their exact gradients against a symbolic derivation.
 
 H is written in sympy from the formulas of the :mod:`bhamsys.hamiltonians`
-docstring, for the plain, rescaled and s-coordinate variants (and the
+docstring, for the rescaled and s-coordinate variants (and the
 non-extended one), every named potential family and n = 1, 2.  The two
 Poincare variants are written as g * H, with g = lam exp(-lam t) times the
 rescaled H and g = lam s times the s-coordinate one.  At seeded states,
 ``HamiltonianSpec.value`` must equal H, ``HamiltonianSpec.gradient`` its
 partials and ``_family_slope`` dV/dx, each within 1e-12 relative to the
 larger of the exact value and 1 (the largest error seen is near 1e-15).  For
-all five extended variants the one-row kernel of ``compile_field``, which
+all four extended variants the one-row kernel of ``compile_field``, which
 puts the closed-form partials in place without the gradient, must equal
 P . grad H too, with a Python float in every entry.
 """
@@ -47,8 +47,6 @@ def symbolic_hamiltonian(variant, v, p, tau, energy, friction):
     kinetic = sum(pi**2 for pi in p) / 2
     if variant is ExtendedKind.NONE:
         return kinetic + v
-    if variant is ExtendedKind.PLAIN_EXTENDED:
-        return kinetic + v - energy
     if variant is ExtendedKind.RESCALED_EXTENDED:
         return (kinetic + sp.exp(2 * friction * tau) / friction**2 * v
                 - sp.exp(friction * tau) / friction * energy)
@@ -93,10 +91,7 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
     axis = n - 1
     extended = variant is not ExtendedKind.NONE
     spec = HamiltonianSpec(potential=PotentialSpec(family, lam=lam, alpha=alpha), n=n, axis=axis,
-                           extended=variant,
-                           friction=friction if variant not in (ExtendedKind.NONE,
-                                                                ExtendedKind.PLAIN_EXTENDED)
-                           else None)
+                           extended=variant, friction=friction if extended else None)
     if extended:
         kind = (StructureKind.EXTENDED_B_S if variant in S_VARIANTS
                 else StructureKind.EXTENDED_CANONICAL)

@@ -9,48 +9,17 @@ import numpy.testing as npt
 import pytest
 
 from bhamsys.geometry import PhaseState, StructureKind, hamiltonian_vector_field
-from bhamsys.hamiltonians import ExtendedKind, PotentialSpec
+from bhamsys.hamiltonians import ExtendedKind, HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import (MIN_STEP, IntegratorConfig, Event, EventKind,
                                integrate)
 from bhamsys.oracles import damped_newton_reference
-from bhamsys.timescale import (DEFAULT_CONFIG, build_plain_extended,
-                               build_rescaled_extended, friction_ode_residual, from_s_state,
-                               plain_initial_state, poincare_transform,
-                               reconstruct_real_time, rescaled_initial_state,
-                               run_rescaled, run_s_coordinates, time_to_s,
+from bhamsys.timescale import (DEFAULT_CONFIG, build_rescaled_extended, friction_ode_residual,
+                               poincare_transform, reconstruct_real_time,
+                               rescaled_initial_state, run_rescaled, run_s_coordinates,
                                to_s_coordinates, to_s_state)
 
 ZERO = PotentialSpec("zero")
 OSC = PotentialSpec("pure_quadratic", lam=2.0)  # V = q^2/2
-
-
-class TestPlainExtended:
-    def test_free_motion_carries_energy_along(self):
-        structure, h = build_plain_extended(ZERO)
-        initial = PhaseState(0.0, 1.0, extra=(0.0, 0.5))
-        cfg = IntegratorConfig(step=1e-3, t_max=2.0)
-        traj = integrate(structure, h, initial, cfg)
-        final = traj.final_state
-        npt.assert_allclose(final.q, [2.0], atol=1e-12)
-        npt.assert_allclose(final.p, [1.0], atol=1e-12)
-        assert final.extra[0] == pytest.approx(2.0, abs=1e-12)  # dt/ds = 1
-        assert final.extra[1] == pytest.approx(0.5, abs=1e-12)  # E constant
-
-    def test_displayed_field(self):
-        structure, h = build_plain_extended(PotentialSpec("linear", lam=2.0))
-        state = PhaseState(0.0, 0.0, extra=(0.0, 0.0))
-        v = hamiltonian_vector_field(structure, h, state)
-        # dq/ds = p, dp/ds = -dV/dq = -1, dt/ds = 1, dE/ds = dV/dt = 0
-        npt.assert_allclose(v, [0.0, -1.0, 1.0, 0.0], rtol=0, atol=0)
-
-    def test_hamiltonian_zero_level_is_preserved(self):
-        structure, h = build_plain_extended(OSC)
-        initial = plain_initial_state(OSC, 1.0, 0.5)
-        assert h.value(initial) == 0.0
-        cfg = IntegratorConfig(step=1e-3, t_max=10.0)
-        traj = integrate(structure, h, initial, cfg)
-        values = [h.value(traj.state(i)) for i in range(0, len(traj), 200)]
-        assert max(abs(v) for v in values) < 1e-10
 
 
 class TestRescaledExtended:
@@ -103,19 +72,9 @@ class TestRescaledExtended:
 
 class TestSCoordinates:
     def test_substitution_values(self):
-        assert time_to_s(0.0, 2.0) == 1.0
-        assert time_to_s(math.log(2.0) / 2.0, 2.0) == pytest.approx(0.5, rel=1e-15)
         state = PhaseState(0.0, 1.0, extra=(0.0, 3.0))
         s_state = to_s_state(state, lam=2.0)
         assert s_state.extra == (1.0, 1.5)
-
-    def test_round_trip_identity(self):
-        lam = 0.8
-        for t in np.linspace(0.0, 20.0 / lam, 23):
-            state = PhaseState(0.3, -1.2, extra=(float(t), 2.4))
-            back = from_s_state(to_s_state(state, lam), lam)
-            assert back.extra[0] == pytest.approx(state.extra[0], abs=1e-12)
-            assert back.extra[1] == pytest.approx(state.extra[1], abs=1e-12)
 
     def test_structure_and_hamiltonian(self):
         structure, h = build_rescaled_extended(OSC, lam=0.5)
@@ -202,13 +161,6 @@ class TestReconstruction:
         # approach to terminal velocity -g/lam: v = -2 + 3 exp(-t)
         assert v[-1, 0] == pytest.approx(-2.0 + 3.0 * math.exp(-8.0), abs=1e-6)
         assert abs(v[-1, 1]) < 1e-3  # free direction decays like exp(-t)
-
-    def test_plain_runs_are_not_reconstructible(self):
-        structure, h = build_plain_extended(ZERO)
-        traj = integrate(structure, h, plain_initial_state(ZERO, 0.0, 1.0),
-                         IntegratorConfig(step=1e-2, t_max=1.0))
-        with pytest.raises(ValueError):
-            reconstruct_real_time(traj)
 
     @pytest.mark.parametrize("s_chart", [False, True])
     def test_runs_of_h_are_not_reconstructible(self, s_chart):
@@ -320,6 +272,5 @@ class TestPhysicalClock:
                                            rel=1e-15)
 
     def test_only_rescaled_and_s_hamiltonians_have_a_transform(self):
-        _, h = build_plain_extended(ZERO)
         with pytest.raises(ValueError, match="expected a rescaled"):
-            poincare_transform(h)
+            poincare_transform(HamiltonianSpec(ZERO))
