@@ -363,8 +363,9 @@ class RaisesAt(RowByRow):
         return super().gradient(state)
 
 
-@pytest.mark.parametrize("error", [ValueError("refused"), OverflowError("too far")],
-                         ids=["ValueError", "OverflowError"])
+@pytest.mark.parametrize("error", [ValueError("refused"), OverflowError("too far"),
+                                   FloatingPointError("overflow encountered")],
+                         ids=["ValueError", "OverflowError", "FloatingPointError"])
 def test_an_error_at_a_new_sample_ends_only_its_row(error):
     """The field evaluation at the end of step k, on its new sample, raises
     for one row of a batch; no stage of the step does."""
@@ -378,7 +379,7 @@ def test_an_error_at_a_new_sample_ends_only_its_row(error):
     assert len(clean) > k + 1
     bad = RaisesAt(h, clean.ys[k], error)
     runs = integrate_batch(structure, bad, [s.to_array() for s in states], config, directions)
-    if isinstance(error, OverflowError):  # a blowup at the previous sample
+    if isinstance(error, (OverflowError, FloatingPointError)):  # a blowup at the previous sample
         assert runs[1].terminal_event == Event(clean.times[k], EventKind.BLOWUP)
         assert bits(runs[1].times) == bits(clean.times[:k])
         assert bits(runs[1].ys) == bits(clean.ys[:k])

@@ -186,6 +186,30 @@ class TestSecondOrderResidual:
         res = qdd + (1.0 + 0.4 * q[1:-1]) * qd  # lam = 1, alpha = 0.4
         assert np.max(np.abs(res)) < 1e-5
 
+    @pytest.mark.parametrize("family", ["linear", "pure_quadratic", "periodic"])
+    def test_integrated_twisted_runs_satisfy_the_friction_ode(self, family):
+        """On the twisted structure q' = p^2 and p' = -V'(q) p, so
+        q'' = 2 p p' = -2 V'(q) q' along every run."""
+        from bhamsys.integrate import IntegratorConfig, integrate
+        spec = PotentialSpec(family, lam=1.5)
+        traj = integrate(PhaseStructure(StructureKind.TWISTED_B), HamiltonianSpec(spec),
+                         PhaseState(0.3, 1.0), IntegratorConfig(step=1e-3, t_max=4.0))
+        q, dt = traj.q[:, 0], 1e-3
+        assert len(q) > 1000
+        qdd = (q[2:] - 2 * q[1:-1] + q[:-2]) / dt**2
+        qd = (q[2:] - q[:-2]) / (2 * dt)
+        force = np.array([potential_gradient(spec, x)[0] for x in q[1:-1]])
+        assert np.max(np.abs(qdd + 2.0 * force * qd)) < 1e-5
+
+
+class TestFriction:
+    @pytest.mark.parametrize("friction", [None, 0.0, math.nan])
+    @pytest.mark.parametrize("extended", [k for k in ExtendedKind if k is not ExtendedKind.NONE])
+    def test_every_extended_variant_requires_a_positive_friction(self, extended, friction):
+        with pytest.raises(ValueError, match=f"{extended.value} requires friction > 0"):
+            HamiltonianSpec(PotentialSpec("linear", lam=1.0), extended=extended,
+                            friction=friction)
+
 
 class TestLogMomentumHamiltonian:
     def test_value_and_gradient(self):

@@ -6,10 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind
+from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import (Event, EventKind, IntegratorConfig, Method, Trajectory,
-                               integrate, merge_backward_forward)
+                               _rk4_step, _rk4_steps, integrate, merge_backward_forward)
 from bhamsys.integrate import hermite
 from bhamsys.oracles import classical_parabola, stokes_exact
 
@@ -36,6 +36,49 @@ class TestConfigValidation:
     def test_t_max_must_be_finite(self, method):
         with pytest.raises(ValueError, match="t_max must be finite"):
             IntegratorConfig(method=method, t_max=math.inf)
+
+
+def rk4_step(structure, h, state, dt, sign=None):
+    """One step of the drivers' RK4 kernel from ``state``, as a flat array."""
+    field = compile_field(structure, h)
+    y = state.to_array()[None, :]
+    return _rk4_step(field, y, field(y), _rk4_steps(dt, sign))[0]
+
+
+class TestStep:
+    def test_single_step_matches_stokes_solution(self):
+        dt = 1e-3
+        q, p = rk4_step(TWISTED, linear_h(1.0), PhaseState(0.0, 1.0), dt)
+        q_exact, p_exact = stokes_exact(0.0, 1.0, 1.0, dt)
+        assert abs(q - q_exact) < 1e-13
+        assert abs(p - p_exact) < 1e-13
+
+    def test_equilibrium_is_unchanged(self):
+        out = rk4_step(TWISTED, linear_h(2.0), PhaseState(4.0, 0.0), 0.5)
+        npt.assert_array_equal(out, [4.0, 0.0])
+
+    def test_classical_parabola_is_exact(self):
+        # polynomial solution: RK4 reproduces it to roundoff
+        q, p = rk4_step(CANONICAL, linear_h(2.0), PhaseState(0.0, 0.0), 0.1)
+        assert abs(q - (-0.005)) < 1e-12
+        assert abs(p - (-0.1)) < 1e-12
+
+    def test_a_backward_step_is_the_negated_fields_step(self):
+        # a row with sign -1 steps the field with -dt, to the bit
+        h, state, dt = linear_h(1.0), PhaseState(0.3, 0.8), 0.05
+        field = compile_field(TWISTED, h)
+        negated = lambda y, errors=None: -field(y, errors)
+        y = state.to_array()[None, :]
+        sign = np.full(y.shape, -1.0)
+        backward = _rk4_step(field, y, field(y), _rk4_steps(dt, sign))
+        npt.assert_array_equal(backward, _rk4_step(negated, y, negated(y), _rk4_steps(dt)))
+
+    def test_the_first_sample_of_a_run_is_one_kernel_step(self):
+        dt = 1e-2
+        run = integrate(TWISTED, linear_h(1.0), PhaseState(0.0, 1.0),
+                        IntegratorConfig(step=dt, t_max=1.0))
+        npt.assert_array_equal(run.ys[1], rk4_step(TWISTED, linear_h(1.0),
+                                                   PhaseState(0.0, 1.0), dt))
 
 
 class TestIntegrateEvents:
