@@ -50,7 +50,8 @@ order from 0 with the zero weights kept, and the field is the kernel's
 one-row form ``F.row``, which a forward row calls without negating it.  At
 2 to 6 floats a row, this costs less than numpy's per-call overhead on
 arrays that small.  A row's trajectory is the same, to the bit, in any
-batch; :func:`integrate` is the one-row case.
+batch; :func:`integrate` is the one-row case.  A batch sets numpy's error
+state once, for both drivers: an overflow ends its row, and never warns.
 
 Interpolation
 -------------
@@ -202,8 +203,8 @@ class Trajectory:
             raise ValueError("times and ys must have matching leading length")
         if times.size == 0:
             raise ValueError("trajectory must contain at least one sample")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("times must be finite and strictly increasing")
         if not self.events:
             raise ValueError("trajectory must carry a terminal event")
         if self.direction not in (1, -1):
@@ -593,6 +594,9 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
     turns from negative to nonnegative near its start.  Adaptive rows run to
     their own end: only the lockstep loop of a fixed-step batch runs the
     search between its blocks.
+
+    Both drivers run under one ``np.errstate(all="ignore")``: an overflowing
+    row ends in ``blowup`` and warns of nothing, whatever the filters.
     """
     if config is None:
         config = IntegratorConfig()
@@ -617,19 +621,20 @@ def integrate_batch(structure: PhaseStructure, h, Y0, config: Optional[Integrato
     if not valid:
         return results
 
-    if config.method is Method.RK_ADAPTIVE:
-        for i in valid:
-            try:
-                results[i] = _integrate_adaptive(structure, h, F, float(directions[i]),
-                                                 rows[i], config)
-            except Exception as exc:  # per-row isolation
-                results[i] = exc
-    else:
-        sign = np.array([[float(directions[i])] for i in valid])
-        runs = _integrate_lockstep(structure, h, F, sign, np.array([rows[i] for i in valid]),
-                                   config, stop_at_return)
-        for i, run in zip(valid, runs):
-            results[i] = run
+    with np.errstate(all="ignore"):
+        if config.method is Method.RK_ADAPTIVE:
+            for i in valid:
+                try:
+                    results[i] = _integrate_adaptive(structure, h, F, float(directions[i]),
+                                                     rows[i], config)
+                except Exception as exc:  # per-row isolation
+                    results[i] = exc
+        else:
+            sign = np.array([[float(directions[i])] for i in valid])
+            runs = _integrate_lockstep(structure, h, F, sign,
+                                       np.array([rows[i] for i in valid]), config, stop_at_return)
+            for i, run in zip(valid, runs):
+                results[i] = run
     return results
 
 
@@ -649,13 +654,11 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     first event, recorded as (last sample index, time of that sample,
     terminal event), and a Z event's sample, located on the step's Hermite
     interpolant, overwrites the slot of the step that fired it.  The
-    block's samples go into the sample store in one slice.  A row that
-    ends inside a block, one that raised too, is carried to the block's
-    end with the others and its extra samples are never read; rows never
-    mix, so the rows that go on keep their bits.  The initial velocities
-    and each block run under ``np.errstate(all="ignore")``: an overflowing
-    row ends in ``blowup``, and neither it nor a carried row stops the
-    batch or warns, whatever numpy's error settings.
+    block's samples go into the sample store in one indexed write.  A row
+    that ends inside a block, one that raised too, is carried to the
+    block's end with the others and its extra samples are never read; rows
+    never mix, so the rows that go on keep their bits.  Under the error
+    state of :func:`integrate_batch`, no row stops the batch or warns.
 
     ``sign`` is the column of row directions.  The kernel is never
     negated: a backward row steps ``F`` with ``-step`` (:func:`_rk4_steps`),
@@ -664,11 +667,11 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     interpolant of a Z event and as the initial velocities of the
     first-return search.
 
-    With ``stop_at_return``, after every block the new samples of the rows
-    still active are searched for first returns by
+    A block has one exit.  With ``stop_at_return``, the new samples of the
+    rows it did not end are searched for first returns by
     ``orbits.first_return_scan``, on the cubic Hermite of each step in the
-    sample store.  A row that another event ends inside the block keeps
-    that event, as it does without ``stop_at_return``.
+    sample store, and the rows that return join the ended ones.  The active
+    set is then compacted once.
     """
     M, d = Y0.shape
     results = [None] * M
@@ -687,8 +690,7 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
     Y = Y0
     errors = {}
     row_sign = sign[:, 0]
-    with np.errstate(all="ignore"):
-        K = F(Y, errors)
+    K = F(Y, errors)
     for j, exc in errors.items():
         results[j] = exc
     scan = None
@@ -726,80 +728,70 @@ def _integrate_lockstep(structure, h, F, sign, Y0, config, stop_at_return=False)
             direction = None if (sign > 0.0).all() else np.repeat(sign, Y0.shape[1], axis=1)
         k0 = k
         Ys, Ks, raised = [Y], [K], []
-        with np.errstate(all="ignore"):
-            while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
-                k += 1
-                t_new = k * config.step
-                if t_new >= t_snap:
-                    t_new = config.t_max
-                dt = t_new - t
-                steps = factors.get(dt)
-                if steps is None:
-                    steps = factors[dt] = _rk4_steps(dt, direction)
-                failed, late = {}, {}
-                Y = _rk4_step(F, Y, K, steps, failed)
-                K = F(Y, late)
-                raised.append((failed, late))
-                Ys.append(Y)
-                Ks.append(K)
-                times.append(t_new)
-                t = t_new
+        while k - k0 < RETURN_BLOCK and config.t_max - t > t_tiny:
+            k += 1
+            t_new = k * config.step
+            if t_new >= t_snap:
+                t_new = config.t_max
+            dt = t_new - t
+            steps = factors.get(dt)
+            if steps is None:
+                steps = factors[dt] = _rk4_steps(dt, direction)
+            failed, late = {}, {}
+            Y = _rk4_step(F, Y, K, steps, failed)
+            K = F(Y, late)
+            raised.append((failed, late))
+            Ys.append(Y)
+            Ks.append(K)
+            times.append(t_new)
+            t = t_new
 
-            # the event pass: (steps, rows) arrays of the block
-            y_block = np.array(Ys[1:])
-            y_max = np.abs(y_block).max(axis=2)  # NaN or inf where a state is not finite
-            ok = y_max < np.inf
-            for s, (failed, late) in enumerate(raised):
-                for j, exc in late.items():
-                    if ok[s, j]:
-                        ok[s, j] = False
-                        failed[j] = exc
-            fired = ok & (z_side * y_block[:, :, z_col] <= z_lim)
-            event = ~ok | fired | (y_max > bound) | (np.abs(Ks[1:]).max(axis=2) < fp_eps)
-            ended = event.any(axis=0)
+        # the event pass: (steps, rows) arrays of the block
+        y_block = np.array(Ys[1:])
+        y_max = np.abs(y_block).max(axis=2)  # NaN or inf where a state is not finite
+        ok = y_max < np.inf
+        for s, (failed, late) in enumerate(raised):
+            for j, exc in late.items():
+                if ok[s, j]:
+                    ok[s, j] = False
+                    failed[j] = exc
+        fired = ok & (z_side * y_block[:, :, z_col] <= z_lim)
+        event = ~ok | fired | (y_max > bound) | (np.abs(Ks[1:]).max(axis=2) < fp_eps)
+        ended = event.any(axis=0)
 
-            while k >= store.shape[1]:
-                store = np.concatenate([store, np.empty_like(store)], axis=1)
-            block = y_block.swapaxes(0, 1)
-            if active.size == M:
-                store[:, k0 + 1:k + 1] = block
+        while k >= store.shape[1]:
+            store = np.concatenate([store, np.empty_like(store)], axis=1)
+        store[active, k0 + 1:k + 1] = y_block.swapaxes(0, 1)
+        for j in np.flatnonzero(ended):
+            s = int(event[:, j].argmax())
+            i, r = k0 + 1 + s, active[j]
+            exc = raised[s][0].get(j)
+            if exc is not None and not isinstance(exc, _BLOWUP_ERRORS):
+                results[r] = exc
+            elif not ok[s, j]:
+                ends[r] = (i - 1, times[i - 1], Event(times[i], EventKind.BLOWUP))
+            elif fired[s, j]:
+                t0, dt = times[i - 1], times[i] - times[i - 1]
+                y0, y1 = Ys[s][j], Ys[s + 1][j]
+                f0, f1 = Ks[s][j] * row_sign[r], Ks[s + 1][j] * row_sign[r]
+                # side * d as Python floats, which bisect faster than numpy scalars
+                z0, z1, g0, g1 = (float(z_side[j] * a[z_col]) for a in (y0, y1, f0, f1))
+                _, tau = _bisect(lambda u: z_eps - hermite(z0, z1, g0, g1, dt, u), dt)
+                store[r, i] = hermite(y0, y1, f0, f1, dt, tau)
+                ends[r] = (i, t0 + tau, Event(t0 + tau, EventKind.REACHED_Z))
+            elif y_max[s, j] > bound:
+                ends[r] = (i, times[i], Event(times[i], EventKind.BLOWUP))
             else:
-                store[active, k0 + 1:k + 1] = block
-            for j in np.flatnonzero(ended):
-                s = int(event[:, j].argmax())
-                i, r = k0 + 1 + s, active[j]
-                exc = raised[s][0].get(j)
-                if exc is not None and not isinstance(exc, _BLOWUP_ERRORS):
-                    results[r] = exc
-                elif not ok[s, j]:
-                    ends[r] = (i - 1, times[i - 1], Event(times[i], EventKind.BLOWUP))
-                elif fired[s, j]:
-                    t0, dt = times[i - 1], times[i] - times[i - 1]
-                    y0, y1 = Ys[s][j], Ys[s + 1][j]
-                    f0, f1 = Ks[s][j] * row_sign[r], Ks[s + 1][j] * row_sign[r]
-                    # side * d as Python floats, which bisect faster than numpy scalars
-                    z0, z1, g0, g1 = (float(z_side[j] * a[z_col]) for a in (y0, y1, f0, f1))
-                    _, tau = _bisect(lambda u: z_eps - hermite(z0, z1, g0, g1, dt, u), dt)
-                    store[r, i] = hermite(y0, y1, f0, f1, dt, tau)
-                    ends[r] = (i, t0 + tau, Event(t0 + tau, EventKind.REACHED_Z))
-                elif y_max[s, j] > bound:
-                    ends[r] = (i, times[i], Event(times[i], EventKind.BLOWUP))
-                else:
-                    ends[r] = (i, times[i], Event(times[i], EventKind.FIXED_POINT))
+                ends[r] = (i, times[i], Event(times[i], EventKind.FIXED_POINT))
+        if scan is not None:
+            going = np.flatnonzero(~ended)
+            for j, (i, period) in scan(store, times, active[going], k0, k, hermite_step).items():
+                ends[active[going[j]]] = (i, times[i], Event(period, EventKind.RETURNED))
+                ended[going[j]] = True
         if ended.any():
             keep = ~ended
             active, Y, K, sign, z_side, z_lim = (
                 a[keep] for a in (active, Y, K, sign, z_side, z_lim))
-
-        if scan is not None and active.size:
-            returned = scan(store, times, active, k0, k, hermite_step)
-            if returned:
-                for j, (i, period) in returned.items():
-                    ends[active[j]] = (i, times[i], Event(period, EventKind.RETURNED))
-                keep = np.ones(active.size, bool)
-                keep[list(returned)] = False
-                active, Y, K, sign, z_side, z_lim = (
-                    a[keep] for a in (active, Y, K, sign, z_side, z_lim))
         if config.t_max - t <= t_tiny:
             for r in active:
                 ends[r] = (k, times[k], Event(config.t_max, EventKind.T_MAX))

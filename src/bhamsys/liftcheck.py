@@ -108,7 +108,6 @@ def projectability_test(structure: PhaseStructure, h, base_points, fiber_samples
     Y[:, :, n:] = np.array(fibers)[None, :, :]
     if structure.is_singular and np.any(Y[:, :, _defining_index(structure)] == 0.0):
         raise ValueError("fiber sample lies on the critical set")
-    velocity = compile_field(structure, h)(Y.reshape(-1, 2 * n)).reshape(B, F, 2 * n)[:, :, :n]
 
     # The largest max-norm difference over fiber pairs is, per component, the
     # spread max - min; rounding is monotone, so it is the same float as the
@@ -116,7 +115,11 @@ def projectability_test(structure: PhaseStructure, h, base_points, fiber_samples
     # first base point attaining the maximum wins, and its witness is the
     # first fiber pair (i < j) attaining it.  A NaN spread (inf - inf, when
     # the field overflows on every fiber) decides nothing and is left out.
-    spread = velocity.max(axis=1) - velocity.min(axis=1)
+    # An overflow is an outcome of the probe, so it does not warn.
+    with np.errstate(all="ignore"):
+        velocity = compile_field(structure, h)(Y.reshape(-1, 2 * n))
+        velocity = velocity.reshape(B, F, 2 * n)[:, :, :n]
+        spread = velocity.max(axis=1) - velocity.min(axis=1)
     undecided = np.isnan(spread)
     spread[undecided] = -np.inf
     worst = float(np.max(spread))

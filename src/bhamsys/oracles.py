@@ -120,6 +120,8 @@ def damped_newton_reference(potential: PotentialSpec, lam: float, q0, v0,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise ValueError("t_grid must contain at least two times")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     dts = np.diff(t_grid)
     if np.any(dts <= 0):
         raise ValueError("t_grid must be strictly increasing")

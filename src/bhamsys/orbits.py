@@ -215,12 +215,14 @@ def classify_orbit(traj: Trajectory) -> OrbitClassification:
     if terminal.kind is EventKind.RETURNED:
         # the batch's scan found this period on these samples
         return OrbitClassification(OrbitKind.PERIODIC, period=terminal.time)
-    # the same scan, over the whole run as one block, on the run's interpolant
+    # the same scan, over the whole run as one block, on the run's interpolant;
+    # an extreme state overflows there as it did in the run, silently
     ys = traj.ys
-    K0 = compile_field(traj.structure, traj.hamiltonian)(ys[:1]) * traj.direction
-    scan = first_return_scan(traj.structure, traj.hamiltonian, ys[:1], K0)
-    returned = scan(ys[None], traj.times, np.zeros(1, int), 0, len(ys) - 1,
-                    lambda r, i: partial(traj.interpolate, i))
+    with np.errstate(all="ignore"):
+        K0 = compile_field(traj.structure, traj.hamiltonian)(ys[:1]) * traj.direction
+        scan = first_return_scan(traj.structure, traj.hamiltonian, ys[:1], K0)
+        returned = scan(ys[None], traj.times, np.zeros(1, int), 0, len(ys) - 1,
+                        lambda r, i: partial(traj.interpolate, i))
     if returned:
         return OrbitClassification(OrbitKind.PERIODIC, period=returned[0][1])
     if terminal.kind is EventKind.BLOWUP:

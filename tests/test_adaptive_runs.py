@@ -271,7 +271,6 @@ def _extended_case(clock, family, n):
     return structure, h, state
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("family", sorted(FAMILIES) + ["custom"])

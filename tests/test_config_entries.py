@@ -304,7 +304,6 @@ def test_non_finite_initial_entries_are_standard_json(tmp_path, command, doc, fi
     assert record["initial"]["q"] == [text]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_overflowing_witness_is_standard_json(tmp_path, capsys):
     # p^2 of the fibre 1e200 overflows, so the two fibres differ by inf
     doc = dict(LIFTCHECK, structure={"kind": "twisted_b", "dim": 2}, base_points=[0.0],
@@ -397,8 +396,6 @@ def test_a_clock_s_horizon_must_keep_its_z_epsilon_positive(tmp_path, capsys):
         run_s_coordinates(PotentialSpec("zero"), 1.0, [1.0], [0.5], 800.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("fibers,verdict,difference", [
     ([1e200, 3e200], "inconclusive", None),  # every velocity is inf: inf - inf is NaN
     ([1.0, 2.0, 1e200, 3e200], "not_projectable", "inf"),

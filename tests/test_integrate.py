@@ -227,6 +227,15 @@ class TestTrajectory:
             Trajectory(times=np.array([0.0, 0.0]), ys=np.zeros((2, 2)),
                        events=(), structure=TWISTED, hamiltonian=linear_h())
 
+    # np.diff(times) <= 0 is False on a NaN and on an infinite difference
+    @pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan, 1.0], [0.0, math.inf],
+                                       [-math.inf, 0.0], [math.inf, math.inf]])
+    def test_times_must_be_finite(self, times):
+        with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+            Trajectory(times=np.array(times), ys=np.zeros((2, 2)),
+                       events=(Event(1.0, EventKind.T_MAX),), structure=TWISTED,
+                       hamiltonian=linear_h())
+
     def test_arrays_given_stay_writable_and_the_kept_ones_are_read_only(self):
         times, ys, lengths = np.array([0.0, 1.0]), np.zeros((2, 2)), np.array([1.0])
         traj = Trajectory(times=times, ys=ys, events=(Event(1.0, EventKind.T_MAX),),

@@ -146,6 +146,13 @@ class TestDampedNewtonReference:
         with pytest.raises(ValueError):
             damped_newton_reference(PotentialSpec("zero"), 1.0, 0.0, 1.0, [0.0, 0.0, 1.0])
 
+    # these failed later, converting NaN to an integer or overflowing
+    @pytest.mark.parametrize("t_grid", [[0.0, math.nan], [math.nan, 1.0], [0.0, math.inf],
+                                        [-math.inf, 0.0], [math.inf, math.inf]])
+    def test_grid_must_be_finite(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            damped_newton_reference(PotentialSpec("zero"), 1.0, 0.0, 1.0, t_grid)
+
     def test_vector_valued_states(self):
         t = np.linspace(0.0, 5.0, 51)
         res = damped_newton_reference(PotentialSpec("linear", lam=2.0), 0.5,
