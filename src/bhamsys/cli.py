@@ -5,8 +5,11 @@ Usage::
     bhamsys <command> --config run.json [--out DIR]
 
 with commands ``simulate``, ``portrait``, ``classify``, ``oracle-compare``,
-``timescale`` and ``liftcheck``.  Configurations are JSON documents; unknown
-keys are rejected with their full path.  All artifacts are plain CSV (floats
+``timescale`` and ``liftcheck``.  The configuration, a UTF-8 JSON document,
+is the whole input of a run: every command takes the same two options, and
+:func:`parse_config` decodes and validates it, rejecting unknown keys with
+their full path.  A file that cannot be read or decoded is a configuration
+error like any invalid document.  All artifacts are plain CSV (floats
 with 17 significant digits) and JSON with sorted keys, so identical
 configurations produce byte-identical outputs.  Exit codes: 0 on success,
 1 when some record failed numerically, 2 on configuration errors.
@@ -238,23 +241,13 @@ def _build_potential(section, n: int) -> tuple:
     return PotentialSpec(family=family, lam=lam, alpha=alpha), axis
 
 
-def _bound_fixed_steps(config: IntegratorConfig, horizon: float, key: str, what: str) -> None:
-    """Reject a fixed step that does not fit ``horizon`` or that takes more
-    than MAX_FIXED_STEPS steps over it; an adaptive run chooses its own."""
-    if config.method is not Method.RK4_FIXED:
-        return
-    if not config.step < horizon:  # IntegratorConfig has made sure of this for t_max
-        raise ConfigError(f"integrator.step must be smaller than {what} {horizon!r}, "
-                          f"got {config.step!r}")
-    # ceil(horizon / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
-    if horizon / config.step > MAX_FIXED_STEPS:
-        raise ConfigError(f"integrator.{key}: {what} / step must not exceed {MAX_FIXED_STEPS} "
-                          f"fixed steps, got {horizon!r} / {config.step!r}")
-
-
-def _build_integrator(section, structure, warnings,
-                      base=IntegratorConfig()) -> IntegratorConfig:
-    """``base`` with the keys of ``section`` replaced."""
+def _build_integrator(section, structure, warnings, base=IntegratorConfig(),
+                      horizon=None) -> IntegratorConfig:
+    """``base`` with the keys of ``section`` replaced.  A ``timescale`` run
+    passes its ``horizon``, which is its ``t_max``; its ``z_epsilon`` is set
+    by the horizon (clock s) or has no use (clock t).  A fixed step must be
+    smaller than ``t_max`` and take at most MAX_FIXED_STEPS steps over it;
+    an adaptive run chooses its own."""
     if section is None:
         return base
     section = _require_mapping(section, "integrator")
@@ -273,10 +266,26 @@ def _build_integrator(section, structure, warnings,
     if "z_epsilon" in section and structure is not None and not structure.is_singular:
         warnings.append("integrator.z_epsilon has no effect for canonical "
                         "structures and is ignored")
+    key, what = "t_max", "t_max"
+    if horizon is not None:
+        for ignored in ("t_max", "z_epsilon"):
+            if kwargs.pop(ignored, None) is not None:
+                warnings.append(f"integrator.{ignored} has no effect on timescale runs "
+                                "and is ignored")
+        key, what = "step", "the horizon"
+        step = kwargs.get("step", base.step)
+        if kwargs.get("method", base.method) is Method.RK4_FIXED and not step < horizon:
+            raise ConfigError(f"integrator.step must be smaller than the horizon {horizon!r}, "
+                              f"got {step!r}")
+        kwargs["t_max"] = horizon
     try:
         config = replace(base, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}")
+    # ceil(t_max / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
+    if config.method is Method.RK4_FIXED and config.t_max / config.step > MAX_FIXED_STEPS:
+        raise ConfigError(f"integrator.{key}: {what} / step must not exceed {MAX_FIXED_STEPS} "
+                          f"fixed steps, got {config.t_max!r} / {config.step!r}")
     return config
 
 
@@ -337,11 +346,16 @@ def _build_initials(section, n) -> list:
 
 
 def parse_config(document, command: Optional[str] = None) -> RunConfig:
-    """Validate a JSON document (text or parsed object) into a RunConfig."""
+    """Validate a JSON document (text, bytes or parsed object) into a RunConfig.
+
+    Every way the text fails to decode is a ConfigError: malformed JSON,
+    bytes that are not UTF-8, UTF-16 or UTF-32, an integer past
+    ``sys.get_int_max_str_digits()`` digits (a ValueError) and nesting past
+    the recursion limit (a RecursionError)."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON: {exc}")
     document = _require_mapping(document, "config")
     declared = document.get("command")
@@ -371,7 +385,6 @@ def parse_config(document, command: Optional[str] = None) -> RunConfig:
     cfg.initials = _build_initials(_section(document, "initial"), cfg.structure.n)
     cfg.integrator = _build_integrator(document.get("integrator"), cfg.structure,
                                        cfg.warnings)
-    _bound_fixed_steps(cfg.integrator, cfg.integrator.t_max, "t_max", "t_max")
     if command == "portrait":
         backward = document.get("backward", True)
         if not isinstance(backward, bool):
@@ -411,16 +424,8 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
     cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
-        section = dict(_require_mapping(document["integrator"], "integrator"))
-        # the run replaces t_max by the horizon; clock s sets z_epsilon
-        # from the horizon and clock t has no Z
-        for key in ("t_max", "z_epsilon"):
-            if _number(section, key, "integrator", None, positive=True) is not None:
-                del section[key]
-                cfg.warnings.append(f"integrator.{key} has no effect on timescale runs "
-                                    "and is ignored")
-        cfg.integrator = _build_integrator(section, None, cfg.warnings, DEFAULT_CONFIG)
-        _bound_fixed_steps(cfg.integrator, cfg.horizon, "step", "the horizon")
+        cfg.integrator = _build_integrator(_require_mapping(document["integrator"], "integrator"),
+                                           None, cfg.warnings, DEFAULT_CONFIG, cfg.horizon)
     return cfg
 
 
@@ -714,16 +719,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bhamsys",
         description="Simulate Hamiltonian dynamics on singular phase spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to a JSON run configuration")
-        cmd.add_argument("--out", default=None, help="output directory (overrides out_dir)")
-        if name == "timescale":
-            cmd.add_argument("--friction", type=float, default=None)
-            cmd.add_argument("--family", default=None)
-            cmd.add_argument("--clock", choices=("t", "s"), default=None)
-            cmd.add_argument("--horizon", type=float, default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON run configuration")
+    parser.add_argument("--out", default=None, help="output directory (overrides out_dir)")
     return parser
 
 
@@ -734,23 +732,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            with open(args.config) as fh:
-                document = json.load(fh)
-        except OSError as exc:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}")
-        if args.command == "timescale":
-            if not isinstance(document, dict):
-                raise ConfigError("config must be a JSON object")
-            for key in ("friction", "clock", "horizon"):
-                if getattr(args, key) is not None:
-                    document[key] = getattr(args, key)
-            if args.family is not None:
-                potential = document.setdefault("potential", {})
-                if isinstance(potential, dict):  # parse_config rejects any other value
-                    potential["family"] = args.family
-        cfg = parse_config(document, args.command)
+        cfg = parse_config(text, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

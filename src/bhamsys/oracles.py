@@ -93,15 +93,19 @@ def quadratic_tanh_constants(q0: float, p0: float, lam: float):
 
     Matching ``q'(0) = p0^2`` and ``q(0) = q0`` against the closed form gives
     ``c1 = 2 sqrt(H)`` with ``H = p0^2/2 + lam q0^2/4`` and
-    ``c2 = artanh(sqrt(lam) q0 / c1)``.
+    ``c2 = artanh(a / c1)``, ``a = sqrt(lam) q0``.  Since
+    ``(c1 - |a|)(c1 + |a|) = 2 p0^2``, ``c2`` is computed as
+    ``sign(q0) log((c1 + |a|) / (sqrt(2) p0))``, without the cancellation
+    in ``c1 - |a|`` that costs the artanh form its digits when p0 is small
+    against |q0|.
     """
     if not lam > 0:
         raise ValueError("lam must be > 0")
     if not p0 > 0:
         raise ValueError("constants are defined on the q' > 0 branch (p0 > 0)")
-    energy = 0.5 * p0**2 + 0.25 * lam * q0**2
-    c1 = 2.0 * math.sqrt(energy)
-    c2 = math.atanh(math.sqrt(lam) * q0 / c1)
+    a = math.sqrt(lam) * abs(q0)
+    c1 = math.hypot(math.sqrt(2.0) * p0, a)  # 2 sqrt(H), without squaring p0 or q0
+    c2 = math.copysign(math.log((c1 + a) / (math.sqrt(2.0) * p0)), q0)
     return c1, c2
 
 

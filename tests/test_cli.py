@@ -203,6 +203,26 @@ class TestOracleCompare:
         assert summary[0]["max_abs_q_error"] < 1e-8
         assert summary[0]["max_abs_p_error"] < 1e-8
 
+    @pytest.mark.parametrize("p0", [1e-9, 1e-7])
+    def test_tanh_oracle_at_a_small_momentum(self, tmp_path, p0):
+        # the closed form's c2 = artanh(q0 / c1) is computed without its
+        # cancellation: the artanh argument rounds to -1 and 1 at p0 = 1e-9,
+        # and costs the oracle a p error of 4e-11 at p0 = 1e-7
+        doc = {
+            "structure": {"kind": "twisted_b", "dim": 2},
+            "potential": {"family": "pure_quadratic", "lambda": 1.0},
+            "initial": [[1.0, p0], [-1.0, p0]],
+            "integrator": {"step": 0.01, "t_max": 1.0},
+        }
+        path = write(tmp_path, "run.json", doc)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary) == 2
+        for row in summary:
+            assert row["max_abs_q_error"] < 1e-13
+            assert row["max_abs_p_error"] < 1e-11 * p0
+
     def test_unsupported_combination(self, tmp_path):
         doc = {
             "structure": {"kind": "canonical", "dim": 2},
@@ -231,21 +251,6 @@ class TestTimescale:
         rt = read_csv(out / "realtime_000.csv")
         # dq/dt = exp(-t) for free damped motion with v0 = 1
         assert abs(rt[-1, 2] - math.exp(-rt[-1, 0])) < 1e-6
-
-    def test_clock_flag_overrides_config(self, tmp_path):
-        doc = {
-            "potential": {"family": "zero"},
-            "friction": 1.0,
-            "clock": "t",
-            "horizon": 3.0,
-            "initial": [0.0, 1.0],
-        }
-        path = write(tmp_path, "run.json", doc)
-        out = tmp_path / "out"
-        assert main(["timescale", "--config", path, "--out", str(out),
-                     "--clock", "s"]) == 0
-        ext = (out / "extended_000.csv").read_text().splitlines()
-        assert ext[1].endswith(",s")
 
     FALLING = {"potential": {"family": "linear", "lambda": 1.0}, "friction": 1.0,
                "initial": [1.0, 0.0]}

@@ -8,11 +8,11 @@ standard JSON.  The values that parse but would crash or never end the run
 are configuration errors too: a non-finite number outside the initial
 states, a liftcheck sample on the critical set or of the wrong length, a
 non-integer ``singular_index``, a boolean where an integer belongs
-(``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a
-non-object ``potential`` under ``--family``, a grid range whose ends or
-span are not finite, a grid of more than ``MAX_GRID_STATES`` states, a
-fixed-step run of more than ``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit
-the horizon, which is the run's ``t_max``, and a clock-s horizon whose
+(``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a grid
+range whose ends or span are not finite, a grid of more than
+``MAX_GRID_STATES`` states, a fixed-step run of more than
+``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit the
+horizon, which is the run's ``t_max``, and a clock-s horizon whose
 ``z_epsilon`` underflows to 0.  An adaptive step is only a first guess and
 fits any horizon.
 """
@@ -216,13 +216,6 @@ def test_angular_mask_must_be_a_list(tmp_path):
     assert run_main(tmp_path, "simulate", json.dumps(doc)) == 2
 
 
-@pytest.mark.parametrize("potential", [5, [], "zero"])
-def test_family_flag_on_a_non_object_potential(tmp_path, capsys, potential):
-    text = json.dumps(dict(TIMESCALE, potential=potential))
-    assert run_main(tmp_path, "timescale", text, "--family", "linear") == 2
-    assert "config error: potential must be a JSON object" in capsys.readouterr().err
-
-
 BOOLEAN_INTEGERS = [
     ("simulate", edit(SIMULATE, ("potential", "axis"), True), "potential.axis"),
     ("timescale", dict(TIMESCALE, n=True), "n"),
@@ -335,10 +328,11 @@ def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys
 
 
 def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
-    # t_max / step is 2e8 steps, but the run takes 1e7 over its horizon
+    # the default t_max 20 / step is 2e8 steps, but the run takes 1e7 over
+    # its horizon, which is the parsed t_max
     integrator = {"method": "rk4_fixed", "step": 1e-7}
     cfg = parse_config(dict(TIMESCALE, integrator=integrator), "timescale")
-    assert cfg.integrator.t_max / cfg.integrator.step > MAX_FIXED_STEPS
+    assert cfg.integrator.t_max == TIMESCALE["horizon"]
     with pytest.raises(ConfigError, match=r"^integrator\.t_max: "):
         parse_config(dict(SIMULATE, integrator=integrator), "simulate")
     # a step past t_max that fits the horizon 1 runs; the discarded t_max
@@ -351,6 +345,17 @@ def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
         parse_config(dict(SIMULATE, integrator=integrator), "simulate")
     with pytest.raises(ConfigError, match=r"^integrator\.t_max must be > 0"):
         parse_config(dict(TIMESCALE, integrator=dict(integrator, t_max=-0.1)), "timescale")
+
+
+@pytest.mark.parametrize("clock", ["t", "s"])
+def test_a_timescale_step_past_the_default_t_max_fits_a_longer_horizon(tmp_path, clock):
+    # step 24 is past the default t_max 20, which the run replaces by its horizon 40
+    doc = {"potential": {"family": "zero"}, "friction": 0.02, "clock": clock, "horizon": 40.0,
+           "initial": [0.0, 1.0], "integrator": {"method": "rk4_fixed", "step": 24.0}}
+    assert run_main(tmp_path, "timescale", json.dumps(doc)) == 0
+    (record,) = strict_json(tmp_path / "out" / "manifest.json")["records"]
+    assert record["event"] == {"kind": "t_max_reached", "t": 40.0}
+    assert len((tmp_path / "out" / "realtime_000.csv").read_text().splitlines()) == 1 + 3
 
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rk_adaptive"])

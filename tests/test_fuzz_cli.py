@@ -9,6 +9,11 @@ an outcome (``blowup``, an inf in an artifact), never a warning.
 Only runs that are bounded today are generated: fixed-step RK4 of at most
 2,000 steps, ``timescale`` included.  An adaptive DOP853 run has no step
 budget yet, and some extreme inputs keep it going for minutes.
+
+A config file of arbitrary bytes, with deep nesting, long digit strings and
+invalid UTF-8 mixed in, is a configuration error: ``main`` returns 2 with a
+``config error:`` line and writes no manifest, and ``parse_config`` of the
+bytes, or of their text where they decode, raises ``ConfigError``.
 """
 
 import contextlib
@@ -18,9 +23,10 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bhamsys.cli import main
+from bhamsys.cli import COMMANDS, ConfigError, main, parse_config
 
 EXTREME = [0.0, -0.0, 1e-320, -1e-320, 1e-8, 0.5, -1.0, 1.0, 3.0, 1e200, -1e300, 1e300]
 numbers = st.one_of(st.sampled_from(EXTREME), st.floats(-5.0, 5.0))
@@ -132,3 +138,64 @@ def test_main_ends_every_bounded_run_without_a_numpy_warning(case):
             with open(os.path.join(out, "manifest.json")) as fh:
                 records = json.load(fh)["records"]
             assert not [r["status"] for r in records if "RuntimeWarning" in r["status"]]
+
+
+#: a Latin-1 file, an array nested 200,000 deep and an integer of 5,000
+#: digits, past ``sys.get_int_max_str_digits()``, with the error ``main``
+#: reports for each
+UNDECODABLE = {
+    "latin1": (b'{"out_dir": "\xe9t\xe9"}', "cannot read "),
+    "deep": (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: maximum recursion depth"),
+    "digits": (b"1" * 5000, "invalid JSON: Exceeds the limit (4300 digits)"),
+}
+
+raw_pieces = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([b"{", b"}", b"[", b"]", b'"', b",", b":", b"\xff", b"\xc3", b"\xed\xa0\x80",
+                     b"\xef\xbb\xbf", b"\xff\xfe", b'{"structure": ', b'"initial": ']),
+    st.tuples(st.sampled_from([b"[", b'{"a": ']), st.sampled_from([10, 999, 5000, 200_000]))
+    .map(lambda nest: nest[0] * nest[1]),
+    st.tuples(st.sampled_from([b"", b"-"]), st.integers(4000, 6000))
+    .map(lambda digits: digits[0] + b"7" * digits[1]))
+raw_files = st.lists(raw_pieces, max_size=5).map(b"".join)
+
+
+def assert_refused(command, data):
+    """``main`` and ``parse_config`` refuse ``data`` as a config error;
+    returns what ``main`` wrote to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--config", path, "--out", out]) == 2
+        assert err.getvalue().startswith("config error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+    documents = [data]
+    try:
+        documents.append(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        pass
+    for document in documents:
+        with pytest.raises(ConfigError):
+            parse_config(document, command)
+    return err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(COMMANDS), raw_files)
+def test_a_config_file_of_arbitrary_bytes_is_a_config_error(command, data):
+    assert_refused(command, data)
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_an_undecodable_config_file_is_a_config_error(name):
+    data, error = UNDECODABLE[name]
+    assert assert_refused("simulate", data).startswith("config error: " + error)
+    with pytest.raises(ConfigError, match="^invalid JSON: "):
+        parse_config(data, "simulate")
+    with pytest.raises(ConfigError):  # the Latin-1 text is a JSON object without a structure
+        parse_config(data.decode("latin-1"), "simulate")

@@ -115,6 +115,13 @@ class TestQuadraticTanh:
             assert q_0 == pytest.approx(q0, abs=1e-12)
             assert (q_p - q_m) / (2 * eps) == pytest.approx(p0**2, rel=1e-7)
 
+    @pytest.mark.parametrize("q0", [1.0, -1.0])
+    @pytest.mark.parametrize("p0", [1e-7, 1e-9, 1e-200])
+    def test_constants_at_a_small_momentum(self, q0, p0):
+        c1, c2 = quadratic_tanh_constants(q0, p0, 1.0)
+        assert quadratic_tanh(c1, c2, 1.0, 0.0) == pytest.approx(q0, rel=1e-15)
+        assert quadratic_tanh_momentum(c1, c2, 1.0, 0.0) == pytest.approx(p0, rel=1e-12)
+
     def test_constants_need_positive_momentum(self):
         with pytest.raises(ValueError):
             quadratic_tanh_constants(0.0, 0.0, 1.0)

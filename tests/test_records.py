@@ -133,6 +133,15 @@ def test_there_is_no_seed_flag(tmp_path, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--friction", "--family", "--clock", "--horizon"])
+def test_a_timescale_setting_is_no_flag(tmp_path, capsys, flag):
+    # every command takes --config and --out alone; the document is the whole input
+    with pytest.raises(SystemExit) as exit_:
+        run_main(tmp_path, "timescale", STOKES, flag, "1")
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_every_name_the_tracer_wraps_exists():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
