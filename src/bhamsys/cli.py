@@ -4,15 +4,16 @@ Usage::
 
     bhamsys <command> --config run.json [--out DIR]
 
-with commands ``simulate``, ``portrait``, ``classify``, ``oracle-compare``,
-``timescale`` and ``liftcheck``.  The configuration, a UTF-8 JSON document,
-is the whole input of a run: every command takes the same two options, and
-:func:`parse_config` decodes and validates it, rejecting unknown keys with
-their full path.  A file that cannot be read or decoded is a configuration
-error like any invalid document.  All artifacts are plain CSV (floats
-with 17 significant digits) and JSON with sorted keys, so identical
-configurations produce byte-identical outputs.  Exit codes: 0 on success,
-1 when some record failed numerically, 2 on configuration errors.
+with one of the :data:`COMMANDS`.  The command line names the command and
+the output directory (default ``out``); the configuration, a UTF-8 JSON
+document, holds the rest of the run.  One table, ``_COMMANDS``, gives each
+command its top-level keys, its parser and its runner.  :func:`parse_config`
+decodes and validates a document, rejecting unknown keys with their full
+path; a file that cannot be read or decoded is a configuration error like
+any invalid document.  All artifacts are plain CSV (floats with 17
+significant digits) and JSON with sorted keys, so identical configurations
+produce byte-identical outputs.  Exit codes: 0 on success, 1 when some
+record failed numerically, 2 on configuration errors.
 
 Every command but ``liftcheck`` builds its manifest records in one loop,
 :func:`_records`: one record per initial state, ``ok`` or the error that
@@ -57,8 +58,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 logger = logging.getLogger("bhamsys")
 
-COMMANDS = ("simulate", "portrait", "classify", "oracle-compare", "timescale", "liftcheck")
-
 #: Most steps a fixed-step run may take, ``ceil(t_max / step)``; for
 #: ``timescale``, whose ``t_max`` is its horizon, ``ceil(horizon / step)``.
 MAX_FIXED_STEPS = 10**7
@@ -72,19 +71,8 @@ _POTENTIAL_KEYS = {"family", "lambda", "alpha", "axis"}
 #: ``method``, then the numeric settings, in field order
 _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
 _AXIS_SPEC_KEYS = {"start", "stop", "count", "values"}
-
-_TOP_KEYS = {
-    "simulate": {"command", "structure", "potential", "initial", "integrator", "out_dir"},
-    "portrait": {"command", "structure", "potential", "initial", "integrator",
-                 "out_dir", "backward"},
-    "classify": {"command", "structure", "potential", "initial", "integrator", "out_dir"},
-    "oracle-compare": {"command", "structure", "potential", "initial", "integrator", "out_dir"},
-    "timescale": {"command", "potential", "friction", "clock", "horizon", "initial",
-                  "n", "e0", "integrator", "out_dir"},
-    "liftcheck": {"command", "structure", "potential", "toric", "base_points",
-                  "fiber_samples", "tol", "out_dir"},
-}
-
+#: the top-level keys of a command that integrates a list of initial states
+_ORBIT_KEYS = frozenset({"structure", "potential", "initial", "integrator"})
 
 class ConfigError(ValueError):
     """Invalid configuration document (CLI exit code 2)."""
@@ -103,13 +91,11 @@ class RunConfig:
     axis: int = 0
     initials: list = field(default_factory=list)
     integrator: Optional[IntegratorConfig] = None
-    out_dir: Optional[str] = None
     backward: bool = True
     # timescale
     friction: Optional[float] = None
     clock: Optional[str] = None
     horizon: Optional[float] = None
-    e0: Optional[float] = None
     initial_qv: Optional[tuple] = None
     # liftcheck
     base_points: Optional[list] = None
@@ -345,8 +331,9 @@ def _build_initials(section, n) -> list:
     return states
 
 
-def parse_config(document, command: Optional[str] = None) -> RunConfig:
-    """Validate a JSON document (text, bytes or parsed object) into a RunConfig.
+def parse_config(document, command: str) -> RunConfig:
+    """Validate a JSON document (text, bytes or parsed object) into the
+    RunConfig of ``command``, which the command line names.
 
     Every way the text fails to decode is a ConfigError: malformed JSON,
     bytes that are not UTF-8, UTF-16 or UTF-32, an integer past
@@ -358,25 +345,15 @@ def parse_config(document, command: Optional[str] = None) -> RunConfig:
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON: {exc}")
     document = _require_mapping(document, "config")
-    declared = document.get("command")
-    if command is None:
-        command = declared
-    if command not in COMMANDS:
+    if command not in _COMMANDS:
         raise ConfigError(f"command must be one of {list(COMMANDS)}, got {command!r}")
-    if declared is not None and declared != command:
-        raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
-    _reject_unknown(document, _TOP_KEYS[command], "")
+    keys, parser, _ = _COMMANDS[command]
+    _reject_unknown(document, keys, "")
+    return parser(document, RunConfig(command=command, raw=document))
 
-    cfg = RunConfig(command=command, raw=document)
-    cfg.out_dir = document.get("out_dir")
-    if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
-        raise ConfigError("out_dir must be a string")
 
-    if command == "timescale":
-        return _parse_timescale(document, cfg)
-    if command == "liftcheck":
-        return _parse_liftcheck(document, cfg)
-
+def _parse_orbits(document, cfg: RunConfig) -> RunConfig:
+    """The sections of a command that integrates a list of initial states."""
     structure, potential = _section(document, "structure"), _section(document, "potential")
     cfg.structure = _build_structure(structure)
     cfg.potential, cfg.axis = _build_potential(potential, cfg.structure.n)
@@ -385,13 +362,15 @@ def parse_config(document, command: Optional[str] = None) -> RunConfig:
     cfg.initials = _build_initials(_section(document, "initial"), cfg.structure.n)
     cfg.integrator = _build_integrator(document.get("integrator"), cfg.structure,
                                        cfg.warnings)
-    if command == "portrait":
-        backward = document.get("backward", True)
-        if not isinstance(backward, bool):
-            raise ConfigError("backward must be a boolean")
-        cfg.backward = backward
-    if command == "oracle-compare":
-        _oracle_for(cfg)  # raises early when no closed form exists
+    cfg.backward = document.get("backward", True)  # a key of portrait alone
+    if not isinstance(cfg.backward, bool):
+        raise ConfigError("backward must be a boolean")
+    return cfg
+
+
+def _parse_oracle_compare(document, cfg: RunConfig) -> RunConfig:
+    cfg = _parse_orbits(document, cfg)
+    _oracle_for(cfg)  # raises early when no closed form exists
     return cfg
 
 
@@ -422,7 +401,6 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
                           f"(q1..q{n}, v1..v{n})")
     values = [_as_number(v, f"initial[{j}]", finite=False) for j, v in enumerate(initial)]
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
-    cfg.e0 = _number(document, "e0", "config", None)
     if "integrator" in document:
         cfg.integrator = _build_integrator(_require_mapping(document["integrator"], "integrator"),
                                            None, cfg.warnings, DEFAULT_CONFIG, cfg.horizon)
@@ -448,8 +426,8 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
         if c == 0.0:
             raise ConfigError("toric.c must be nonzero")
         cfg.hamiltonian = toric_moment_field(structure, c)
-    cfg.base_points = document.get("base_points", [0.0])
-    cfg.fiber_samples = document.get("fiber_samples", [1.0, 2.0])
+    cfg.base_points = _section(document, "base_points")
+    cfg.fiber_samples = _section(document, "fiber_samples")
     if not isinstance(cfg.base_points, list) or not cfg.base_points:
         raise ConfigError("base_points must be a nonempty list")
     if not isinstance(cfg.fiber_samples, list) or len(cfg.fiber_samples) < 2:
@@ -658,7 +636,7 @@ def _run_timescale(cfg: RunConfig, out_dir: str) -> list:
 
     def body(i, initial):
         traj = runner(cfg.potential, cfg.friction, *initial, cfg.horizon,
-                      config=cfg.integrator, axis=cfg.axis, e0=cfg.e0)
+                      config=cfg.integrator, axis=cfg.axis)
         _write_extended_csv(os.path.join(out_dir, "extended_000.csv"), traj, cfg.clock)
         _write_realtime_csv(os.path.join(out_dir, "realtime_000.csv"),
                             reconstruct_real_time(traj))
@@ -685,22 +663,26 @@ def _run_liftcheck(cfg: RunConfig, out_dir: str) -> list:
              "file": "verdict.json"}]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "portrait": _run_portrait,
-    "classify": _run_classify,
-    "oracle-compare": _run_oracle_compare,
-    "timescale": _run_timescale,
-    "liftcheck": _run_liftcheck,
+#: each command's top-level keys, the parser of its document and its runner
+_COMMANDS = {
+    "simulate": (_ORBIT_KEYS, _parse_orbits, _run_simulate),
+    "portrait": (_ORBIT_KEYS | {"backward"}, _parse_orbits, _run_portrait),
+    "classify": (_ORBIT_KEYS, _parse_orbits, _run_classify),
+    "oracle-compare": (_ORBIT_KEYS, _parse_oracle_compare, _run_oracle_compare),
+    "timescale": ({"potential", "friction", "clock", "horizon", "initial", "n", "integrator"},
+                  _parse_timescale, _run_timescale),
+    "liftcheck": ({"structure", "potential", "toric", "base_points", "fiber_samples", "tol"},
+                  _parse_liftcheck, _run_liftcheck),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
-def run(cfg: RunConfig, out_dir: Optional[str] = None) -> int:
-    """Execute a validated configuration; returns the process exit status."""
-    out_dir = out_dir or cfg.out_dir or "out"
+def run(cfg: RunConfig, out_dir: str = "out") -> int:
+    """Execute a validated configuration into ``out_dir``, which is made if
+    missing; returns the process exit status."""
     os.makedirs(out_dir, exist_ok=True)
     logger.info("running %s into %s", cfg.command, out_dir)
-    records = _RUNNERS[cfg.command](cfg, out_dir)
+    records = _COMMANDS[cfg.command][2](cfg, out_dir)
     manifest = {
         "command": cfg.command,
         "config_sha256": _config_hash(cfg.raw),
@@ -721,7 +703,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate Hamiltonian dynamics on singular phase spaces.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
-    parser.add_argument("--out", default=None, help="output directory (overrides out_dir)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 

@@ -28,8 +28,9 @@ sigma = 1 - exp(-lam*t).
 
 Conventions: s = exp(-lam*t) is kept in (0, 1] for t >= 0.  Momenta relate
 to physical velocity by dq/dt = lam*exp(-lam*t)*p = lam*s*p, so an initial
-velocity v0 at t = 0 enters as p0 = v0/lam.  E is initialized so that
-H = 0 unless overridden.
+velocity v0 at t = 0 enters as p0 = v0/lam, and E starts on the zero level
+of H.  K is linear in E with a constant coefficient, so no partial that
+moves q, p, t or s reads E.
 
 ``run_rescaled`` and ``run_s_coordinates`` integrate K in the t chart and
 in the s chart from physical time 0 to a horizon T.  Both run
@@ -170,22 +171,20 @@ def poincare_transform(h: HamiltonianSpec) -> HamiltonianSpec:
 
 
 def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
-                           t0: float = 0.0, e0: Optional[float] = None,
-                           axis: int = 0) -> PhaseState:
+                           t0: float = 0.0, axis: int = 0) -> PhaseState:
     """Initial state of the rescaled system for physical data (q0, v0) at t0.
 
-    Uses p = exp(lam t) v / lam and, unless ``e0`` overrides it, the energy
-    value that puts the rescaled Hamiltonian on its zero level.  Raises a
-    ``ValueError`` that names ``v0`` where p or the energy is not finite.
+    Uses p = exp(lam t) v / lam and the energy value that puts the rescaled
+    Hamiltonian on its zero level.  Raises a ``ValueError`` that names
+    ``v0`` where p or the energy is not finite.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     with np.errstate(over="ignore"):  # an overflow is reported below
         p0 = v0 * math.exp(lam * t0) / lam
-        if e0 is None:
-            v_pot = potential_value(potential, q0, t0, axis)
-            e0 = (lam * math.exp(-lam * t0) * 0.5 * float(np.dot(p0, p0))
-                  + math.exp(lam * t0) * v_pot / lam)
+        v_pot = potential_value(potential, q0, t0, axis)
+        e0 = (lam * math.exp(-lam * t0) * 0.5 * float(np.dot(p0, p0))
+              + math.exp(lam * t0) * v_pot / lam)
     if not (np.all(np.isfinite(p0)) and math.isfinite(e0)):
         raise ValueError(f"initial momentum or energy not finite for v0 = {v0.tolist()} "
                          f"at friction {lam!r}: p0 = {p0.tolist()}, e0 = {e0!r}")
@@ -204,14 +203,14 @@ def s_chart_z_epsilon(lam: float, t_target: float) -> float:
     return z_epsilon
 
 
-def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Trajectory:
+def _run(potential, lam, q0, v0, t_target, config, axis, s_chart) -> Trajectory:
     """The run of K to physical time ``t_target``, in the s chart when
     ``s_chart``; ``t_target`` replaces the config's ``t_max``."""
     if not t_target > 0:
         raise ValueError("t_target must be > 0")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
-    initial = rescaled_initial_state(potential, lam, q0, v0, e0=e0, axis=axis)
+    initial = rescaled_initial_state(potential, lam, q0, v0, axis=axis)
     config = replace(config or DEFAULT_CONFIG, t_max=t_target)
     if s_chart:
         structure, h = to_s_coordinates(structure, h)
@@ -225,10 +224,9 @@ def _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart) -> Traject
 
 
 def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
-                 config: Optional[IntegratorConfig] = None, axis: int = 0,
-                 e0: Optional[float] = None) -> Trajectory:
+                 config: Optional[IntegratorConfig] = None, axis: int = 0) -> Trajectory:
     """Integrate the rescaled system in the t chart, in physical time, from
-    t = 0 to ``t_target``.
+    (q0, v0) at t = 0, with E on the zero level of H, to ``t_target``.
 
     The flow is that of :func:`poincare_transform` of the rescaled H, and
     ``t_target`` replaces the ``t_max`` of ``config`` (default
@@ -239,12 +237,12 @@ def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
     underdamped ``pure_quadratic``; a ``zero`` potential runs until
     exp(lam t) overflows at lam*t = 700 (see the module docstring).
     """
-    return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=False)
+    return _run(potential, lam, q0, v0, t_target, config, axis, s_chart=False)
 
 
 def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
-                      config: Optional[IntegratorConfig] = None, axis: int = 0,
-                      e0: Optional[float] = None) -> Trajectory:
+                      config: Optional[IntegratorConfig] = None,
+                      axis: int = 0) -> Trajectory:
     """Integrate the s-coordinate system, in physical time, from t = 0 to
     ``t_target``, as :func:`run_rescaled` does in the t chart.
 
@@ -254,7 +252,7 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     about 744).  The momentum and the energy grow as in the t chart, so the
     same friction * horizon limits hold.
     """
-    return _run(potential, lam, q0, v0, t_target, config, axis, e0, s_chart=True)
+    return _run(potential, lam, q0, v0, t_target, config, axis, s_chart=True)
 
 
 def _base_motion(h, n, ys) -> tuple:

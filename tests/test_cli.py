@@ -65,12 +65,6 @@ class TestParseConfig:
         cfg = parse_config(doc, "simulate")
         assert any("z_epsilon" in w for w in cfg.warnings)
 
-    def test_command_mismatch(self):
-        doc = stokes_config()
-        doc["command"] = "portrait"
-        with pytest.raises(ConfigError, match="declares command"):
-            parse_config(doc, "simulate")
-
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json", "simulate")

@@ -14,7 +14,9 @@ range whose ends or span are not finite, a grid of more than
 ``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit the
 horizon, which is the run's ``t_max``, and a clock-s horizon whose
 ``z_epsilon`` underflows to 0.  An adaptive step is only a first guess and
-fits any horizon.
+fits any horizon.  A liftcheck document must give its samples, and the keys
+that the command line or the zero level of H settles (``command``,
+``out_dir``, ``timescale``'s ``e0``) are unknown keys.
 """
 
 import copy
@@ -136,7 +138,6 @@ PARAMETERS = [
     ("simulate", SIMULATE, ("potential", "lambda"), "potential.lambda"),
     ("simulate", SIMULATE, ("structure", "modular_weight"), "structure.modular_weight"),
     ("timescale", TIMESCALE, ("friction",), "config.friction"),
-    ("timescale", TIMESCALE, ("e0",), "config.e0"),
     ("liftcheck", LIFTCHECK, ("base_points", 0, 1), "base_points[0][1]"),
     ("liftcheck", LIFTCHECK, ("tol",), "config.tol"),
 ]
@@ -414,3 +415,64 @@ def test_an_overflowing_field_is_never_projectable(tmp_path, capsys, fibers, ver
     assert payload["verdict"] == verdict
     witness = payload["witness"]
     assert (witness and witness["difference"]) == difference
+
+
+# a small valid document of each command
+DOCUMENTS = {command: dict(SIMULATE, integrator={"step": 0.01, "t_max": 1.0})
+             for command in ("simulate", "portrait", "classify", "oracle-compare")}
+DOCUMENTS.update(timescale=TIMESCALE, liftcheck=LIFTCHECK)
+
+
+REMOVED = ([(command, "command", command) for command in sorted(DOCUMENTS)]
+           + [(command, "out_dir", "elsewhere") for command in sorted(DOCUMENTS)]
+           + [("timescale", "e0", 7.0)])
+
+
+@pytest.mark.parametrize("command,key,value", REMOVED)
+def test_the_removed_settings_are_unknown_keys(tmp_path, capsys, command, key, value):
+    # the command line names the command and the output directory, and E
+    # starts on the zero level of H
+    doc = dict(DOCUMENTS[command], **{key: value})
+    with pytest.raises(ConfigError, match=f"^unknown key: {key}$"):
+        parse_config(doc, command)
+    assert run_main(tmp_path, command, json.dumps(doc)) == 2
+    assert capsys.readouterr().err == f"config error: unknown key: {key}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENTS))
+def test_the_output_directory_leaves_the_manifest_unchanged(tmp_path, capsys, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(DOCUMENTS[command]))
+    manifests = []
+    for out in ("a", "b"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        manifests.append((tmp_path / out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+# the defaults [0.0] and [1.0, 2.0] were one-component points, of the wrong
+# length for dim 4 and on the critical set q1 = 0 for nontwisted_b
+LIFT_SAMPLES = [
+    ({"kind": "twisted_b", "dim": 4}, [[1.0, 1.0]], [[1.0, 1.0], [2.0, 1.0]]),
+    ({"kind": "nontwisted_b", "dim": 2}, [1.0], [1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("structure,bases,fibers", LIFT_SAMPLES,
+                         ids=["twisted-4", "nontwisted-2"])
+@pytest.mark.parametrize("given,missing", [({}, "base_points"),
+                                           ({"base_points"}, "fiber_samples"),
+                                           ({"fiber_samples"}, "base_points")])
+def test_liftcheck_samples_are_required(tmp_path, capsys, structure, bases, fibers,
+                                        given, missing):
+    doc = {"structure": structure, "potential": {"family": "linear"}}
+    samples = {"base_points": bases, "fiber_samples": fibers}
+    partial = dict(doc, **{key: samples[key] for key in given})
+    with pytest.raises(ConfigError, match=f"^{missing} section is required$"):
+        parse_config(partial, "liftcheck")
+    assert run_main(tmp_path, "liftcheck", json.dumps(partial)) == 2
+    assert capsys.readouterr().err == f"config error: {missing} section is required\n"
+    assert not (tmp_path / "out").exists()
+    assert run_main(tmp_path, "liftcheck", json.dumps(dict(doc, **samples))) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "not_projectable"

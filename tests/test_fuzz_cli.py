@@ -91,12 +91,9 @@ def orbit_document(draw, command):
 def timescale_document(draw):
     n = draw(st.sampled_from([1, 2]))
     integrator, horizon = draw(fixed_integrator())
-    doc = {"potential": draw(potential()), "friction": draw(positive),
-           "clock": draw(st.sampled_from(["t", "s"])), "horizon": horizon,
-           "initial": draw(_point(2 * n)), "n": n, "integrator": integrator}
-    if draw(st.booleans()):
-        doc["e0"] = draw(numbers)
-    return doc
+    return {"potential": draw(potential()), "friction": draw(positive),
+            "clock": draw(st.sampled_from(["t", "s"])), "horizon": horizon,
+            "initial": draw(_point(2 * n)), "n": n, "integrator": integrator}
 
 
 @st.composite
@@ -197,5 +194,5 @@ def test_an_undecodable_config_file_is_a_config_error(name):
     assert assert_refused("simulate", data).startswith("config error: " + error)
     with pytest.raises(ConfigError, match="^invalid JSON: "):
         parse_config(data, "simulate")
-    with pytest.raises(ConfigError):  # the Latin-1 text is a JSON object without a structure
+    with pytest.raises(ConfigError):  # the Latin-1 text is a JSON object with an unknown key
         parse_config(data.decode("latin-1"), "simulate")
