@@ -51,8 +51,8 @@ from .oracles import (classical_parabola, quadratic_tanh,
                       quadratic_tanh_constants, quadratic_tanh_momentum,
                       stokes_exact)
 from .orbits import OrbitKind, classify_orbit, phase_portrait
-from .timescale import (DEFAULT_CONFIG, reconstruct_real_time, run_rescaled,
-                        run_s_coordinates, s_chart_z_epsilon)
+from .timescale import (horizon_config, reconstruct_real_time, run_rescaled,
+                        run_s_coordinates)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -62,15 +62,10 @@ logger = logging.getLogger("bhamsys")
 #: ``timescale``, whose ``t_max`` is its horizon, ``ceil(horizon / step)``.
 MAX_FIXED_STEPS = 10**7
 
-#: Most initial states a grid spec may expand to, its q count times its p
-#: count; a grid of 10^5 states takes about 0.7 s and 80 MB to parse.
-MAX_GRID_STATES = 10**5
-
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
 _POTENTIAL_KEYS = {"family", "lambda", "alpha", "axis"}
 #: ``method``, then the numeric settings, in field order
 _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
-_AXIS_SPEC_KEYS = {"start", "stop", "count", "values"}
 #: the top-level keys of a command that integrates a list of initial states
 _ORBIT_KEYS = frozenset({"structure", "potential", "initial", "integrator"})
 
@@ -84,7 +79,6 @@ class RunConfig:
 
     command: str
     raw: dict
-    warnings: list = field(default_factory=list)
     structure: Optional[PhaseStructure] = None
     hamiltonian: Optional[HamiltonianSpec] = None  # for a toric liftcheck, its generator
     potential: Optional[PotentialSpec] = None
@@ -227,17 +221,14 @@ def _build_potential(section, n: int) -> tuple:
     return PotentialSpec(family=family, lam=lam, alpha=alpha), axis
 
 
-def _build_integrator(section, structure, warnings, base=IntegratorConfig(),
-                      horizon=None) -> IntegratorConfig:
-    """``base`` with the keys of ``section`` replaced.  A ``timescale`` run
-    passes its ``horizon``, which is its ``t_max``; its ``z_epsilon`` is set
-    by the horizon (clock s) or has no use (clock t).  A fixed step must be
-    smaller than ``t_max`` and take at most MAX_FIXED_STEPS steps over it;
-    an adaptive run chooses its own."""
+def _build_integrator(section, keys, base=IntegratorConfig()) -> IntegratorConfig:
+    """``base`` with the keys of ``section``, which may hold only ``keys``,
+    replaced.  A fixed step must be smaller than ``t_max`` and take at most
+    MAX_FIXED_STEPS steps over it; an adaptive run chooses its own."""
     if section is None:
         return base
     section = _require_mapping(section, "integrator")
-    _reject_unknown(section, _INTEGRATOR_KEYS, "integrator")
+    _reject_unknown(section, keys, "integrator")
     kwargs = {}
     if "method" in section:
         try:
@@ -249,77 +240,23 @@ def _build_integrator(section, structure, warnings, base=IntegratorConfig(),
         value = _number(section, key, "integrator", None, positive=True)
         if value is not None:
             kwargs[key] = value
-    if "z_epsilon" in section and structure is not None and not structure.is_singular:
-        warnings.append("integrator.z_epsilon has no effect for canonical "
-                        "structures and is ignored")
-    key, what = "t_max", "t_max"
-    if horizon is not None:
-        for ignored in ("t_max", "z_epsilon"):
-            if kwargs.pop(ignored, None) is not None:
-                warnings.append(f"integrator.{ignored} has no effect on timescale runs "
-                                "and is ignored")
-        key, what = "step", "the horizon"
-        step = kwargs.get("step", base.step)
-        if kwargs.get("method", base.method) is Method.RK4_FIXED and not step < horizon:
-            raise ConfigError(f"integrator.step must be smaller than the horizon {horizon!r}, "
-                              f"got {step!r}")
-        kwargs["t_max"] = horizon
     try:
         config = replace(base, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}")
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"integrator.{exc}")
     # ceil(t_max / step) > MAX_FIXED_STEPS, without rounding an infinite ratio
     if config.method is Method.RK4_FIXED and config.t_max / config.step > MAX_FIXED_STEPS:
-        raise ConfigError(f"integrator.{key}: {what} / step must not exceed {MAX_FIXED_STEPS} "
+        key = "t_max" if "t_max" in section else "step"
+        raise ConfigError(f"integrator.{key}: t_max / step must not exceed {MAX_FIXED_STEPS} "
                           f"fixed steps, got {config.t_max!r} / {config.step!r}")
     return config
 
 
-def _axis_spec(spec, path) -> tuple:
-    """``(count, expand)`` of one axis of a grid spec: the number of its
-    values, and a function that lists them, so that the grid's size is
-    checked before either axis is built.  A range's ``start``, ``stop`` and
-    ``stop - start`` must be finite; a ``values`` entry may be non-finite,
-    which fails only its own records."""
-    spec = _require_mapping(spec, path)
-    _reject_unknown(spec, _AXIS_SPEC_KEYS, path)
-    if "values" in spec:
-        values = spec["values"]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{path}.values must be a nonempty list")
-        values = [_as_number(v, f"{path}.values[{i}]", finite=False)
-                  for i, v in enumerate(values)]
-        return len(values), lambda: values
-    for key in ("start", "stop", "count"):
-        if key not in spec:
-            raise ConfigError(f"{path}.{key} is required for a range spec")
-    count = spec["count"]
-    if not _is_int(count) or count < 1:
-        raise ConfigError(f"{path}.count must be a positive integer")
-    start = _as_number(spec["start"], f"{path}.start")
-    stop = _as_number(spec["stop"], f"{path}.stop")
-    if not math.isfinite(stop - start):
-        raise ConfigError(f"{path}: stop - start must be finite, got {stop!r} - {start!r}")
-    return count, lambda: list(np.linspace(start, stop, count))
-
-
 def _build_initials(section, n) -> list:
-    if isinstance(section, dict):
-        _reject_unknown(section, {"grid"}, "initial")
-        grid = _require_mapping(section.get("grid"), "initial.grid")
-        _reject_unknown(grid, {"q", "p"}, "initial.grid")
-        if n != 1:
-            raise ConfigError("initial.grid is only supported for n=1; "
-                              "list initial conditions explicitly")
-        q_count, qs = _axis_spec(grid.get("q", {"values": [0.0]}), "initial.grid.q")
-        p_count, ps = _axis_spec(grid.get("p", {"values": [0.0]}), "initial.grid.p")
-        if q_count * p_count > MAX_GRID_STATES:
-            raise ConfigError(f"initial.grid.q x initial.grid.p: {q_count} x {p_count} states "
-                              f"exceed the {MAX_GRID_STATES} a grid may have")
-        qs, ps = qs(), ps()
-        return [PhaseState(q, p) for q in qs for p in ps]
+    if isinstance(section, dict):  # every key is unknown, a grid spec's "grid" too
+        _reject_unknown(section, (), "initial")
     if not isinstance(section, list) or not section:
-        raise ConfigError("initial must be a nonempty list of states or a grid spec")
+        raise ConfigError("initial must be a nonempty list of states")
     states = []
     for i, row in enumerate(section):
         if not isinstance(row, list) or len(row) != 2 * n:
@@ -360,8 +297,10 @@ def _parse_orbits(document, cfg: RunConfig) -> RunConfig:
     cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=cfg.structure.n,
                                       axis=cfg.axis)
     cfg.initials = _build_initials(_section(document, "initial"), cfg.structure.n)
-    cfg.integrator = _build_integrator(document.get("integrator"), cfg.structure,
-                                       cfg.warnings)
+    keys = set(_INTEGRATOR_KEYS)
+    if not cfg.structure.is_singular:  # no critical set for z_epsilon to bound
+        keys.remove("z_epsilon")
+    cfg.integrator = _build_integrator(document.get("integrator"), keys)
     cfg.backward = document.get("backward", True)  # a key of portrait alone
     if not isinstance(cfg.backward, bool):
         raise ConfigError("backward must be a boolean")
@@ -390,20 +329,19 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     cfg.horizon = _number(document, "horizon", "config", None, positive=True)
     if cfg.horizon is None:
         raise ConfigError("horizon must be a positive number")
-    if clock == "s":
-        try:
-            s_chart_z_epsilon(cfg.friction, cfg.horizon)
-        except ValueError as exc:
-            raise ConfigError(f"horizon: {exc}") from None
+    try:
+        base = horizon_config(cfg.friction, cfg.horizon, clock == "s")
+    except ValueError as exc:
+        raise ConfigError(f"horizon: {exc}") from None
     initial = document.get("initial")
     if not isinstance(initial, list) or len(initial) != 2 * n:
         raise ConfigError(f"initial must be a flat list of length {2 * n} "
                           f"(q1..q{n}, v1..v{n})")
     values = [_as_number(v, f"initial[{j}]", finite=False) for j, v in enumerate(initial)]
     cfg.initial_qv = (np.array(values[:n]), np.array(values[n:]))
-    if "integrator" in document:
-        cfg.integrator = _build_integrator(_require_mapping(document["integrator"], "integrator"),
-                                           None, cfg.warnings, DEFAULT_CONFIG, cfg.horizon)
+    # the horizon sets t_max and, on clock s, z_epsilon; clock t has no use for it
+    cfg.integrator = _build_integrator(document.get("integrator"),
+                                       set(_INTEGRATOR_KEYS) - {"t_max", "z_epsilon"}, base)
     return cfg
 
 
@@ -687,7 +625,6 @@ def run(cfg: RunConfig, out_dir: str = "out") -> int:
         "command": cfg.command,
         "config_sha256": _config_hash(cfg.raw),
         "version": __version__,
-        "warnings": cfg.warnings,
         "records": records,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)

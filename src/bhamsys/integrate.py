@@ -162,7 +162,8 @@ class IntegratorConfig:
         if not math.isfinite(self.t_max):
             raise ValueError("t_max must be finite")
         if self.method is Method.RK4_FIXED and not self.step < self.t_max:
-            raise ValueError("step must be smaller than t_max")
+            raise ValueError(f"step must be smaller than t_max {self.t_max!r}, "
+                             f"got {self.step!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -833,9 +834,10 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
     STEP_GROW]``.  A trial is accepted only when its error norm is at most
     1; one that fails is retried with a quarter of its step when its state
     is not finite or it raises, else with the factor of its norm
-    (``STEP_SHRINK`` for a NaN).  At the ``2 * MIN_STEP`` floor a failing
-    trial ends the run in ``blowup`` at ``t + dt``, and an error that is not
-    a blowup error is raised.
+    (``STEP_SHRINK`` for a NaN).  No trial is shorter than the floor
+    ``max(MIN_STEP, 10 * ulp(t))``, scipy's rule, so every accepted step
+    moves t; at twice the floor a failing trial ends the run in ``blowup``
+    at ``t + dt``, and an error that is not a blowup error is raised.
     """
     f = _directed(F, sign)
     y = y.tolist()
@@ -866,12 +868,14 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
             return finish(Event(config.t_max, EventKind.T_MAX))
 
         dt = min(dt_next, config.t_max / 10.0, remaining)
+        # scipy's floor (_ivp/rk.py): a step of at least 10 ulps of t moves t
+        floor = max(MIN_STEP, 10.0 * (math.nextafter(t, math.inf) - t))
         while True:
-            dt = max(dt, MIN_STEP)
+            dt = max(dt, floor)
             try:
                 y_new, e5, e3, stages = _dop_step(f, y, dt, f_cur)
             except Exception as exc:  # a stage left the field's domain
-                if dt <= 2 * MIN_STEP and not isinstance(exc, _BLOWUP_ERRORS):
+                if dt <= 2 * floor and not isinstance(exc, _BLOWUP_ERRORS):
                     raise
                 y_new = [math.nan]
             err_norm, factor = math.nan, 0.25
@@ -885,7 +889,7 @@ def _integrate_adaptive(structure, h, F, sign, y, config) -> Trajectory:
                     STEP_GROW, max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125))
             if err_norm <= 1.0:
                 break
-            if dt <= 2 * MIN_STEP:
+            if dt <= 2 * floor:
                 return finish(Event(t + dt, EventKind.BLOWUP))
             dt *= factor
         dt_next = dt * factor

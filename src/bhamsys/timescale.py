@@ -35,8 +35,9 @@ moves q, p, t or s reads E.
 ``run_rescaled`` and ``run_s_coordinates`` integrate K in the t chart and
 in the s chart from physical time 0 to a horizon T.  Both run
 ``DEFAULT_CONFIG`` unless given a configuration, with ``t_max`` replaced by
-T, and return the integrator's plain ``Trajectory``, whose Hamiltonian
-carries lam and the chart and whose times are physical times.
+T and, on clock s, ``z_epsilon`` set by T (:func:`horizon_config`), and
+return the integrator's plain ``Trajectory``, whose Hamiltonian carries lam
+and the chart and whose times are physical times.
 ``reconstruct_real_time`` projects such a run back to (q(t), dq/dt), which
 ``RealTimeTrajectory.sample`` reads between samples off the run's own
 interpolant (``Trajectory.interpolate``), and is validated against the
@@ -83,6 +84,7 @@ __all__ = [
     "run_rescaled",
     "run_s_coordinates",
     "s_chart_z_epsilon",
+    "horizon_config",
     "reconstruct_real_time",
     "friction_ode_residual",
 ]
@@ -203,19 +205,31 @@ def s_chart_z_epsilon(lam: float, t_target: float) -> float:
     return z_epsilon
 
 
+def horizon_config(lam: float, t_target: float, s_chart: bool,
+                   config: Optional[IntegratorConfig] = None) -> IntegratorConfig:
+    """The configuration of a run of K to physical time ``t_target``:
+    ``config`` (default :data:`DEFAULT_CONFIG`) with ``t_max`` = ``t_target``
+    and, in the s chart, ``z_epsilon`` = :func:`s_chart_z_epsilon`.  Raises
+    ``ValueError`` where that underflows or a fixed step does not fit
+    ``t_target``."""
+    config = replace(config or DEFAULT_CONFIG, t_max=t_target)
+    if s_chart:
+        config = replace(config, z_epsilon=s_chart_z_epsilon(lam, t_target))
+    return config
+
+
 def _run(potential, lam, q0, v0, t_target, config, axis, s_chart) -> Trajectory:
     """The run of K to physical time ``t_target``, in the s chart when
-    ``s_chart``; ``t_target`` replaces the config's ``t_max``."""
+    ``s_chart``, with :func:`horizon_config` of ``config``."""
     if not t_target > 0:
         raise ValueError("t_target must be > 0")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
     initial = rescaled_initial_state(potential, lam, q0, v0, axis=axis)
-    config = replace(config or DEFAULT_CONFIG, t_max=t_target)
+    config = horizon_config(lam, t_target, s_chart, config)
     if s_chart:
         structure, h = to_s_coordinates(structure, h)
         initial = to_s_state(initial, lam)
-        config = replace(config, z_epsilon=s_chart_z_epsilon(lam, t_target))
     traj = integrate(structure, poincare_transform(h), initial, config)
     if traj.terminal_event.kind is not EventKind.T_MAX:
         raise RuntimeError(f"{'s-coordinate' if s_chart else 'rescaled'} run ended early "

@@ -15,6 +15,7 @@ run's tests.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -108,13 +109,15 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
         if remaining <= config.t_max * 1e-14:
             return finish(Event(config.t_max, EventKind.T_MAX))
 
-        dt = min(max(dt_next, MIN_STEP), config.t_max / 10.0, remaining)
+        # scipy's floor on a step, 10 spacings of the doubles at t
+        floor = max(MIN_STEP, 10.0 * float(np.spacing(t)))
+        dt = min(max(dt_next, floor), config.t_max / 10.0, remaining)
         while True:
-            dt = max(dt, MIN_STEP)
+            dt = max(dt, floor)
             try:
                 y_new, e5, e3, K = reference_dop_step(f, y, dt, f_cur)
             except Exception as exc:  # retried as a non-finite trial, but at the floor
-                if dt <= 2 * MIN_STEP and not isinstance(exc, _BLOWUP_ERRORS):
+                if dt <= 2 * floor and not isinstance(exc, _BLOWUP_ERRORS):
                     raise
                 y_new = np.array([np.nan])
             finite = np.all(np.isfinite(y_new))
@@ -122,12 +125,12 @@ def reference_adaptive(structure, h, F, sign, y, config) -> Trajectory:
             if err_norm <= 1.0:
                 break
             # a trial that fails at the floor cannot shrink: the run ends
-            if dt <= 2 * MIN_STEP:
+            if dt <= 2 * floor:
                 return finish(Event(t + dt, EventKind.BLOWUP))
             if finite:
                 dt = dt * max(STEP_SHRINK, STEP_SAFETY * err_norm ** -0.125)
             else:
-                dt = max(0.25 * dt, MIN_STEP)
+                dt = max(0.25 * dt, floor)
         dt_next = dt * (STEP_GROW if err_norm == 0.0 else
                         min(STEP_GROW, STEP_SAFETY * err_norm ** -0.125))
         f_new = K[-1]
@@ -374,6 +377,32 @@ def test_s_reaching_zero_ends_in_blowup(step):
     run = assert_same_as_reference(structure, h, state, config)
     assert run.terminal_event.kind is EventKind.BLOWUP
     assert 0.0 < run.ys[-1, 2] < 0.05 and run.step_lengths[-1] < 2 * MIN_STEP
+
+
+def _wall(t0, k=4e24):
+    """Free motion at unit speed from q = 0, against the wall
+    V = (k/2) max(q - t0, 0)^2 that it meets at t = t0."""
+    def value(q, t):
+        return 0.5 * k * max(float(q[0]) - t0, 0.0) ** 2
+
+    def gradient(q, t):
+        return np.array([k * max(float(q[0]) - t0, 0.0)])
+    return HamiltonianSpec(PotentialSpec("custom", custom_eval=value, custom_grad=gradient))
+
+
+@pytest.mark.parametrize("t0", [1000.0, 40000.0, 1e6])
+def test_a_run_at_the_floor_ends_at_any_time(t0):
+    # the wall rejects every trial that reaches it until the step floor; a
+    # floor of MIN_STEP moves no t past t = 16384, where it is below half the
+    # spacing of the doubles, so a run there accepted its floor steps forever
+    config = IntegratorConfig(method=Method.RK_ADAPTIVE, step=1.0, t_max=t0 + 1.0)
+    start = time.perf_counter()
+    run = integrate(CANONICAL, _wall(t0), PhaseState(0.0, 1.0), config)
+    assert time.perf_counter() - start < 1.0
+    assert run.terminal_event.kind is EventKind.BLOWUP
+    assert run.times[-1] < t0 < run.terminal_event.time < t0 + 1e-9 * t0
+    assert np.all(np.diff(run.times) > 0)
+    assert_same_as_reference(CANONICAL, _wall(t0), PhaseState(0.0, 1.0), config)
 
 
 def test_s_reaching_zero_raises():

@@ -55,28 +55,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="potential.alpha"):
             parse_config(doc, "simulate")
 
-    def test_z_epsilon_warning_for_canonical(self):
-        doc = {
-            "structure": {"kind": "canonical", "dim": 2},
-            "potential": {"family": "linear", "lambda": 1.0},
-            "initial": [[0.0, 1.0]],
-            "integrator": {"z_epsilon": 1e-6},
-        }
-        cfg = parse_config(doc, "simulate")
-        assert any("z_epsilon" in w for w in cfg.warnings)
-
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json", "simulate")
-
-    def test_grid_expansion_order(self):
-        doc = stokes_config()
-        doc["initial"] = {"grid": {"q": {"start": -1.0, "stop": 1.0, "count": 3},
-                                   "p": {"values": [1.0, -1.0]}}}
-        cfg = parse_config(doc, "simulate")
-        assert len(cfg.initials) == 6
-        assert cfg.initials[0].q[0] == -1.0 and cfg.initials[0].p[0] == 1.0
-        assert cfg.initials[1].p[0] == -1.0
 
     def test_custom_family_rejected(self):
         doc = stokes_config()
@@ -142,8 +123,7 @@ class TestPortrait:
         doc = {
             "structure": {"kind": "twisted_b", "dim": 2},
             "potential": {"family": "linear", "lambda": 1.0},
-            "initial": {"grid": {"q": {"start": -4.0, "stop": 6.0, "count": 11},
-                                 "p": {"values": [1.0, -1.0]}}},
+            "initial": [[float(q), p] for q in range(-4, 7) for p in (1.0, -1.0)],
             "integrator": {"step": 0.01, "t_max": 25.0, "z_epsilon": 1e-4},
             "backward": False,
         }
@@ -290,36 +270,6 @@ class TestTimescale:
         code, out = self.run_timescale(tmp_path, "rel", **doc, integrator={"rel_tol": 1e-10})
         assert code == 0
         assert self.csv_files(out) == self.csv_files(bare)
-
-    @pytest.mark.parametrize("clock", ["t", "s"])
-    def test_t_max_in_a_section_is_ignored_with_a_warning(self, tmp_path, clock):
-        doc = dict(self.FALLING, clock=clock, horizon=5.0)
-        section = {"method": "rk4_fixed", "step": 1e-3}
-        code, plain = self.run_timescale(tmp_path, "plain", **doc, integrator=section)
-        assert code == 0
-        code, out = self.run_timescale(tmp_path, "tmax", **doc,
-                                       integrator=dict(section, t_max=0.5, z_epsilon=0.5))
-        assert code == 0
-        assert self.csv_files(out) == self.csv_files(plain)
-        assert json.loads((out / "manifest.json").read_text())["warnings"] == [
-            f"integrator.{key} has no effect on timescale runs and is ignored"
-            for key in ("t_max", "z_epsilon")]
-
-    @pytest.mark.parametrize("clock", ["t", "s"])
-    def test_z_epsilon_in_a_section_is_ignored_with_a_warning(self, tmp_path, clock):
-        doc = dict(self.FALLING, clock=clock, horizon=5.0)
-        section = {"method": "rk4_fixed", "step": 1e-3}
-        code, plain = self.run_timescale(tmp_path, "plain", **doc, integrator=section)
-        assert code == 0
-        code, out = self.run_timescale(tmp_path, "z", **doc,
-                                       integrator=dict(section, z_epsilon=0.5))
-        assert code == 0
-        assert self.csv_files(out) == self.csv_files(plain)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["records"] == json.loads((plain / "manifest.json").read_text())["records"]
-        (warning,) = manifest["warnings"]
-        assert warning.startswith("integrator.z_epsilon has no effect")
-        assert warning.endswith("and is ignored")
 
     def test_horizon_required(self, tmp_path):
         doc = {"potential": {"family": "zero"}, "friction": 1.0,

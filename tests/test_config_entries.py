@@ -8,27 +8,27 @@ standard JSON.  The values that parse but would crash or never end the run
 are configuration errors too: a non-finite number outside the initial
 states, a liftcheck sample on the critical set or of the wrong length, a
 non-integer ``singular_index``, a boolean where an integer belongs
-(``potential.axis``, ``n``, a grid's ``count``, ``structure.dim``), a grid
-range whose ends or span are not finite, a grid of more than
-``MAX_GRID_STATES`` states, a fixed-step run of more than
-``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit the
-horizon, which is the run's ``t_max``, and a clock-s horizon whose
+(``potential.axis``, ``n``, ``structure.dim``), a fixed-step run of more
+than ``MAX_FIXED_STEPS`` steps, a fixed ``timescale`` step that does not fit
+the horizon, which is the run's ``t_max``, and a clock-s horizon whose
 ``z_epsilon`` underflows to 0.  An adaptive step is only a first guess and
-fits any horizon.  A liftcheck document must give its samples, and the keys
+fits any horizon.  A liftcheck document must give its samples.  The keys
 that the command line or the zero level of H settles (``command``,
-``out_dir``, ``timescale``'s ``e0``) are unknown keys.
+``out_dir``, ``timescale``'s ``e0``), a grid spec in place of the list of
+initial states, and the integrator keys that a run cannot read (``t_max``
+and ``z_epsilon`` of ``timescale``, ``z_epsilon`` on a canonical structure)
+are unknown keys.
 """
 
 import copy
 import json
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
 
-from bhamsys.cli import MAX_FIXED_STEPS, MAX_GRID_STATES, ConfigError, main, parse_config
+from bhamsys.cli import MAX_FIXED_STEPS, ConfigError, main, parse_config
 from bhamsys.hamiltonians import PotentialSpec
 from bhamsys.timescale import run_s_coordinates
 
@@ -37,8 +37,6 @@ SIMULATE = {
     "potential": {"family": "linear", "lambda": 1.0},
     "initial": [[0.0, 1.0]],
 }
-GRID = dict(SIMULATE, initial={"grid": {"q": {"start": -1.0, "stop": 1.0, "count": 3},
-                                        "p": {"values": [1.0, -1.0]}}})
 TIMESCALE = {"potential": {"family": "zero"}, "friction": 1.0, "horizon": 1.0,
              "initial": [0.0, 1.0]}
 LIFTCHECK = {"structure": {"kind": "twisted_b", "dim": 4},
@@ -47,11 +45,12 @@ LIFTCHECK = {"structure": {"kind": "twisted_b", "dim": 4},
 
 
 def edit(doc, path, value):
+    """``doc`` with ``value`` at ``path``, a missing section made on the way."""
     doc = copy.deepcopy(doc)
     *keys, last = path
     target = doc
     for key in keys:
-        target = target[key]
+        target = target.setdefault(key, {}) if isinstance(target, dict) else target[key]
     target[last] = value
     return doc
 
@@ -59,9 +58,6 @@ def edit(doc, path, value):
 CASES = [
     ("simulate", SIMULATE, ("initial", 0, 0), "initial[0][0]"),
     ("simulate", SIMULATE, ("initial", 0, 1), "initial[0][1]"),
-    ("portrait", GRID, ("initial", "grid", "q", "start"), "initial.grid.q.start"),
-    ("portrait", GRID, ("initial", "grid", "q", "stop"), "initial.grid.q.stop"),
-    ("portrait", GRID, ("initial", "grid", "p", "values", 1), "initial.grid.p.values[1]"),
     ("timescale", TIMESCALE, ("initial", 1), "initial[1]"),
     ("liftcheck", LIFTCHECK, ("base_points", 0, 1), "base_points[0][1]"),
     ("liftcheck", LIFTCHECK, ("fiber_samples", 1, 0), "fiber_samples[1][0]"),
@@ -150,50 +146,6 @@ def test_non_finite_parameters_name_their_path(command, doc, path, where):
         parse_config(text, command)
 
 
-@pytest.mark.parametrize("start,stop,where", [
-    (-1e308, 1e308, r"initial\.grid\.q: stop - start must be finite"),
-    (1e308, -1e308, r"initial\.grid\.q: stop - start must be finite"),
-    (-math.inf, 1.0, r"initial\.grid\.q\.start must be finite"),
-    (0.0, math.nan, r"initial\.grid\.q\.stop must be finite"),
-], ids=["span-overflows", "negative-span-overflows", "infinite-start", "nan-stop"])
-def test_a_grid_range_must_have_a_finite_span(tmp_path, capsys, start, stop, where):
-    # the ends are finite, yet linspace's step overflows: before, the states
-    # were nan, inf and 1e308, with two numpy RuntimeWarnings
-    doc = edit(edit(GRID, ("initial", "grid", "q", "start"), start),
-               ("initial", "grid", "q", "stop"), stop)
-    with pytest.raises(ConfigError, match=f"^{where}"):
-        parse_config(doc, "portrait")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_main(tmp_path, "portrait", json.dumps(doc)) == 2
-    assert re.search(where, capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("q,p", [
-    ({"start": 0.0, "stop": 1.0, "count": MAX_GRID_STATES + 1}, {"values": [1.0]}),
-    ({"values": [0.0, 1.0]}, {"start": 0.0, "stop": 1.0, "count": MAX_GRID_STATES // 2 + 1}),
-    ({"start": 0.0, "stop": 1.0, "count": 1000},
-     {"start": 0.0, "stop": 1.0, "count": MAX_GRID_STATES // 1000 + 1}),
-], ids=["q-count", "values-times-count", "count-times-count"])
-def test_grids_are_bounded_before_they_are_built(tmp_path, capsys, monkeypatch, q, p):
-    def no_linspace(*args):
-        raise AssertionError("the grid was expanded before its size was checked")
-    monkeypatch.setattr(np, "linspace", no_linspace)
-    doc = dict(SIMULATE, initial={"grid": {"q": q, "p": p}})
-    where = r"^initial\.grid\.q x initial\.grid\.p: \d+ x \d+ states exceed the 100000"
-    with pytest.raises(ConfigError, match=where):
-        parse_config(doc, "portrait")
-    assert run_main(tmp_path, "portrait", json.dumps(doc)) == 2
-    assert "config error: initial.grid.q x initial.grid.p" in capsys.readouterr().err
-    # a grid of MAX_GRID_STATES states passes the check (expanded short here)
-    monkeypatch.setattr(np, "linspace", lambda start, stop, count: [start, stop])
-    doc = dict(SIMULATE, initial={"grid": {"q": {"start": 0.0, "stop": 1.0, "count": 1000},
-                                           "p": {"start": 0.0, "stop": 1.0,
-                                                 "count": MAX_GRID_STATES // 1000}}})
-    assert len(parse_config(doc, "portrait").initials) == 4
-
-
 def test_huge_integer_is_not_a_float_overflow():
     with pytest.raises(ConfigError, match=r"^integrator\.step must be finite$"):
         parse_config(dict(SIMULATE, integrator={"step": 10 ** 400}), "simulate")
@@ -220,7 +172,6 @@ def test_angular_mask_must_be_a_list(tmp_path):
 BOOLEAN_INTEGERS = [
     ("simulate", edit(SIMULATE, ("potential", "axis"), True), "potential.axis"),
     ("timescale", dict(TIMESCALE, n=True), "n"),
-    ("portrait", edit(GRID, ("initial", "grid", "q", "count"), True), "initial.grid.q.count"),
     ("simulate", edit(SIMULATE, ("structure", "dim"), True), "structure.dim"),
 ]
 
@@ -258,7 +209,7 @@ def test_an_adaptive_run_may_be_shorter_than_its_first_step(tmp_path, command):
     assert run_main(tmp_path, command, json.dumps(doc)) == 0
     records = strict_json(tmp_path / "out" / "manifest.json")["records"]
     assert [record["status"] for record in records] == ["ok"]
-    with pytest.raises(ConfigError, match=r"^integrator: step must be smaller than t_max"):
+    with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than t_max"):
         parse_config(dict(SIMULATE, integrator={"t_max": 5e-4}), command)
 
 
@@ -310,42 +261,32 @@ def test_an_overflowing_witness_is_standard_json(tmp_path, capsys):
 
 
 def test_fixed_step_timescale_runs_are_bounded_by_their_horizon(tmp_path, capsys):
-    # t_max allows two steps, but the run replaces it by its horizon 1 and
-    # would take 1e9 steps
-    doc = dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-9, "t_max": 2e-9})
+    # the horizon 1 is the run's t_max, over which a step of 1e-9 takes 1e9 steps
+    doc = dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-9})
     with pytest.raises(ConfigError, match=r"^integrator\.step: .*10000000 fixed steps"):
         parse_config(doc, "timescale")
     for clock in ("t", "s"):
         assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
         assert "config error: integrator.step" in capsys.readouterr().err
     # 1e7 steps fit the bound, 2e7 do not; an adaptive run chooses its own
-    parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-7,
-                                             "t_max": 1e-6}), "timescale")
+    parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 1e-7}), "timescale")
     with pytest.raises(ConfigError, match=r"^integrator\.step"):
-        parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 5e-8,
-                                                 "t_max": 1e-6}), "timescale")
-    parse_config(dict(TIMESCALE, integrator={"method": "rk_adaptive", "step": 1e-9,
-                                             "t_max": 2e-9}), "timescale")
+        parse_config(dict(TIMESCALE, integrator={"method": "rk4_fixed", "step": 5e-8}),
+                     "timescale")
+    parse_config(dict(TIMESCALE, integrator={"method": "rk_adaptive", "step": 1e-9}), "timescale")
 
 
-def test_a_timescale_step_is_not_bounded_by_the_t_max_it_discards(tmp_path):
+@pytest.mark.parametrize("clock", ["t", "s"])
+def test_a_timescale_run_takes_t_max_and_z_epsilon_from_its_horizon(clock):
     # the default t_max 20 / step is 2e8 steps, but the run takes 1e7 over
-    # its horizon, which is the parsed t_max
+    # its horizon, which is its t_max; on clock s z_epsilon is half of
+    # s = exp(-friction * horizon), and clock t keeps the default it never reads
     integrator = {"method": "rk4_fixed", "step": 1e-7}
-    cfg = parse_config(dict(TIMESCALE, integrator=integrator), "timescale")
+    cfg = parse_config(dict(TIMESCALE, clock=clock, integrator=integrator), "timescale")
     assert cfg.integrator.t_max == TIMESCALE["horizon"]
-    with pytest.raises(ConfigError, match=r"^integrator\.t_max: "):
+    assert cfg.integrator.z_epsilon == (math.exp(-1.0) / 2 if clock == "s" else 1e-6)
+    with pytest.raises(ConfigError, match=r"^integrator\.step: "):
         parse_config(dict(SIMULATE, integrator=integrator), "simulate")
-    # a step past t_max that fits the horizon 1 runs; the discarded t_max
-    # is still checked as a number
-    integrator = {"method": "rk4_fixed", "step": 0.5, "t_max": 0.1}
-    for clock in ("t", "s"):
-        doc = dict(TIMESCALE, clock=clock, integrator=integrator)
-        assert run_main(tmp_path, "timescale", json.dumps(doc)) == 0
-    with pytest.raises(ConfigError, match=r"^integrator: step must be smaller than t_max"):
-        parse_config(dict(SIMULATE, integrator=integrator), "simulate")
-    with pytest.raises(ConfigError, match=r"^integrator\.t_max must be > 0"):
-        parse_config(dict(TIMESCALE, integrator=dict(integrator, t_max=-0.1)), "timescale")
 
 
 @pytest.mark.parametrize("clock", ["t", "s"])
@@ -361,8 +302,8 @@ def test_a_timescale_step_past_the_default_t_max_fits_a_longer_horizon(tmp_path,
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rk_adaptive"])
 def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
-    # friction 1, horizon 1: the run's t_max is 1, whatever the section says
-    doc = dict(TIMESCALE, integrator={"method": method, "step": 1.5, "t_max": 2.0})
+    # friction 1, horizon 1: the run's t_max is 1
+    doc = dict(TIMESCALE, integrator={"method": method, "step": 1.5})
     if method == "rk_adaptive":
         # a DOP853 step is only the first guess, which the run clamps to horizon / 10
         clamped = dict(TIMESCALE, integrator={"method": method, "step": 0.1})
@@ -375,8 +316,8 @@ def test_a_timescale_step_must_fit_its_horizon(tmp_path, capsys, method):
                 files.append([(tmp_path / "out" / name).read_bytes() for name in record["files"]])
             assert files[0] == files[1]
         return
-    with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than the "
-                                          r"horizon 1\.0, got 1\.5"):
+    with pytest.raises(ConfigError, match=r"^integrator\.step must be smaller than t_max 1\.0, "
+                                          r"got 1\.5$"):
         parse_config(doc, "timescale")
     for clock in ("t", "s"):
         assert run_main(tmp_path, "timescale", json.dumps(dict(doc, clock=clock))) == 2
@@ -418,26 +359,51 @@ def test_an_overflowing_field_is_never_projectable(tmp_path, capsys, fibers, ver
 
 
 # a small valid document of each command
+ORBIT_COMMANDS = ("simulate", "portrait", "classify", "oracle-compare")
 DOCUMENTS = {command: dict(SIMULATE, integrator={"step": 0.01, "t_max": 1.0})
-             for command in ("simulate", "portrait", "classify", "oracle-compare")}
+             for command in ORBIT_COMMANDS}
 DOCUMENTS.update(timescale=TIMESCALE, liftcheck=LIFTCHECK)
 
 
-REMOVED = ([(command, "command", command) for command in sorted(DOCUMENTS)]
-           + [(command, "out_dir", "elsewhere") for command in sorted(DOCUMENTS)]
-           + [("timescale", "e0", 7.0)])
+CANONICAL = dict(DOCUMENTS["simulate"], structure={"kind": "canonical", "dim": 2})
+GRID_SPEC = {"q": {"start": -4.0, "stop": 6.0, "count": 11}, "p": {"values": [1.0, -1.0]}}
+
+#: (command, document, dotted key, value put at the key)
+REMOVED = ([(command, DOCUMENTS[command], "command", command) for command in sorted(DOCUMENTS)]
+           + [(command, DOCUMENTS[command], "out_dir", "elsewhere")
+              for command in sorted(DOCUMENTS)]
+           + [("timescale", TIMESCALE, "e0", 7.0)]
+           + [(command, dict(SIMULATE, initial={}), "initial.grid", GRID_SPEC)
+              for command in ORBIT_COMMANDS]
+           + [(command, CANONICAL, "integrator.z_epsilon", 1e-4) for command in ORBIT_COMMANDS]
+           + [("timescale", dict(TIMESCALE, clock=clock), f"integrator.{key}", 0.5)
+              for clock in ("t", "s") for key in ("t_max", "z_epsilon")])
 
 
-@pytest.mark.parametrize("command,key,value", REMOVED)
-def test_the_removed_settings_are_unknown_keys(tmp_path, capsys, command, key, value):
-    # the command line names the command and the output directory, and E
-    # starts on the zero level of H
-    doc = dict(DOCUMENTS[command], **{key: value})
-    with pytest.raises(ConfigError, match=f"^unknown key: {key}$"):
+@pytest.mark.parametrize("command,doc,key,value", REMOVED,
+                         ids=[f"{c}-{k}-clock-{d['clock']}" if "clock" in d else f"{c}-{k}"
+                              for c, d, k, _ in REMOVED])
+def test_the_removed_settings_are_unknown_keys(tmp_path, capsys, command, doc, key, value):
+    # the command line names the command and the output directory, E starts
+    # on the zero level of H, a grid is the list of states it expands to, a
+    # timescale horizon sets t_max and z_epsilon, and a canonical structure
+    # has no critical set for z_epsilon to bound
+    doc = edit(doc, key.split("."), value)
+    with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(key)}$"):
         parse_config(doc, command)
     assert run_main(tmp_path, command, json.dumps(doc)) == 2
     assert capsys.readouterr().err == f"config error: unknown key: {key}\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
+
+
+@pytest.mark.parametrize("initial", [{}, [], 1.0, "states"],
+                         ids=["mapping", "empty", "number", "string"])
+def test_initial_is_a_nonempty_list_of_states(tmp_path, initial):
+    doc = dict(SIMULATE, initial=initial)
+    with pytest.raises(ConfigError, match="^initial must be a nonempty list of states$"):
+        parse_config(doc, "simulate")
+    assert run_main(tmp_path, "simulate", json.dumps(doc)) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(DOCUMENTS))

@@ -41,8 +41,7 @@ def _point(n):
 
 @st.composite
 def fixed_integrator(draw):
-    """A fixed-step section of at most MAX_STEPS steps over ``t_max``, which
-    a ``timescale`` run ignores for its horizon."""
+    """A fixed-step section of at most MAX_STEPS steps over ``t_max``."""
     t_max = draw(st.sampled_from([1e-300, 0.5, 2.0, 10.0, 1e300]))
     section = {"method": "rk4_fixed", "step": t_max / draw(st.integers(2, MAX_STEPS)),
                "t_max": t_max}
@@ -78,6 +77,8 @@ def orbit_document(draw, command):
     if command == "oracle-compare":
         section, n = {"kind": draw(st.sampled_from(["canonical", "twisted_b"])), "dim": 2}, 1
     integrator, _ = draw(fixed_integrator())
+    if section["kind"] == "canonical":  # which has no critical set for z_epsilon
+        integrator.pop("z_epsilon", None)
     families = ("linear", "pure_quadratic") if command == "oracle-compare" else FAMILIES
     doc = {"structure": section, "potential": draw(potential(families)),
            "initial": draw(st.lists(_point(2 * n), min_size=1, max_size=3)),
@@ -91,6 +92,8 @@ def orbit_document(draw, command):
 def timescale_document(draw):
     n = draw(st.sampled_from([1, 2]))
     integrator, horizon = draw(fixed_integrator())
+    del integrator["t_max"]  # the horizon sets t_max and z_epsilon
+    integrator.pop("z_epsilon", None)
     return {"potential": draw(potential()), "friction": draw(positive),
             "clock": draw(st.sampled_from(["t", "s"])), "horizon": horizon,
             "initial": draw(_point(2 * n)), "n": n, "integrator": integrator}

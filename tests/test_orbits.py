@@ -1,10 +1,12 @@
 """Orbit classification, portraits, and singular periodic orbit assembly."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from bhamsys.cli import main
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind
 from bhamsys.hamiltonians import HamiltonianSpec, PotentialSpec
 from bhamsys.integrate import EventKind, IntegratorConfig, integrate, merge_backward_forward
@@ -79,6 +81,25 @@ class TestClassify:
         assert cls.kind is OrbitKind.PERIODIC
         assert cls.period == pytest.approx(2 * math.pi / math.sqrt(4 * energy**2 - lam**2),
                                            rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="the first return misses RETURN_BALL, and a "
+                       "later crossing lands in it: the period reported is 7 times the "
+                       "true one")
+    def test_classify_reports_one_period_at_a_first_step_of_1e_2(self, tmp_path):
+        """Through the CLI, at tol 1e-6 and a first step of 1e-2, a rotation
+        of the twisted pendulum (lam = 4) is periodic with one period."""
+        doc = {"structure": {"kind": "twisted_b", "dim": 2, "angular_mask": [True]},
+               "potential": {"family": "periodic", "lambda": 4.0},
+               "initial": [[0.3116063297162208, -1.6786950726183505]],
+               "integrator": {"method": "rk_adaptive", "step": 0.01, "rel_tol": 1e-6,
+                              "abs_tol": 1e-6, "t_max": 15, "z_epsilon": 1e-4}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        (record,) = json.loads((tmp_path / "out" / "classifications.json").read_text())
+        assert record["classification"]["kind"] == "periodic"
+        assert record["classification"]["period"] == pytest.approx(1.189627199093253,
+                                                                   rel=1e-6)
 
     def test_classical_oscillator_is_periodic(self):
         h = HamiltonianSpec(PotentialSpec("pure_quadratic", lam=2.0))

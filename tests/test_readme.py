@@ -35,10 +35,8 @@ def test_the_python_examples_run_in_order(capsys):
 
 
 def test_the_configuration_examples_parse():
-    simulate, grid, timescale = map(json.loads, blocks("json"))
+    simulate, timescale = map(json.loads, blocks("json"))
     cfg = parse_config(simulate, "simulate")
     assert cfg.structure.n == 1
-    cfg = parse_config({**simulate, **grid}, "portrait")
-    assert len(cfg.initials) == 22
     cfg = parse_config(timescale, "timescale")
     assert (cfg.friction, cfg.clock, cfg.horizon) == (0.2, "t", 10.0)

@@ -123,7 +123,7 @@ def test_the_manifest_holds_no_seed(tmp_path):
     code, out = run_main(tmp_path, "simulate", STOKES)
     assert code == 0
     assert set(read(out, "manifest.json")) == {"command", "config_sha256", "version",
-                                               "warnings", "records"}
+                                               "records"}
 
 
 def test_there_is_no_seed_flag(tmp_path, capsys):

@@ -14,7 +14,7 @@ from bhamsys.integrate import (MIN_STEP, IntegratorConfig, Event, EventKind,
                                integrate)
 from bhamsys.oracles import damped_newton_reference
 from bhamsys.timescale import (DEFAULT_CONFIG, build_rescaled_extended, friction_ode_residual,
-                               poincare_transform, reconstruct_real_time,
+                               horizon_config, poincare_transform, reconstruct_real_time,
                                rescaled_initial_state, run_rescaled, run_s_coordinates,
                                to_s_coordinates, to_s_state)
 
@@ -274,3 +274,36 @@ class TestPhysicalClock:
     def test_only_rescaled_and_s_hamiltonians_have_a_transform(self):
         with pytest.raises(ValueError, match="expected a rescaled"):
             poincare_transform(HamiltonianSpec(ZERO))
+
+
+class TestHorizonConfig:
+    """One function sets the t_max and z_epsilon of a run to a horizon."""
+
+    @pytest.mark.parametrize("s_chart", [False, True], ids=["clock-t", "clock-s"])
+    def test_t_max_is_the_horizon_and_z_epsilon_is_set_on_clock_s(self, s_chart):
+        config = horizon_config(0.5, 8.0, s_chart)
+        z_epsilon = math.exp(-4.0) / 2 if s_chart else DEFAULT_CONFIG.z_epsilon
+        assert config == replace(DEFAULT_CONFIG, t_max=8.0, z_epsilon=z_epsilon)
+        # the rule is idempotent: a run given its own configuration keeps it
+        assert horizon_config(0.5, 8.0, s_chart, config) == config
+
+    @pytest.mark.parametrize("s_chart", [False, True], ids=["clock-t", "clock-s"])
+    def test_the_runners_run_the_horizon_config(self, s_chart):
+        runner = run_s_coordinates if s_chart else run_rescaled
+        # the runner replaces the given t_max, and on clock s the given z_epsilon
+        given = IntegratorConfig(method="rk4_fixed", step=0.01, t_max=0.5, z_epsilon=0.5)
+        traj = runner(OSC, 1.0, 1.0, 0.0, 2.0, config=given)
+        assert traj.terminal_event == Event(2.0, EventKind.T_MAX)
+        same = runner(OSC, 1.0, 1.0, 0.0, 2.0, config=horizon_config(1.0, 2.0, s_chart, given))
+        assert traj.times.tobytes() == same.times.tobytes()
+        assert traj.ys.tobytes() == same.ys.tobytes()
+
+    def test_a_clock_s_horizon_whose_z_epsilon_underflows_is_refused(self):
+        with pytest.raises(ValueError, match="at most about 744"):
+            horizon_config(1.0, 800.0, True)
+        assert horizon_config(1.0, 800.0, False).t_max == 800.0
+
+    def test_a_fixed_step_must_be_smaller_than_the_horizon(self):
+        config = IntegratorConfig(method="rk4_fixed", step=1.5, t_max=2.0)
+        with pytest.raises(ValueError, match=r"^step must be smaller than t_max 1\.0, got 1\.5$"):
+            horizon_config(1.0, 1.0, False, config)
