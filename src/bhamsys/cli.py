@@ -197,18 +197,17 @@ def _build_structure(section) -> PhaseStructure:
 def _build_potential(section, n: int) -> tuple:
     """The potential and its axis, which must be below ``n``."""
     section = _require_mapping(section, "potential")
-    _reject_unknown(section, _POTENTIAL_KEYS, "potential")
     family = section.get("family")
+    # V = 0 reads no lambda
+    keys = _POTENTIAL_KEYS - {"lambda"} if family == PotentialFamily.ZERO else _POTENTIAL_KEYS
+    _reject_unknown(section, keys, "potential")
     try:
         family = PotentialFamily(family)
     except ValueError:
         raise ConfigError(
             f"potential.family must be one of {[f.value for f in PotentialFamily]}, got {family!r}")
-    if family is PotentialFamily.CUSTOM:
-        raise ConfigError("potential.family: custom potentials are library-only, "
-                          "not addressable from a JSON config")
     lam = _number(section, "lambda", "potential", 1.0)
-    if family is not PotentialFamily.ZERO and not lam > 0:
+    if not lam > 0:
         raise ConfigError("potential.lambda must be > 0")
     alpha = _number(section, "alpha", "potential", 0.0)
     if alpha != 0.0 and family is not PotentialFamily.GENERAL_QUADRATIC:

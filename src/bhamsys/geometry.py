@@ -281,21 +281,21 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
     That the structure and the Hamiltonian fit together (the conjugate pair
     an extended Hamiltonian carries) is checked here, once, not on every
-    evaluation.  For a :class:`~bhamsys.hamiltonians.HamiltonianSpec` with a
-    named potential family, the gradient is computed on the flat states
-    directly: as array expressions for the plain variant (the swap is one
-    ``take``, and the force -dV/dx carries its sign in the family constant,
-    so it needs no negation), and row by row for the four extended variants,
+    evaluation.  For a :class:`~bhamsys.hamiltonians.HamiltonianSpec`, the
+    gradient is computed on the flat states directly: as array expressions
+    for the plain variant (the swap is one ``take``, and the force -dV/dx
+    carries its sign in the family constant, so it needs no negation), and
+    row by row for the four extended variants,
     whose one closed form (``hamiltonians._extended_terms``) gives the force
     and the other partials that this kernel puts in place:
     ``(dH/dp, -dH/dq, -dH/dE, dH/dt)`` on ``(t, E)`` and
     ``(dH/dp, -dH/dq, (s/c) dH/dE_s, -(s/c) dH/ds)`` on ``(s, E_s)``; these
     raise what ``h.gradient`` raises, an ``OverflowError`` past
     ``lam*t > 700`` and a ``ValueError`` at ``s <= 0``.  Any other ``h``
-    (custom potentials, duck-typed objects exposing ``gradient(state)``) is
-    evaluated row by row through ``h.gradient`` and raises whatever that
-    raises.  Rows never mix, so a row's velocity is the same, to the bit, in
-    any batch.  ``F(Y, errors)`` with a dict ``errors`` isolates a row that
+    (the log-momentum generator, duck-typed objects exposing
+    ``gradient(state)``) is evaluated row by row through ``h.gradient`` and
+    raises whatever that raises.  Rows never mix, so a row's velocity is
+    the same, to the bit, in any batch.  ``F(Y, errors)`` with a dict ``errors`` isolates a row that
     raises: it gets NaN velocities and its first exception is kept in
     ``errors`` under its row number (:func:`_each`).  The plain kernel
     ignores ``errors``: under ``np.errstate(all="ignore")`` it cannot raise.
@@ -309,8 +309,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
     every other kernel wraps ``F`` in ``np.array`` and ``tolist``.
     """
     # hamiltonians imports this module, so its names are looked up here
-    from .hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily,
-                               _extended_terms, _family_slope)
+    from .hamiltonians import ExtendedKind, HamiltonianSpec, _extended_terms, _family_slope
 
     role = getattr(h, "extra_role", None)
     if structure.kind is StructureKind.EXTENDED_CANONICAL and role not in (None, "t_energy"):
@@ -344,8 +343,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
             pair *= sigma
         return out
 
-    named = (isinstance(h, HamiltonianSpec) and h.potential.family is not PotentialFamily.CUSTOM
-             and h.n == n)
+    named = isinstance(h, HamiltonianSpec) and h.n == n
     if named and h.extended is ExtendedKind.NONE and not ext:
         force, axis = _family_slope(h.potential, -1.0, np.asarray), h.axis  # -dV/dx
         swap = np.array([*range(n, 2 * n), *range(n)])

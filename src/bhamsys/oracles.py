@@ -137,8 +137,8 @@ def damped_newton_reference(potential: PotentialSpec, lam: float, q0, v0,
     if q.shape != v.shape:
         raise ValueError("q0 and v0 must have the same shape")
 
-    def accel(qv, vv, tv):
-        return -lam * vv - potential_gradient(potential, qv, tv, axis)
+    def accel(qv, vv):
+        return -lam * vv - potential_gradient(potential, qv, axis)
 
     k = t_grid.size
     qs = np.empty((k, q.size))
@@ -151,16 +151,15 @@ def damped_newton_reference(potential: PotentialSpec, lam: float, q0, v0,
         m = max(1, int(math.ceil(span / step - 1e-12)))
         h = span / m
         for _ in range(m):
-            k1q, k1v = v, accel(q, v, t)
+            k1q, k1v = v, accel(q, v)
             k2q = v + 0.5 * h * k1v
-            k2v = accel(q + 0.5 * h * k1q, k2q, t + 0.5 * h)
+            k2v = accel(q + 0.5 * h * k1q, k2q)
             k3q = v + 0.5 * h * k2v
-            k3v = accel(q + 0.5 * h * k2q, k3q, t + 0.5 * h)
+            k3v = accel(q + 0.5 * h * k2q, k3q)
             k4q = v + h * k3v
-            k4v = accel(q + h * k3q, k4q, t + h)
+            k4v = accel(q + h * k3q, k4q)
             q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            t += h
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v))):
             raise FloatingPointError("damped Newton reference blew up")
         t = float(t_grid[j])

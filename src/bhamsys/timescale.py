@@ -184,7 +184,7 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     with np.errstate(over="ignore"):  # an overflow is reported below
         p0 = v0 * math.exp(lam * t0) / lam
-        v_pot = potential_value(potential, q0, t0, axis)
+        v_pot = potential_value(potential, q0, axis)
         e0 = (lam * math.exp(-lam * t0) * 0.5 * float(np.dot(p0, p0))
               + math.exp(lam * t0) * v_pot / lam)
     if not (np.all(np.isfinite(p0)) and math.isfinite(e0)):
@@ -313,5 +313,5 @@ def friction_ode_residual(rt: RealTimeTrajectory, dt: float = 0.01) -> float:
     qd = (q[2:] - q[:-2]) / (2 * dt)
     grad = np.empty_like(q[1:-1])
     for i in range(1, ts.size - 1):
-        grad[i - 1] = potential_gradient(h.potential, q[i], ts[i], h.axis)
+        grad[i - 1] = potential_gradient(h.potential, q[i], h.axis)
     return float(np.max(np.abs(qdd + h.friction * qd + grad)))

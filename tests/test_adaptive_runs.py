@@ -211,8 +211,14 @@ class RowByRow:
         return self.h.gradient(state)
 
 
-def _custom(q, t):
-    return float(0.3 * q[0] ** 3 - 0.5 * math.sin(t) * q[-1])
+class Cubic:
+    """Duck-typed H = p^2/2 + 0.3 q^3, through its gradient alone."""
+
+    extra_role = None
+
+    def gradient(self, state):
+        q, p = state.q[0], state.p[0]
+        return np.array([0.9 * q * q, p])
 
 
 RUNS = {
@@ -237,8 +243,7 @@ RUNS = {
     "canonical_n2": (PhaseStructure(StructureKind.CANONICAL, dim=4),
                      HamiltonianSpec(PotentialSpec("periodic", lam=1.0), n=2, axis=0),
                      PhaseState([0.4, -0.2], [0.3, 0.6]), dict(t_max=7.0)),
-    "custom_potential": (PhaseStructure(StructureKind.TWISTED_B),
-                         HamiltonianSpec(PotentialSpec("custom", custom_eval=_custom)),
+    "custom_potential": (PhaseStructure(StructureKind.TWISTED_B), Cubic(),
                          PhaseState(0.2, 0.8), dict(t_max=4.0)),
     "duck_typed": (PhaseStructure(StructureKind.TWISTED_B, dim=4),
                    RowByRow(HamiltonianSpec(PotentialSpec("general_quadratic", lam=1.2,
@@ -262,8 +267,7 @@ def test_runs_equal_the_reference(name, direction):
 def _extended_case(clock, family, n):
     """The rescaled system (clock t) or its s-coordinates (clock s), with
     its initial state for (q0, v0) = (0.4, -0.3) on every axis."""
-    potential = (PotentialSpec("custom", custom_eval=_custom) if family == "custom"
-                 else PotentialSpec(family, **FAMILIES[family]))
+    potential = PotentialSpec(family, **FAMILIES[family])
     lam = 0.8
     structure, h = build_rescaled_extended(potential, lam, n=n, axis=n - 1)
     q0, p0 = [0.4] * n, [-0.3 / lam] * n
@@ -276,7 +280,7 @@ def _extended_case(clock, family, n):
 
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("family", sorted(FAMILIES) + ["custom"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("clock", ["t", "s"])
 def test_extended_runs_equal_the_reference(clock, family, n, direction):
     structure, h, state = _extended_case(clock, family, n)
@@ -382,12 +386,7 @@ def test_s_reaching_zero_ends_in_blowup(step):
 def _wall(t0, k=4e24):
     """Free motion at unit speed from q = 0, against the wall
     V = (k/2) max(q - t0, 0)^2 that it meets at t = t0."""
-    def value(q, t):
-        return 0.5 * k * max(float(q[0]) - t0, 0.0) ** 2
-
-    def gradient(q, t):
-        return np.array([k * max(float(q[0]) - t0, 0.0)])
-    return HamiltonianSpec(PotentialSpec("custom", custom_eval=value, custom_grad=gradient))
+    return Canonical(lambda q, p: (p, -(k * max(float(q) - t0, 0.0))))
 
 
 @pytest.mark.parametrize("t0", [1000.0, 40000.0, 1e6])

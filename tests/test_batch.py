@@ -457,14 +457,20 @@ def test_fixed_point_reached_mid_run():
     assert [r.terminal_event.kind for r in runs[1:]] == [EventKind.REACHED_Z, EventKind.BLOWUP]
 
 
-def refuses_below(bound):
-    """dV/dq of V = q/2, refused (``ValueError``) below ``q = -bound`` and
-    on a non-finite q."""
-    def slope(q, t):
-        if not -bound <= q[0] < math.inf:
+class RefusesBelow:
+    """H = p^2/2 + q/2 through its gradient alone, refused (``ValueError``)
+    below ``q = -bound`` and on a non-finite q."""
+
+    extra_role = None
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def gradient(self, state):
+        q, p = state.q[0], state.p[0]
+        if not -self.bound <= q < math.inf:
             raise ValueError("refused")
-        return [0.5]
-    return slope
+        return np.array([0.5, p])
 
 
 def count_rows_alone(monkeypatch):
@@ -490,8 +496,7 @@ def test_rows_that_end_inside_a_block_equal_one_row_runs(monkeypatch):
     kernel, so no row is evaluated alone."""
     alone = count_rows_alone(monkeypatch)
     structure = PhaseStructure(StructureKind.TWISTED_B)
-    h = HamiltonianSpec(PotentialSpec("custom", custom_eval=lambda q, t: 0.5 * q[0],
-                                      custom_grad=refuses_below(5.0)))
+    h = RefusesBelow(5.0)
     # p decays as exp(-t/2) forward and q grows by p^2; backward, q falls
     config = IntegratorConfig(step=0.05, t_max=10.0, z_epsilon=0.05, fp_epsilon=1e-4,
                               blowup_bound=1e3)

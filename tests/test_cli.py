@@ -62,7 +62,7 @@ class TestParseConfig:
     def test_custom_family_rejected(self):
         doc = stokes_config()
         doc["potential"]["family"] = "custom"
-        with pytest.raises(ConfigError, match="custom"):
+        with pytest.raises(ConfigError, match="^potential.family must be one of .*, got 'custom'$"):
             parse_config(doc, "simulate")
 
 

@@ -377,7 +377,10 @@ REMOVED = ([(command, DOCUMENTS[command], "command", command) for command in sor
               for command in ORBIT_COMMANDS]
            + [(command, CANONICAL, "integrator.z_epsilon", 1e-4) for command in ORBIT_COMMANDS]
            + [("timescale", dict(TIMESCALE, clock=clock), f"integrator.{key}", 0.5)
-              for clock in ("t", "s") for key in ("t_max", "z_epsilon")])
+              for clock in ("t", "s") for key in ("t_max", "z_epsilon")]
+           + [("simulate", edit(SIMULATE, ["potential"], {"family": "zero"}),
+               "potential.lambda", 3.0),
+              ("timescale", TIMESCALE, "potential.lambda", 2.0)])
 
 
 @pytest.mark.parametrize("command,doc,key,value", REMOVED,
@@ -387,7 +390,7 @@ def test_the_removed_settings_are_unknown_keys(tmp_path, capsys, command, doc, k
     # the command line names the command and the output directory, E starts
     # on the zero level of H, a grid is the list of states it expands to, a
     # timescale horizon sets t_max and z_epsilon, and a canonical structure
-    # has no critical set for z_epsilon to bound
+    # has no critical set for z_epsilon to bound, and V = 0 reads no lambda
     doc = edit(doc, key.split("."), value)
     with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(key)}$"):
         parse_config(doc, command)

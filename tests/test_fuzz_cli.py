@@ -66,9 +66,12 @@ def structure(draw):
 FAMILIES = ("zero", "linear", "pure_quadratic", "general_quadratic", "periodic")
 
 
-def potential(families=FAMILIES):
-    return st.fixed_dictionaries({"family": st.sampled_from(families)},
-                                 optional={"lambda": positive})
+@st.composite
+def potential(draw, families=FAMILIES):
+    section = {"family": draw(st.sampled_from(families))}
+    if section["family"] != "zero" and draw(st.booleans()):  # V = 0 reads no lambda
+        section["lambda"] = draw(positive)
+    return section
 
 
 @st.composite

@@ -41,12 +41,6 @@ class TestSpecValidation:
             PotentialSpec("linear", lam=1.0, alpha=0.5)
         PotentialSpec("general_quadratic", lam=1.0, alpha=0.5)
 
-    def test_custom_requires_callable(self):
-        with pytest.raises(ValueError):
-            PotentialSpec("custom")
-        with pytest.raises(ValueError):
-            PotentialSpec("linear", lam=1.0, custom_eval=lambda q, t: 0.0)
-
     def test_extended_requires_friction(self):
         pot = PotentialSpec("zero")
         with pytest.raises(ValueError):
@@ -152,19 +146,6 @@ class TestGradient:
             npt.assert_allclose(h.gradient(state), fd_gradient(h, state),
                                 rtol=1e-5, atol=1e-5)
 
-    def test_custom_without_gradient_uses_central_differences(self):
-        pot = PotentialSpec("custom", custom_eval=lambda q, t: float(q[0] ** 3 + t * q[0]))
-        h = HamiltonianSpec(pot)
-        state = PhaseState(1.2, 0.0)
-        npt.assert_allclose(h.gradient(state)[0], 3 * 1.2**2, rtol=1e-7)
-
-    def test_custom_analytic_gradient_is_used(self):
-        pot = PotentialSpec("custom",
-                            custom_eval=lambda q, t: float(q[0] ** 2),
-                            custom_grad=lambda q, t: np.array([2.0 * q[0]]))
-        h = HamiltonianSpec(pot)
-        assert h.gradient(PhaseState(3.0, 0.0))[0] == 6.0
-
     def test_multidimensional_axis_selection(self):
         # potential acts on q2 only; q1 direction is free
         h = HamiltonianSpec(PotentialSpec("linear", lam=2.0), n=2, axis=1)
@@ -210,6 +191,10 @@ class TestFriction:
             HamiltonianSpec(PotentialSpec("linear", lam=1.0), extended=extended,
                             friction=friction)
 
+    def test_the_plain_variant_refuses_a_friction(self):
+        with pytest.raises(ValueError, match="friction is only meaningful for the extended variants"):
+            HamiltonianSpec(PotentialSpec("linear", lam=1.0), friction=1.0)
+
 
 class TestLogMomentumHamiltonian:
     def test_value_and_gradient(self):
@@ -236,7 +221,7 @@ def test_potential_helpers_agree_with_spec_objects():
     npt.assert_array_equal(potential_gradient(pot, q), h.gradient(PhaseState(1.1, 0.0))[:1])
 
 
-@pytest.mark.parametrize("family", ["zero", "linear", "pure_quadratic", "periodic", "custom"])
+@pytest.mark.parametrize("family", ["zero", "linear", "pure_quadratic", "periodic"])
 def test_s_chart_partials_on_floats_equal_those_on_numpy_scalars(family):
     """The partials of both s-chart variants do not depend on whether s
     arrives as a Python float or a numpy scalar.  The s-coordinate H always
@@ -244,11 +229,7 @@ def test_s_chart_partials_on_floats_equal_those_on_numpy_scalars(family):
     switches to a numpy scalar only where lam s^2 underflows to zero.  Over
     s from subnormal to 1e300, the powers of s underflowed, subnormal or
     overflowed included, both inputs give the same bits."""
-    if family == "custom":
-        potential = PotentialSpec("custom", custom_eval=lambda q, t: q[0] ** 2 * (1.0 + 0.1 * t),
-                                  custom_grad=lambda q, t: [2.0 * q[0] * (1.0 + 0.1 * t)])
-    else:
-        potential = PotentialSpec(family, lam=1.7)
+    potential = PotentialSpec(family, lam=1.7)
     rng = np.random.default_rng(17)
     exponents = np.concatenate([rng.uniform(-323.0, 300.0, 400), rng.uniform(-110.0, -100.0, 100),
                                 rng.uniform(-165.0, -150.0, 100), rng.uniform(100.0, 160.0, 100)])

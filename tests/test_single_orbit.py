@@ -18,8 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import (EXP_GUARD, ExtendedKind, HamiltonianSpec, PotentialSpec,
-                                  potential_gradient, potential_time_derivative,
-                                  potential_value)
+                                  potential_gradient, potential_value)
 from bhamsys.integrate import (_DOP_A, _DOP_E3, _DOP_E5, EventKind, IntegratorConfig, Method,
                                _dop_step, integrate)
 from bhamsys.timescale import (build_rescaled_extended, rescaled_initial_state, run_rescaled,
@@ -48,20 +47,17 @@ def scalar_gradient(h, state):
             raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
         elt = math.exp(lam * t)
         e2lt = elt * elt
-        v = potential_value(pot, state.q, t, axis)
-        v_t = potential_time_derivative(pot, state.q, t, axis)
-        out[:n] = e2lt / lam**2 * potential_gradient(pot, state.q, t, axis)
-        out[2 * n] = 2 * e2lt / lam * v + e2lt / lam**2 * v_t - elt * e
+        v = potential_value(pot, state.q, axis)
+        out[:n] = e2lt / lam**2 * potential_gradient(pot, state.q, axis)
+        out[2 * n] = 2 * e2lt / lam * v - elt * e
         out[2 * n + 1] = -elt / lam
         return out
     s, e_s = state.extra
     if s <= 0.0:
         raise ValueError("Hamiltonian singular at s=0")
-    t = -math.log(s) / lam
-    v = potential_value(pot, state.q, t, axis)
-    v_t = potential_time_derivative(pot, state.q, t, axis)
-    out[:n] = potential_gradient(pot, state.q, t, axis) / (lam * s) ** 2
-    out[2 * n] = -v_t / (lam**3 * s**3) - 2 * v / (lam**2 * s**3) + e_s / s**2
+    v = potential_value(pot, state.q, axis)
+    out[:n] = potential_gradient(pot, state.q, axis) / (lam * s) ** 2
+    out[2 * n] = -2 * v / (lam**2 * s**3) + e_s / s**2
     out[2 * n + 1] = -1.0 / s
     return out
 

@@ -24,7 +24,7 @@ from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec, PotentialFamily
 
 sp = pytest.importorskip("sympy")
 
-FAMILIES = [f for f in PotentialFamily if f is not PotentialFamily.CUSTOM]
+FAMILIES = list(PotentialFamily)
 VARIANTS = list(ExtendedKind)
 S_VARIANTS = (ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S)
 REL = 1e-12
