@@ -9,7 +9,7 @@ import pytest
 
 from bhamsys.geometry import PhaseState, PhaseStructure, StructureKind, compile_field
 from bhamsys.hamiltonians import (ExtendedKind, HamiltonianSpec,
-                                  LogMomentumHamiltonian, PotentialSpec,
+                                  LogMomentumHamiltonian, PotentialFamily, PotentialSpec,
                                   _extended_terms, potential_gradient, potential_value)
 
 
@@ -40,6 +40,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PotentialSpec("linear", lam=1.0, alpha=0.5)
         PotentialSpec("general_quadratic", lam=1.0, alpha=0.5)
+
+    def test_only_the_named_families_are_potentials(self):
+        assert sorted(f.value for f in PotentialFamily) == [
+            "general_quadratic", "linear", "periodic", "pure_quadratic", "zero"]
+        with pytest.raises(ValueError):
+            PotentialSpec("custom")
 
     def test_extended_requires_friction(self):
         pot = PotentialSpec("zero")
@@ -221,7 +227,7 @@ def test_potential_helpers_agree_with_spec_objects():
     npt.assert_array_equal(potential_gradient(pot, q), h.gradient(PhaseState(1.1, 0.0))[:1])
 
 
-@pytest.mark.parametrize("family", ["zero", "linear", "pure_quadratic", "periodic"])
+@pytest.mark.parametrize("family", [f.value for f in PotentialFamily])
 def test_s_chart_partials_on_floats_equal_those_on_numpy_scalars(family):
     """The partials of both s-chart variants do not depend on whether s
     arrives as a Python float or a numpy scalar.  The s-coordinate H always
