@@ -63,7 +63,6 @@ logger = logging.getLogger("bhamsys")
 MAX_FIXED_STEPS = 10**7
 
 _STRUCTURE_KEYS = {"kind", "dim", "modular_weight", "singular_index", "angular_mask"}
-_POTENTIAL_KEYS = {"family", "lambda", "alpha", "axis"}
 #: ``method``, then the numeric settings, in field order
 _INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig))
 #: the top-level keys of a command that integrates a list of initial states
@@ -82,7 +81,6 @@ class RunConfig:
     structure: Optional[PhaseStructure] = None
     hamiltonian: Optional[HamiltonianSpec] = None  # for a toric liftcheck, its generator
     potential: Optional[PotentialSpec] = None
-    axis: int = 0
     initials: list = field(default_factory=list)
     integrator: Optional[IntegratorConfig] = None
     backward: bool = True
@@ -194,12 +192,16 @@ def _build_structure(section) -> PhaseStructure:
     return structure
 
 
-def _build_potential(section, n: int) -> tuple:
-    """The potential and its axis, which must be below ``n``."""
+def _build_potential(section, n: int) -> PotentialSpec:
+    """The potential, whose axis must be below ``n``; its section holds only
+    the keys its family reads."""
     section = _require_mapping(section, "potential")
     family = section.get("family")
-    # V = 0 reads no lambda
-    keys = _POTENTIAL_KEYS - {"lambda"} if family == PotentialFamily.ZERO else _POTENTIAL_KEYS
+    keys = {"family", "axis"}
+    if family != PotentialFamily.ZERO:  # V = 0 reads no lambda
+        keys.add("lambda")
+    if family == PotentialFamily.GENERAL_QUADRATIC:  # the one family that reads alpha
+        keys.add("alpha")
     _reject_unknown(section, keys, "potential")
     try:
         family = PotentialFamily(family)
@@ -210,23 +212,25 @@ def _build_potential(section, n: int) -> tuple:
     if not lam > 0:
         raise ConfigError("potential.lambda must be > 0")
     alpha = _number(section, "alpha", "potential", 0.0)
-    if alpha != 0.0 and family is not PotentialFamily.GENERAL_QUADRATIC:
-        raise ConfigError("potential.alpha is only valid for family general_quadratic")
     axis = section.get("axis", 0)
     if not _is_int(axis) or axis < 0:
         raise ConfigError("potential.axis must be a nonnegative integer")
     if axis >= n:
         raise ConfigError(f"potential.axis {axis} out of range for n={n}")
-    return PotentialSpec(family=family, lam=lam, alpha=alpha), axis
+    return PotentialSpec(family=family, lam=lam, alpha=alpha, axis=axis)
 
 
 def _build_integrator(section, keys, base=IntegratorConfig()) -> IntegratorConfig:
     """``base`` with the keys of ``section``, which may hold only ``keys``,
-    replaced.  A fixed step must be smaller than ``t_max`` and take at most
-    MAX_FIXED_STEPS steps over it; an adaptive run chooses its own."""
+    replaced; a fixed-step run, by the section's ``method`` or the base's,
+    reads no ``rel_tol`` or ``abs_tol``.  A fixed step must be smaller than
+    ``t_max`` and take at most MAX_FIXED_STEPS steps over it; an adaptive
+    run chooses its own."""
     if section is None:
         return base
     section = _require_mapping(section, "integrator")
+    if section.get("method", base.method) == Method.RK4_FIXED:
+        keys = keys - {"rel_tol", "abs_tol"}
     _reject_unknown(section, keys, "integrator")
     kwargs = {}
     if "method" in section:
@@ -292,9 +296,8 @@ def _parse_orbits(document, cfg: RunConfig) -> RunConfig:
     """The sections of a command that integrates a list of initial states."""
     structure, potential = _section(document, "structure"), _section(document, "potential")
     cfg.structure = _build_structure(structure)
-    cfg.potential, cfg.axis = _build_potential(potential, cfg.structure.n)
-    cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=cfg.structure.n,
-                                      axis=cfg.axis)
+    cfg.potential = _build_potential(potential, cfg.structure.n)
+    cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=cfg.structure.n)
     cfg.initials = _build_initials(_section(document, "initial"), cfg.structure.n)
     keys = set(_INTEGRATOR_KEYS)
     if not cfg.structure.is_singular:  # no critical set for z_epsilon to bound
@@ -317,7 +320,7 @@ def _parse_timescale(document, cfg: RunConfig) -> RunConfig:
     n = document.get("n", 1)
     if not _is_int(n) or n < 1:
         raise ConfigError("n must be a positive integer")
-    cfg.potential, cfg.axis = _build_potential(potential, n)
+    cfg.potential = _build_potential(potential, n)
     cfg.friction = _number(document, "friction", "config", None, positive=True)
     if cfg.friction is None:
         raise ConfigError("friction must be a positive number")
@@ -352,8 +355,8 @@ def _parse_liftcheck(document, cfg: RunConfig) -> RunConfig:
     if has_potential == has_toric:
         raise ConfigError("provide exactly one of potential or toric")
     if has_potential:
-        cfg.potential, cfg.axis = _build_potential(document["potential"], n)
-        cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=n, axis=cfg.axis)
+        cfg.potential = _build_potential(document["potential"], n)
+        cfg.hamiltonian = HamiltonianSpec(potential=cfg.potential, n=n)
     else:
         if structure.kind is not StructureKind.TWISTED_B:
             raise ConfigError("toric: the lifted torus generator lives on the twisted structure")
@@ -573,7 +576,7 @@ def _run_timescale(cfg: RunConfig, out_dir: str) -> list:
 
     def body(i, initial):
         traj = runner(cfg.potential, cfg.friction, *initial, cfg.horizon,
-                      config=cfg.integrator, axis=cfg.axis)
+                      config=cfg.integrator)
         _write_extended_csv(os.path.join(out_dir, "extended_000.csv"), traj, cfg.clock)
         _write_realtime_csv(os.path.join(out_dir, "realtime_000.csv"),
                             reconstruct_real_time(traj))

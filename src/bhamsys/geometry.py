@@ -345,7 +345,7 @@ def compile_field(structure: PhaseStructure, h) -> Callable[[np.ndarray], np.nda
 
     named = isinstance(h, HamiltonianSpec) and h.n == n
     if named and h.extended is ExtendedKind.NONE and not ext:
-        force, axis = _family_slope(h.potential, -1.0, np.asarray), h.axis  # -dV/dx
+        force, axis = _family_slope(h.potential, -1.0, np.asarray), h.potential.axis  # -dV/dx
         swap = np.array([*range(n, 2 * n), *range(n)])
 
         def field(Y, errors=None):

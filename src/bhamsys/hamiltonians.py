@@ -87,34 +87,30 @@ class ExtendedKind(str, Enum):
 _S_KINDS = frozenset({ExtendedKind.S_COORDINATES, ExtendedKind.POINCARE_S})
 
 
-_DISSIPATIVE = {
-    PotentialFamily.LINEAR,
-    PotentialFamily.PURE_QUADRATIC,
-    PotentialFamily.GENERAL_QUADRATIC,
-    PotentialFamily.PERIODIC,
-}
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A named potential with its coefficients.
+    """A named potential with its coefficients and its axis.
 
-    ``lam`` is the strength/friction coefficient (must be positive for the
-    dissipative families), ``alpha`` the viscosity-gradient coefficient of
-    the general quadratic family.
+    ``lam`` is the strength coefficient, which must be positive in every
+    family, ``alpha`` the viscosity-gradient coefficient of the general
+    quadratic family, and ``axis`` the one coordinate q[axis] that V reads
+    (the dissipative direction); the other directions are free.
     """
 
     family: PotentialFamily
     lam: float = 1.0
     alpha: float = 0.0
+    axis: int = 0
 
     def __post_init__(self):
         family = PotentialFamily(self.family)
         object.__setattr__(self, "family", family)
-        if family in _DISSIPATIVE and not self.lam > 0.0:
-            raise ValueError("lam must be > 0 for dissipative potential families")
+        if not self.lam > 0.0:
+            raise ValueError("lam must be > 0")
         if family is not PotentialFamily.GENERAL_QUADRATIC and self.alpha != 0.0:
             raise ValueError(f"alpha is only meaningful for general_quadratic, got family={family.value}")
+        if self.axis < 0:
+            raise ValueError(f"axis must be >= 0, got {self.axis}")
 
 
 def _family_value(spec: PotentialSpec):
@@ -161,19 +157,19 @@ def _family_slope(spec: PotentialSpec, sign: float = 1.0, const=float):
     return lambda x: c
 
 
-def potential_value(spec: PotentialSpec, q: np.ndarray, axis: int = 0) -> float:
-    """V(q), which reads only ``q[axis]``."""
+def potential_value(spec: PotentialSpec, q: np.ndarray) -> float:
+    """V(q), which reads only ``q[spec.axis]``."""
     if not (isinstance(q, np.ndarray) and q.ndim == 1):
         q = np.atleast_1d(np.asarray(q, dtype=float))
-    return _family_value(spec)(float(q[axis]))
+    return _family_value(spec)(float(q[spec.axis]))
 
 
-def potential_gradient(spec: PotentialSpec, q: np.ndarray, axis: int = 0) -> np.ndarray:
-    """dV/dq as a vector of the same length as q."""
+def potential_gradient(spec: PotentialSpec, q: np.ndarray) -> np.ndarray:
+    """dV/dq as a vector of the same length as q, zero off ``spec.axis``."""
     if not (isinstance(q, np.ndarray) and q.ndim == 1):
         q = np.atleast_1d(np.asarray(q, dtype=float))
     grad = np.zeros(q.size)
-    grad[axis] = _family_slope(spec)(float(q[axis]))
+    grad[spec.axis] = _family_slope(spec)(float(q[spec.axis]))
     return grad
 
 
@@ -181,8 +177,7 @@ def potential_gradient(spec: PotentialSpec, q: np.ndarray, axis: int = 0) -> np.
 class HamiltonianSpec:
     """Kinetic-plus-potential Hamiltonian, optionally in an extended variant.
 
-    ``axis`` selects the coordinate the one-dimensional potential families
-    act on (the dissipative direction); the remaining directions are free.
+    The potential carries its axis, which must be below ``n``.
     ``friction`` is the time-rescaling coefficient lam of the extended
     variants, and only they take it; it is independent of the potential's
     own ``lam``.
@@ -190,7 +185,6 @@ class HamiltonianSpec:
 
     potential: PotentialSpec
     n: int = 1
-    axis: int = 0
     extended: ExtendedKind = ExtendedKind.NONE
     friction: Optional[float] = None
 
@@ -198,8 +192,8 @@ class HamiltonianSpec:
         object.__setattr__(self, "extended", ExtendedKind(self.extended))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0 <= self.axis < self.n:
-            raise ValueError(f"axis {self.axis} out of range for n={self.n}")
+        if not self.potential.axis < self.n:
+            raise ValueError(f"axis {self.potential.axis} out of range for n={self.n}")
         if self.extended is ExtendedKind.NONE:
             if self.friction is not None:
                 raise ValueError("friction is only meaningful for the extended variants")
@@ -226,9 +220,9 @@ class HamiltonianSpec:
         self._check(state)
         kinetic = 0.5 * float(np.dot(state.p, state.p))
         if self.extended is ExtendedKind.NONE:
-            return kinetic + potential_value(self.potential, state.q, self.axis)
+            return kinetic + potential_value(self.potential, state.q)
         lam = self.friction
-        v = potential_value(self.potential, state.q, self.axis)
+        v = potential_value(self.potential, state.q)
         if self.extended in _S_KINDS:
             s, e_s = state.extra
             if s <= 0.0:
@@ -250,7 +244,7 @@ class HamiltonianSpec:
         n = self.n
         if self.extended is ExtendedKind.NONE:
             out = np.empty(2 * n)
-            out[:n] = potential_gradient(self.potential, state.q, self.axis)
+            out[:n] = potential_gradient(self.potential, state.q)
             out[n:] = state.p
             return out
         force, k_p, k_x, k_e = _extended_terms(self)(state.to_array().tolist())
@@ -259,9 +253,9 @@ class HamiltonianSpec:
 
 def _bound_potential(h: HamiltonianSpec):
     """``potential(y) -> (V, dV/dq)`` of ``h`` on one flat row ``y``, with
-    the family's value and slope bound once; V reads ``y[axis]`` alone and
-    ``dV/dq`` is a list of n floats."""
-    n, axis, spec = h.n, h.axis, h.potential
+    the family's value and slope bound once; V reads ``y[axis]`` alone, the
+    potential's axis, and ``dV/dq`` is a list of n floats."""
+    n, spec, axis = h.n, h.potential, h.potential.axis
     value, slope = _family_value(spec), _family_slope(spec)
     if spec.family is PotentialFamily.PERIODIC:
         sine = slope

@@ -110,9 +110,9 @@ def quadratic_tanh_constants(q0: float, p0: float, lam: float):
 
 
 def damped_newton_reference(potential: PotentialSpec, lam: float, q0, v0,
-                            t_grid, step: Optional[float] = None,
-                            axis: int = 0) -> OracleResult:
-    """Direct integration of ``q'' = -lam q' - dV/dq`` on the given grid.
+                            t_grid, step: Optional[float] = None) -> OracleResult:
+    """Direct integration of ``q'' = -lam q' - dV/dq`` on the given grid,
+    with V reading the potential's own axis.
 
     Integrates the first-order pair (q, v) with classic fixed-step RK4,
     landing exactly on every grid node.  The internal step defaults to one
@@ -138,7 +138,7 @@ def damped_newton_reference(potential: PotentialSpec, lam: float, q0, v0,
         raise ValueError("q0 and v0 must have the same shape")
 
     def accel(qv, vv):
-        return -lam * vv - potential_gradient(potential, qv, axis)
+        return -lam * vv - potential_gradient(potential, qv)
 
     k = t_grid.size
     qs = np.empty((k, q.size))

@@ -108,8 +108,8 @@ def to_s_state(state: PhaseState, lam: float) -> PhaseState:
 @dataclass(frozen=True, eq=False)
 class RealTimeTrajectory:
     """Base motion (q(t), dq/dt) recovered from ``run``, a run of Poincare's
-    K whose times are physical times; lam, the potential and the axis are
-    those of ``run.hamiltonian``."""
+    K whose times are physical times; lam and the potential, which carries
+    its axis, are those of ``run.hamiltonian``."""
 
     run: Trajectory
     q: np.ndarray
@@ -131,12 +131,13 @@ class RealTimeTrajectory:
         return _base_motion(self.run.hamiltonian, self.run.n, ys)
 
 
-def build_rescaled_extended(potential: PotentialSpec, lam: float, n: int = 1, axis: int = 0):
-    """Structure and Hamiltonian of the exponentially rescaled system."""
+def build_rescaled_extended(potential: PotentialSpec, lam: float, n: int = 1):
+    """Structure and Hamiltonian of the exponentially rescaled system, with
+    V on the potential's axis, which must be below ``n``."""
     if not lam > 0:
         raise ValueError("lam must be > 0")
     structure = PhaseStructure(kind=StructureKind.EXTENDED_CANONICAL, dim=2 * n)
-    h = HamiltonianSpec(potential=potential, n=n, axis=axis,
+    h = HamiltonianSpec(potential=potential, n=n,
                         extended=ExtendedKind.RESCALED_EXTENDED, friction=lam)
     return structure, h
 
@@ -155,9 +156,7 @@ def to_s_coordinates(structure: PhaseStructure, h: HamiltonianSpec):
         raise ValueError("expected a rescaled_extended Hamiltonian")
     structure_s = PhaseStructure(kind=StructureKind.EXTENDED_B_S, dim=structure.dim,
                                  modular_weight=1.0, angular_mask=structure.angular_mask)
-    h_s = HamiltonianSpec(potential=h.potential, n=h.n, axis=h.axis,
-                          extended=ExtendedKind.S_COORDINATES, friction=h.friction)
-    return structure_s, h_s
+    return structure_s, replace(h, extended=ExtendedKind.S_COORDINATES)
 
 
 def poincare_transform(h: HamiltonianSpec) -> HamiltonianSpec:
@@ -173,7 +172,7 @@ def poincare_transform(h: HamiltonianSpec) -> HamiltonianSpec:
 
 
 def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
-                           t0: float = 0.0, axis: int = 0) -> PhaseState:
+                           t0: float = 0.0) -> PhaseState:
     """Initial state of the rescaled system for physical data (q0, v0) at t0.
 
     Uses p = exp(lam t) v / lam and the energy value that puts the rescaled
@@ -184,7 +183,7 @@ def rescaled_initial_state(potential: PotentialSpec, lam: float, q0, v0,
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     with np.errstate(over="ignore"):  # an overflow is reported below
         p0 = v0 * math.exp(lam * t0) / lam
-        v_pot = potential_value(potential, q0, axis)
+        v_pot = potential_value(potential, q0)
         e0 = (lam * math.exp(-lam * t0) * 0.5 * float(np.dot(p0, p0))
               + math.exp(lam * t0) * v_pot / lam)
     if not (np.all(np.isfinite(p0)) and math.isfinite(e0)):
@@ -218,14 +217,14 @@ def horizon_config(lam: float, t_target: float, s_chart: bool,
     return config
 
 
-def _run(potential, lam, q0, v0, t_target, config, axis, s_chart) -> Trajectory:
+def _run(potential, lam, q0, v0, t_target, config, s_chart) -> Trajectory:
     """The run of K to physical time ``t_target``, in the s chart when
     ``s_chart``, with :func:`horizon_config` of ``config``."""
     if not t_target > 0:
         raise ValueError("t_target must be > 0")
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    structure, h = build_rescaled_extended(potential, lam, n=q0.size, axis=axis)
-    initial = rescaled_initial_state(potential, lam, q0, v0, axis=axis)
+    structure, h = build_rescaled_extended(potential, lam, n=q0.size)
+    initial = rescaled_initial_state(potential, lam, q0, v0)
     config = horizon_config(lam, t_target, s_chart, config)
     if s_chart:
         structure, h = to_s_coordinates(structure, h)
@@ -238,9 +237,11 @@ def _run(potential, lam, q0, v0, t_target, config, axis, s_chart) -> Trajectory:
 
 
 def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
-                 config: Optional[IntegratorConfig] = None, axis: int = 0) -> Trajectory:
+                 config: Optional[IntegratorConfig] = None) -> Trajectory:
     """Integrate the rescaled system in the t chart, in physical time, from
-    (q0, v0) at t = 0, with E on the zero level of H, to ``t_target``.
+    (q0, v0) at t = 0, with E on the zero level of H, to ``t_target``.  The
+    dimension n is that of q0, and V reads coordinate ``potential.axis``,
+    which must be below n.
 
     The flow is that of :func:`poincare_transform` of the rescaled H, and
     ``t_target`` replaces the ``t_max`` of ``config`` (default
@@ -251,12 +252,11 @@ def run_rescaled(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
     underdamped ``pure_quadratic``; a ``zero`` potential runs until
     exp(lam t) overflows at lam*t = 700 (see the module docstring).
     """
-    return _run(potential, lam, q0, v0, t_target, config, axis, s_chart=False)
+    return _run(potential, lam, q0, v0, t_target, config, s_chart=False)
 
 
 def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: float,
-                      config: Optional[IntegratorConfig] = None,
-                      axis: int = 0) -> Trajectory:
+                      config: Optional[IntegratorConfig] = None) -> Trajectory:
     """Integrate the s-coordinate system, in physical time, from t = 0 to
     ``t_target``, as :func:`run_rescaled` does in the t chart.
 
@@ -266,7 +266,7 @@ def run_s_coordinates(potential: PotentialSpec, lam: float, q0, v0, t_target: fl
     about 744).  The momentum and the energy grow as in the t chart, so the
     same friction * horizon limits hold.
     """
-    return _run(potential, lam, q0, v0, t_target, config, axis, s_chart=True)
+    return _run(potential, lam, q0, v0, t_target, config, s_chart=True)
 
 
 def _base_motion(h, n, ys) -> tuple:
@@ -313,5 +313,5 @@ def friction_ode_residual(rt: RealTimeTrajectory, dt: float = 0.01) -> float:
     qd = (q[2:] - q[:-2]) / (2 * dt)
     grad = np.empty_like(q[1:-1])
     for i in range(1, ts.size - 1):
-        grad[i - 1] = potential_gradient(h.potential, q[i], h.axis)
+        grad[i - 1] = potential_gradient(h.potential, q[i])
     return float(np.max(np.abs(qdd + h.friction * qd + grad)))

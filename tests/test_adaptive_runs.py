@@ -227,7 +227,7 @@ RUNS = {
                        PhaseState(0.0, 1.0), dict(t_max=12.0, z_epsilon=1e-2)),
     "twisted_n2_pure_quadratic": (
         PhaseStructure(StructureKind.TWISTED_B, dim=4, singular_index=1),
-        HamiltonianSpec(PotentialSpec("pure_quadratic", lam=0.8), n=2, axis=1),
+        HamiltonianSpec(PotentialSpec("pure_quadratic", lam=0.8, axis=1), n=2),
         PhaseState([0.3, 0.5], [-0.4, 1.1]), dict(t_max=8.0)),
     "angular_periodic": (
         PhaseStructure(StructureKind.TWISTED_B, modular_weight=1.5, angular_mask=(True,)),
@@ -241,7 +241,7 @@ RUNS = {
                    HamiltonianSpec(PotentialSpec("pure_quadratic", lam=1.0)),
                    PhaseState(0.8, -0.3), dict(t_max=5.0)),
     "canonical_n2": (PhaseStructure(StructureKind.CANONICAL, dim=4),
-                     HamiltonianSpec(PotentialSpec("periodic", lam=1.0), n=2, axis=0),
+                     HamiltonianSpec(PotentialSpec("periodic", lam=1.0, axis=0), n=2),
                      PhaseState([0.4, -0.2], [0.3, 0.6]), dict(t_max=7.0)),
     "custom_potential": (PhaseStructure(StructureKind.TWISTED_B), Cubic(),
                          PhaseState(0.2, 0.8), dict(t_max=4.0)),
@@ -272,9 +272,9 @@ def _extended_case(clock, family, n):
     duck = family == "row_by_row"
     if duck:
         family = "general_quadratic"
-    potential = PotentialSpec(family, **FAMILIES[family])
+    potential = PotentialSpec(family, **FAMILIES[family], axis=n - 1)
     lam = 0.8
-    structure, h = build_rescaled_extended(potential, lam, n=n, axis=n - 1)
+    structure, h = build_rescaled_extended(potential, lam, n=n)
     q0, p0 = [0.4] * n, [-0.3 / lam] * n
     state = PhaseState(q0, p0, extra=(0.0, 0.25))
     if clock == "s":

@@ -16,8 +16,10 @@ fits any horizon.  A liftcheck document must give its samples.  The keys
 that the command line or the zero level of H settles (``command``,
 ``out_dir``, ``timescale``'s ``e0``), a grid spec in place of the list of
 initial states, and the integrator keys that a run cannot read (``t_max``
-and ``z_epsilon`` of ``timescale``, ``z_epsilon`` on a canonical structure)
-are unknown keys.
+and ``z_epsilon`` of ``timescale``, ``z_epsilon`` on a canonical structure,
+``rel_tol`` and ``abs_tol`` of a fixed-step run) and the potential keys that
+its family does not read (``lambda`` of ``zero``, ``alpha`` of any family but
+``general_quadratic``) are unknown keys.
 """
 
 import copy
@@ -380,7 +382,14 @@ REMOVED = ([(command, DOCUMENTS[command], "command", command) for command in sor
               for clock in ("t", "s") for key in ("t_max", "z_epsilon")]
            + [("simulate", edit(SIMULATE, ["potential"], {"family": "zero"}),
                "potential.lambda", 3.0),
-              ("timescale", TIMESCALE, "potential.lambda", 2.0)])
+              ("timescale", TIMESCALE, "potential.lambda", 2.0)]
+           + [(command, edit(doc, ["potential"], {"family": "linear"}), "potential.alpha", 0.0)
+              for command, doc in (("simulate", SIMULATE), ("timescale", TIMESCALE))]
+           + [(command, doc, f"integrator.{key}", 0.5)
+              for command, doc in (("simulate", DOCUMENTS["simulate"]),
+                                   ("timescale", edit(TIMESCALE, ["integrator"],
+                                                      {"method": "rk4_fixed", "step": 0.01})))
+              for key in ("rel_tol", "abs_tol")])
 
 
 @pytest.mark.parametrize("command,doc,key,value", REMOVED,
@@ -389,8 +398,9 @@ REMOVED = ([(command, DOCUMENTS[command], "command", command) for command in sor
 def test_the_removed_settings_are_unknown_keys(tmp_path, capsys, command, doc, key, value):
     # the command line names the command and the output directory, E starts
     # on the zero level of H, a grid is the list of states it expands to, a
-    # timescale horizon sets t_max and z_epsilon, and a canonical structure
-    # has no critical set for z_epsilon to bound, and V = 0 reads no lambda
+    # timescale horizon sets t_max and z_epsilon, a canonical structure has
+    # no critical set for z_epsilon to bound, V = 0 reads no lambda, only the
+    # general quadratic reads alpha and a fixed step reads no tolerance
     doc = edit(doc, key.split("."), value)
     with pytest.raises(ConfigError, match=f"^unknown key: {re.escape(key)}$"):
         parse_config(doc, command)

@@ -71,6 +71,8 @@ def potential(draw, families=FAMILIES):
     section = {"family": draw(st.sampled_from(families))}
     if section["family"] != "zero" and draw(st.booleans()):  # V = 0 reads no lambda
         section["lambda"] = draw(positive)
+    if section["family"] == "general_quadratic" and draw(st.booleans()):  # alpha's one family
+        section["alpha"] = draw(numbers)
     return section
 
 

@@ -1,5 +1,7 @@
 """Structure descriptors, bivector inversion, and the defining identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -190,7 +192,7 @@ class TestHamiltonianVectorField:
         z = y[n + k] if kind is StructureKind.TWISTED_B else y[k]
         assume(z != 0.0)  # off the critical set
         structure = PhaseStructure(kind, dim=2 * n, modular_weight=c, singular_index=k)
-        h = HamiltonianSpec(potential, n=n, axis=axis)
+        h = HamiltonianSpec(replace(potential, axis=axis), n=n)
         expected = compile_field(PhaseStructure(StructureKind.CANONICAL, dim=2 * n), h)(y)
         expected[[k, n + k]] *= z / c
         npt.assert_array_equal(compile_field(structure, h)(y), expected)

@@ -34,7 +34,8 @@ class TestSpecValidation:
             PotentialSpec("linear", lam=-1.0)
         with pytest.raises(ValueError):
             PotentialSpec("periodic", lam=0.0)
-        PotentialSpec("zero", lam=-1.0)  # zero family ignores lam
+        with pytest.raises(ValueError):  # in every family, V = 0 included
+            PotentialSpec("zero", lam=-1.0)
 
     def test_alpha_only_for_general_quadratic(self):
         with pytest.raises(ValueError):
@@ -46,6 +47,14 @@ class TestSpecValidation:
             "general_quadratic", "linear", "periodic", "pure_quadratic", "zero"]
         with pytest.raises(ValueError):
             PotentialSpec("custom")
+
+    def test_the_axis_is_the_potentials_and_below_n(self):
+        with pytest.raises(ValueError, match="axis must be >= 0"):
+            PotentialSpec("linear", axis=-1)
+        with pytest.raises(ValueError, match="axis 2 out of range for n=2"):
+            HamiltonianSpec(PotentialSpec("linear", axis=2), n=2)
+        h = HamiltonianSpec(PotentialSpec("linear", axis=1), n=2)
+        assert h.potential.axis == 1 and not hasattr(h, "axis")
 
     def test_extended_requires_friction(self):
         pot = PotentialSpec("zero")
@@ -154,7 +163,7 @@ class TestGradient:
 
     def test_multidimensional_axis_selection(self):
         # potential acts on q2 only; q1 direction is free
-        h = HamiltonianSpec(PotentialSpec("linear", lam=2.0), n=2, axis=1)
+        h = HamiltonianSpec(PotentialSpec("linear", lam=2.0, axis=1), n=2)
         state = PhaseState([0.5, 0.5], [3.0, 4.0])
         npt.assert_allclose(h.gradient(state), [0.0, 1.0, 3.0, 4.0], rtol=0)
 

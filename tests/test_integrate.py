@@ -185,7 +185,7 @@ class TestAccuracy:
     def test_dissipative_direction_decouples_from_free_motion(self):
         """n=2: drag along the singular pair, free classical motion elsewhere."""
         struct = PhaseStructure(StructureKind.TWISTED_B, dim=4, singular_index=0)
-        h = HamiltonianSpec(PotentialSpec("linear", lam=1.0), n=2, axis=0)
+        h = HamiltonianSpec(PotentialSpec("linear", lam=1.0, axis=0), n=2)
         cfg = IntegratorConfig(step=1e-3, t_max=25.0, z_epsilon=1e-4)
         traj = integrate(struct, h, PhaseState([0.0, 0.0], [1.0, 2.0]), cfg)
         assert traj.terminal_event.kind is EventKind.REACHED_Z

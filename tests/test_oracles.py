@@ -162,8 +162,8 @@ class TestDampedNewtonReference:
 
     def test_vector_valued_states(self):
         t = np.linspace(0.0, 5.0, 51)
-        res = damped_newton_reference(PotentialSpec("linear", lam=2.0), 0.5,
-                                      [0.0, 1.0], [1.0, 0.0], t, axis=1)
+        res = damped_newton_reference(PotentialSpec("linear", lam=2.0, axis=1), 0.5,
+                                      [0.0, 1.0], [1.0, 0.0], t)
         assert res.qs.shape == (51, 2)
         # axis 0 is free damped motion, axis 1 sees the constant force
         npt.assert_allclose(res.qs[:, 0], (1 - np.exp(-0.5 * t)) / 0.5, atol=1e-9)

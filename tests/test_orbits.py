@@ -213,7 +213,7 @@ class TestCylinder:
         around the cylinder at p_q = 0."""
         cyl = PhaseStructure(StructureKind.TWISTED_B, dim=4, singular_index=1,
                              angular_mask=(True, False))
-        h = HamiltonianSpec(PotentialSpec("linear", lam=1.0), n=2, axis=1)
+        h = HamiltonianSpec(PotentialSpec("linear", lam=1.0, axis=1), n=2)
         cfg = IntegratorConfig(step=1e-3, t_max=25.0, z_epsilon=1e-4)
         traj = integrate(cyl, h, PhaseState([0.0, 0.0], [2.0, 1.0]), cfg)
         cls = classify_orbit(traj)

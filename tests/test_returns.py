@@ -72,7 +72,7 @@ def cases(draw):
         return CANONICAL, HamiltonianSpec(PotentialSpec("pure_quadratic", lam=lam)), \
             [sign * x, v], OrbitKind.PERIODIC
     # the singular pair (q1, p1 = 0) rests while (q2, p2) oscillates
-    h = HamiltonianSpec(PotentialSpec("pure_quadratic", lam=lam), n=2, axis=1)
+    h = HamiltonianSpec(PotentialSpec("pure_quadratic", lam=lam, axis=1), n=2)
     return NONTWISTED_2, h, [sign * draw(st.floats(0.5, 2.0)), x, 0.0, v], OrbitKind.PERIODIC
 
 

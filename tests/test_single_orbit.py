@@ -37,7 +37,7 @@ VARIANTS = (ExtendedKind.RESCALED_EXTENDED, ExtendedKind.S_COORDINATES)
 def scalar_gradient(h, state):
     """The partials of an extended ``h`` as the one-state formulas give them,
     with numpy arrays for the dV/dq block and Python floats for the rest."""
-    n, pot, axis = h.n, h.potential, h.axis
+    n, pot = h.n, h.potential
     out = np.empty(2 * n + 2)
     out[n:2 * n] = state.p
     lam = h.friction
@@ -47,16 +47,16 @@ def scalar_gradient(h, state):
             raise OverflowError("exp(lam*t) overflow in rescaled Hamiltonian")
         elt = math.exp(lam * t)
         e2lt = elt * elt
-        v = potential_value(pot, state.q, axis)
-        out[:n] = e2lt / lam**2 * potential_gradient(pot, state.q, axis)
+        v = potential_value(pot, state.q)
+        out[:n] = e2lt / lam**2 * potential_gradient(pot, state.q)
         out[2 * n] = 2 * e2lt / lam * v - elt * e
         out[2 * n + 1] = -elt / lam
         return out
     s, e_s = state.extra
     if s <= 0.0:
         raise ValueError("Hamiltonian singular at s=0")
-    v = potential_value(pot, state.q, axis)
-    out[:n] = potential_gradient(pot, state.q, axis) / (lam * s) ** 2
+    v = potential_value(pot, state.q)
+    out[:n] = potential_gradient(pot, state.q) / (lam * s) ** 2
     out[2 * n] = -2 * v / (lam**2 * s**3) + e_s / s**2
     out[2 * n + 1] = -1.0 / s
     return out
@@ -107,7 +107,7 @@ def test_extended_kernel_matches_the_swapped_gradient(variant, family, n, data):
     axis = data.draw(st.integers(0, n - 1), label="axis")
     friction = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="friction")
     weight = data.draw(st.sampled_from([1.0, -0.5]), label="weight")
-    h = HamiltonianSpec(PotentialSpec(family, **FAMILIES[family]), n=n, axis=axis,
+    h = HamiltonianSpec(PotentialSpec(family, **FAMILIES[family], axis=axis), n=n,
                         extended=variant, friction=friction)
     if variant is ExtendedKind.S_COORDINATES:
         structure = PhaseStructure(StructureKind.EXTENDED_B_S, dim=2 * n, modular_weight=weight)
@@ -181,13 +181,14 @@ def test_timescale_runs_never_call_the_gradient_method(monkeypatch):
     def no_gradient(self, state):
         raise AssertionError("the kernel went through HamiltonianSpec.gradient")
     monkeypatch.setattr(HamiltonianSpec, "gradient", no_gradient)
-    potential, q0, v0 = PotentialSpec("pure_quadratic", lam=0.7), [0.3, -0.2], [0.5, 0.1]
+    potential = PotentialSpec("pure_quadratic", lam=0.7, axis=1)
+    q0, v0 = [0.3, -0.2], [0.5, 0.1]
     for runner in (run_rescaled, run_s_coordinates):
-        traj = runner(potential, 0.8, q0, v0, 2.0, axis=1)
+        traj = runner(potential, 0.8, q0, v0, 2.0)
         assert traj.terminal_event.kind is EventKind.T_MAX
     # the rescaled and s-coordinate H share the kernel of K
-    rescaled = build_rescaled_extended(potential, 0.8, n=2, axis=1)
-    initial = rescaled_initial_state(potential, 0.8, q0, v0, axis=1)
+    rescaled = build_rescaled_extended(potential, 0.8, n=2)
+    initial = rescaled_initial_state(potential, 0.8, q0, v0)
     runs = [(*rescaled, initial),
             (*to_s_coordinates(*rescaled), to_s_state(initial, 0.8))]
     config = IntegratorConfig(method=Method.RK_ADAPTIVE, t_max=0.5)
@@ -216,7 +217,7 @@ FIELDS = {
                  HamiltonianSpec(PotentialSpec("linear"), extended="rescaled_extended",
                                  friction=0.7)),
     "s_coordinates": (PhaseStructure(StructureKind.EXTENDED_B_S, dim=4),
-                      HamiltonianSpec(PotentialSpec("periodic"), n=2, axis=1,
+                      HamiltonianSpec(PotentialSpec("periodic", axis=1), n=2,
                                       extended="s_coordinates", friction=1.2)),
 }
 

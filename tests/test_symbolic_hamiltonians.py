@@ -90,8 +90,8 @@ def test_value_and_gradient_equal_the_symbolic_hamiltonian(variant, family, n):
     friction = float(rng.uniform(0.3, 1.5))
     axis = n - 1
     extended = variant is not ExtendedKind.NONE
-    spec = HamiltonianSpec(potential=PotentialSpec(family, lam=lam, alpha=alpha), n=n, axis=axis,
-                           extended=variant, friction=friction if extended else None)
+    spec = HamiltonianSpec(potential=PotentialSpec(family, lam=lam, alpha=alpha, axis=axis),
+                           n=n, extended=variant, friction=friction if extended else None)
     if extended:
         kind = (StructureKind.EXTENDED_B_S if variant in S_VARIANTS
                 else StructureKind.EXTENDED_CANONICAL)

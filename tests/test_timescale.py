@@ -162,6 +162,23 @@ class TestReconstruction:
         assert v[-1, 0] == pytest.approx(-2.0 + 3.0 * math.exp(-8.0), abs=1e-6)
         assert abs(v[-1, 1]) < 1e-3  # free direction decays like exp(-t)
 
+    @pytest.mark.parametrize("runner", [run_rescaled, run_s_coordinates])
+    def test_a_potential_on_axis_1_matches_the_oracle(self, runner):
+        # V = q2^2/2 reads the axis the potential carries, in the run, in its
+        # zero level of H and in the oracle alike; q1 is free damped motion
+        pot = PotentialSpec("pure_quadratic", lam=2.0, axis=1)
+        lam, q0, v0 = 0.2, [0.5, 1.0], [0.3, 0.0]
+        _, h = build_rescaled_extended(pot, lam, n=2)
+        assert h.value(rescaled_initial_state(pot, lam, q0, v0)) == pytest.approx(0.0, abs=1e-12)
+        rt = reconstruct_real_time(runner(pot, lam, q0, v0, 10.0))
+        ts = np.linspace(0.0, 10.0, 1001)
+        ref = damped_newton_reference(pot, lam, q0, v0, ts, step=1e-3)
+        q, v = rt.sample(ts)
+        # the bounds of acceptance criterion 9
+        assert np.max(np.abs(q - ref.qs)) < 1e-5 and np.max(np.abs(v - ref.ps)) < 1e-5
+        assert friction_ode_residual(rt, dt=0.01) < 1e-4
+        npt.assert_allclose(q[:, 0], 0.5 + 0.3 * (1.0 - np.exp(-lam * ts)) / lam, atol=1e-6)
+
     @pytest.mark.parametrize("s_chart", [False, True])
     def test_runs_of_h_are_not_reconstructible(self, s_chart):
         structure, h = build_rescaled_extended(ZERO, 1.0)
